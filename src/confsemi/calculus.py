@@ -60,21 +60,6 @@ class FunctionHandle:
     def __call__(self, t):
         return self.evaluator(t)
 
-    def derivative_consistency(self, points) -> float:
-        """Max relative deviation of the analytic first derivative from a
-        central difference over the given sample points."""
-        if self.classical_derivative is None:
-            raise ValueError("handle declares no classical_derivative")
-        worst = 0.0
-        for t in points:
-            t = float(t)
-            h = 1e-6 * (1.0 + abs(t))
-            approx = (self.evaluator(t + h) - self.evaluator(t - h)) / (2 * h)
-            exact = self.classical_derivative(t)
-            scale = max(abs(exact), 1.0)
-            worst = max(worst, abs(approx - exact) / scale)
-        return worst
-
 
 @dataclass(frozen=True)
 class WeightedQuadrature:

@@ -8,6 +8,7 @@ tolerance would change what a run certifies.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
@@ -132,9 +133,24 @@ class RunConfig:
                 raise ConfigError(f"grid sizes must be >= 16, got {n}")
         if not self.delta_list or not self.n_list:
             raise ConfigError("delta_list and n_list must be nonempty")
+        # each entry gets its own check ids or sweep rows; a repeat would
+        # write the same id or row twice
+        for name, values in (("[orders] delta_list", self.delta_list),
+                             ("[grids] n_list", self.n_list),
+                             ("[sweep] delta_list", self.sweep_delta_list),
+                             ("[sweep] n_list", self.sweep_n_list)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} has repeated entries: {values}")
         for key in TOLERANCE_DEFAULTS:
-            if self.tolerances[key] < 0.0:
-                raise ConfigError(f"tolerance {key} must be nonnegative")
+            if not 0.0 <= self.tolerances[key] < math.inf:
+                raise ConfigError(f"tolerance {key} must be finite and "
+                                  f"nonnegative, got {self.tolerances[key]}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        for name, value in (("a", self.dd_a), ("b", self.dd_b), ("c", self.dd_c)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"[drift_diffusion] {name} must be finite and "
+                                  f"positive, got {value}")
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]

@@ -138,29 +138,19 @@ def _difference_matrices(nodes: np.ndarray, right_ghost: Optional[float]) -> tup
     n = len(nodes)
     d1 = np.zeros((n, n))
     d2 = np.zeros((n, n))
-    if right_ghost is None:
-        extended = np.concatenate([[0.0], nodes])
-        for i in range(1, n):
-            w1, w2 = _quadratic_weights(
-                (extended[i - 1], extended[i], extended[i + 1]), extended[i])
-            for col, a, b in zip((i - 2, i - 1, i), w1, w2):
-                if col >= 0:
-                    d1[i - 1, col] += a
-                    d2[i - 1, col] += b
-        w1, w2 = _quadratic_weights(
-            (nodes[n - 3], nodes[n - 2], nodes[n - 1]), nodes[n - 1])
-        for col, a, b in zip((n - 3, n - 2, n - 1), w1, w2):
-            d1[n - 1, col] += a
-            d2[n - 1, col] += b
-    else:
-        extended = np.concatenate([[0.0], nodes, [right_ghost]])
-        for i in range(1, n + 1):
-            w1, w2 = _quadratic_weights(
-                (extended[i - 1], extended[i], extended[i + 1]), extended[i])
-            for col, a, b in zip((i - 2, i - 1, i), w1, w2):
-                if 0 <= col < n:
-                    d1[i - 1, col] += a
-                    d2[i - 1, col] += b
+    ghost = [] if right_ghost is None else [right_ghost]
+    extended = [0.0, *nodes, *ghost]
+    for i in range(1, n + 1):
+        # stencil nodes, the node the weights are taken at, and its columns
+        if i == n and right_ghost is None:
+            stencil, at, cols = nodes[n - 3:], nodes[n - 1], (n - 3, n - 2, n - 1)
+        else:
+            stencil, at, cols = extended[i - 1:i + 2], extended[i], (i - 2, i - 1, i)
+        w1, w2 = _quadratic_weights(stencil, at)
+        for col, a, b in zip(cols, w1, w2):
+            if 0 <= col < n:
+                d1[i - 1, col] += a
+                d2[i - 1, col] += b
     return d1, d2
 
 
@@ -231,6 +221,24 @@ def _window_rows(grid: GridPair) -> np.ndarray:
     return (grid.xi_nodes >= lo) & (grid.xi_nodes <= hi)
 
 
+def _mapped_pair(p: DriftDiffusionParams, n: int, clamp_right: bool,
+                 corpus) -> tuple:
+    """The unitarily mapped graded operator, its classical twin, the corpus
+    sampled on the uniform grid, and the window rows."""
+    grid = GridPair.build(n, p.delta)
+    graded = build_conformable_operator(p, grid, clamp_right)
+    classical = build_classical_operator(p, grid, clamp_right)
+    fwd, inv = discrete_unitary(grid, p.delta)
+    mapped = fwd @ graded.entries @ inv
+    vectors = [func(grid.xi_nodes) for _, func in corpus]
+    return mapped, classical.entries, vectors, _window_rows(grid)
+
+
+def _window_sup(matrix: np.ndarray, vectors: list, rows: np.ndarray) -> float:
+    """Largest window entry of |matrix @ vec| over the vectors."""
+    return float(np.max([np.max(np.abs((matrix @ vec)[rows])) for vec in vectors]))
+
+
 def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
     """Interior disagreement of the unitarily mapped operator pair.
 
@@ -243,18 +251,9 @@ def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
         raise ValueError("conjugacy study needs n >= 16")
     out = []
     for n in n_list:
-        grid = GridPair.build(int(n), p.delta)
-        graded = build_conformable_operator(p, grid)
-        classical = build_classical_operator(p, grid)
-        fwd, inv = discrete_unitary(grid, p.delta)
-        mapped = fwd @ graded.entries @ inv
-        diff = mapped - classical.entries
-        rows = _window_rows(grid)
-        worst = 0.0
-        for _, func in SMOOTH_CORPUS:
-            vec = func(grid.xi_nodes)
-            worst = max(worst, float(np.max(np.abs((diff @ vec)[rows]))))
-        out.append((int(n), worst))
+        mapped, classical, vectors, rows = _mapped_pair(
+            p, int(n), False, SMOOTH_CORPUS)
+        out.append((int(n), _window_sup(mapped - classical, vectors, rows)))
     return out
 
 
@@ -284,12 +283,11 @@ class EigenfunctionFamily:
     diffusion: float
     drift: float
     reaction: float
-    params: Optional[DriftDiffusionParams] = None
 
     @classmethod
     def from_params(cls, p: DriftDiffusionParams) -> "EigenfunctionFamily":
         a_t, b_t, c = parameter_transfer(p)
-        return cls(diffusion=a_t, drift=b_t, reaction=c, params=p)
+        return cls(diffusion=a_t, drift=b_t, reaction=c)
 
     def root_map(self, lam: complex) -> tuple:
         disc = cmath.sqrt(self.drift ** 2
@@ -375,26 +373,12 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     interior.  Clamping both ends gives the well-posed comparison; the
     window error must stay below 5 * (window stencil residual) * t.
     """
-    grid = GridPair.build(n, p.delta)
-    graded = build_conformable_operator(p, grid, clamp_right=True)
-    classical = build_classical_operator(p, grid, clamp_right=True)
-    fwd, inv = discrete_unitary(grid, p.delta)
-    mapped = fwd @ graded.entries @ inv
-    diff = mapped - classical.entries
-    rows = _window_rows(grid)
-    stencil_residual = 0.0
-    vectors = []
-    for _, func in _CLAMPED_CORPUS:
-        vec = func(grid.xi_nodes)
-        vectors.append(vec)
-        stencil_residual = max(stencil_residual,
-                               float(np.max(np.abs((diff @ vec)[rows]))))
+    mapped, classical, vectors, rows = _mapped_pair(p, n, True, _CLAMPED_CORPUS)
+    stencil_residual = _window_sup(mapped - classical, vectors, rows)
     records = []
     for t in t_list:
-        flow_g = expm(float(t) * mapped)
-        flow_c = expm(float(t) * classical.entries)
-        err = max(float(np.max(np.abs(((flow_g - flow_c) @ vec)[rows])))
-                  for vec in vectors)
+        err = _window_sup(expm(float(t) * mapped) - expm(float(t) * classical),
+                          vectors, rows)
         records.append({"t": float(t), "error": err,
                         "bound": 5.0 * stencil_residual * float(t)})
     return {"n": n, "stencil_residual": stencil_residual, "records": records}

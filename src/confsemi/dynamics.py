@@ -13,7 +13,6 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .semigroup import ClassicalSemigroup, ConformableSemigroup, GeneratorMatrix
 __all__ = [
     "LambdaRectangle",
     "DSWReport",
-    "DynSetsReport",
     "dsw_condition_check",
     "dsw_hypotheses_probe",
     "clock_invariance_check",
@@ -83,10 +81,8 @@ class LambdaRectangle:
 class DSWReport:
     """Everything the hypothesis probe measured, kept raw for reporting."""
 
-    coefficients: tuple
     n: int
     h: float
-    condition: Optional[dict]
     eigen_records: list = field(default_factory=list)
     imag_axis_records: list = field(default_factory=list)
     analyticity_records: list = field(default_factory=list)
@@ -97,15 +93,6 @@ class DSWReport:
 
     def worst_analyticity(self) -> float:
         return max(rec["rel_residual"] for rec in self.analyticity_records)
-
-
-@dataclass
-class DynSetsReport:
-    """Collected witness records for the three invariant regimes."""
-
-    x0_records: list = field(default_factory=list)
-    xinf_records: list = field(default_factory=list)
-    periodic_records: list = field(default_factory=list)
 
 
 def dsw_condition_check(p: DriftDiffusionParams) -> dict:
@@ -156,11 +143,7 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
     xi = grid.xi_nodes
     h = grid.h
     centered = slice(0, n - 1)  # last row is one-sided, excluded from the bound
-
-    condition = dsw_condition_check(fam.params) if fam.params is not None else None
-    report = DSWReport(
-        coefficients=(fam.diffusion, fam.drift, fam.reaction),
-        n=n, h=h, condition=condition)
+    report = DSWReport(n=n, h=h)
 
     for lam in rect.samples():
         vec = fam.evaluate(lam, xi)

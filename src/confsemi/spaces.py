@@ -26,7 +26,6 @@ __all__ = [
     "lp_delta_norm",
     "inner_product_2delta",
     "time_isometry_apply",
-    "time_isometry_invert",
     "spatial_unitary_apply",
     "sobolev_norm",
     "transported_weight",
@@ -132,17 +131,6 @@ def time_isometry_apply(iso: TimeIsometry, f: FunctionHandle) -> FunctionHandle:
             return f.classical_derivative(t) * pow_arr(d * arr, 1.0 / d - 1.0)
 
     return FunctionHandle(evaluator=ev, classical_derivative=deriv)
-
-
-def time_isometry_invert(iso: TimeIsometry, g: FunctionHandle) -> FunctionHandle:
-    """Return t -> g(psi(t)), the inverse of time_isometry_apply."""
-    d = iso.delta.delta
-
-    def ev(t):
-        arr = np.asarray(t, dtype=float)
-        return g.evaluator(pow_arr(arr, d) / d)
-
-    return FunctionHandle(evaluator=ev)
 
 
 def spatial_unitary_apply(u: SpatialUnitary, f: FunctionHandle,

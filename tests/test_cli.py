@@ -89,6 +89,17 @@ def test_unknown_tolerance_rejected(tmp_path):
     "[grids]\nn_list = 8\n",
     "[tolerances]\nlaw = -1e-3\n",
     "[run]\nseed = sometimes\n",
+    "[tolerances]\nlaw = nan\n",
+    "[tolerances]\nlaw = inf\n",
+    "[run]\nseed = -3\n",
+    "[drift_diffusion]\na = -1\n",
+    "[drift_diffusion]\na = nan\n",
+    "[drift_diffusion]\nb = inf\n",
+    "[drift_diffusion]\nc = 0\n",
+    "[orders]\ndelta_list = 0.5, 0.5\n",
+    "[grids]\nn_list = 64, 64\n",
+    "[sweep]\ndelta_list = 0.4, 0.4\n",
+    "[sweep]\nn_list = 32, 32\n",
 ])
 def test_invalid_values_rejected(tmp_path, text):
     with pytest.raises(ConfigError):
@@ -167,6 +178,14 @@ def test_unknown_key_exits_two(tmp_path, capsys):
     cfg = write(tmp_path, "[run]\nsuite = clock\nwarp = 9\n", name="bad.ini")
     code = main(["run", "--suite", "clock", "--config", cfg,
                  "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "[run]\nsuite = clock\n", name="seed.ini")
+    code = main(["run", "--suite", "clock", "--config", cfg,
+                 "--out", str(tmp_path / "s"), "--seed", "-3"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
 

@@ -1,0 +1,83 @@
+"""The check runner: suite composition, record stamping, and pairing gate."""
+
+from dataclasses import replace
+
+import pytest
+
+from confsemi import default_config, run_suite
+from confsemi import suites
+from confsemi.config import SUITE_NAMES
+from confsemi.drift_diffusion import discrete_unitary
+
+SMALL = replace(default_config(), seed=7, delta_list=(0.5, 1.0),
+                n_list=(32, 64), n_resolvent=32, n_eigen=64)
+SUITES = [name for name in SUITE_NAMES if name != "all"]
+
+
+@pytest.fixture(scope="module")
+def all_reports():
+    return run_suite(SMALL)
+
+
+def test_all_is_the_suites_in_order(all_reports):
+    parts = [rep for name in SUITES
+             for rep in run_suite(replace(SMALL, suite=name))]
+
+    def key(rep):
+        return rep.check_id, rep.residual, rep.tolerance
+
+    assert [key(r) for r in all_reports] == [key(r) for r in parts]
+
+
+def test_check_ids_unique(all_reports):
+    ids = [rep.check_id for rep in all_reports]
+    assert len(ids) == len(set(ids))
+
+
+def test_runner_stamps_seed_and_wall_time(all_reports):
+    assert all(rep.seed == SMALL.seed for rep in all_reports)
+    assert all(rep.wall_time >= 0.0 for rep in all_reports)
+
+
+def test_suite_mapping_is_suite_names():
+    assert list(suites._SUITES) == SUITES
+
+
+# drift_diffusion.unitary_pairing ---------------------------------------------
+
+@pytest.fixture
+def pairing_only(monkeypatch):
+    """The conjugacy study runs before the pairing check in its suite and is
+    tested on its own; a stand-in with second-order residuals keeps the
+    300-seed sweep below fast."""
+    monkeypatch.setattr(suites, "conjugacy_residual",
+                        lambda p, n_list: [(n, n ** -2.0) for n in n_list])
+
+
+def unitary_pairing(seed):
+    """(residual, tolerance) of the pairing check, without the later checks."""
+    for check_id, _, residual, tolerance in suites.suite_drift_diffusion(
+            replace(default_config(), seed=seed)):
+        if check_id == "drift_diffusion.unitary_pairing":
+            return residual, tolerance
+    raise AssertionError("suite has no unitary_pairing check")
+
+
+def test_unitary_pairing_passes_on_seeds_0_to_299(pairing_only):
+    failing = []
+    for seed in range(300):
+        residual, tolerance = unitary_pairing(seed)
+        if not residual <= tolerance:
+            failing.append((seed, residual))
+    assert failing == []
+
+
+def test_unitary_pairing_catches_a_scaled_forward_map(pairing_only, monkeypatch):
+    def scaled(grid, delta):
+        forward, inverse = discrete_unitary(grid, delta)
+        return forward * (1.0 + 1e-12), inverse
+
+    monkeypatch.setattr(suites, "discrete_unitary", scaled)
+    for seed in range(5):
+        residual, tolerance = unitary_pairing(seed)
+        assert residual > tolerance
