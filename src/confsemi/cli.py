@@ -1,7 +1,10 @@
-"""Command line front end: run a check suite or a parameter sweep.
+"""Command line front end: run a check suite, a parameter sweep, or compare
+two runs.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 for
-configuration or usage errors.
+configuration or usage errors.  `compare` exits 0 when both reports hold the
+same check ids and no verdict flips, 1 otherwise, and 2 when a report is
+missing or unreadable.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .config import SUITE_NAMES, ConfigError, parse_config
-from .reports import write_report_json, write_summary_csv
+from .reports import read_report_json, write_report_json, write_summary_csv
 from .suites import run_suite, run_sweep
 
 __all__ = ["main"]
@@ -43,6 +46,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--config", required=True, help="configuration file")
     sweep_p.add_argument("--out", default=None,
                          help="output directory (overrides the config)")
+
+    compare_p = sub.add_parser("compare", help="diff the report.json of two "
+                                               "run directories")
+    compare_p.add_argument("before", help="directory of the first run")
+    compare_p.add_argument("after", help="directory of the second run")
     return parser
 
 
@@ -88,12 +96,46 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _cmd_compare(args) -> int:
+    try:
+        before, after = (read_report_json(os.path.join(d, "report.json"))
+                         for d in (args.before, args.after))
+    except (OSError, ValueError) as exc:
+        print(f"unreadable report: {exc}", file=sys.stderr)
+        return 2
+    added = sorted(after.keys() - before.keys())
+    removed = sorted(before.keys() - after.keys())
+    flips = moved = 0
+    for cid in added:
+        print(f"added: {cid}")
+    for cid in removed:
+        print(f"removed: {cid}")
+    for cid in sorted(before.keys() & after.keys()):
+        old, new = before[cid], after[cid]
+        change = f"residual {old['residual']:.3e} -> {new['residual']:.3e}"
+        if old["passed"] != new["passed"]:
+            flips += 1
+            verdicts = " -> ".join("PASS" if rec["passed"] else "FAIL"
+                                   for rec in (old, new))
+            print(f"flip: {cid}: {verdicts} ({change})")
+        a, b = abs(old["residual"]), abs(new["residual"])
+        if a > 10.0 * b or b > 10.0 * a:
+            moved += 1
+            print(f"moved: {cid}: {change}")
+    print(f"{len(before.keys() & after.keys())} common ids, {len(added)} added, "
+          f"{len(removed)} removed, {flips} verdict flips, "
+          f"{moved} residuals moved over 10x")
+    return 1 if added or removed or flips else 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
+        if args.command == "compare":
+            return _cmd_compare(args)
         return _cmd_sweep(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -136,21 +136,25 @@ def _difference_matrices(nodes: np.ndarray, right_ghost: Optional[float]) -> tup
     a one-sided second-order stencil on the last row.
     """
     n = len(nodes)
+    ghost = [] if right_ghost is None else [right_ghost]
+    extended = np.concatenate(([0.0], nodes, ghost))
+    # per row: stencil nodes, the node the weights are taken at, and the
+    # column of the first stencil node
+    x1, x2, x3 = extended[:-2], extended[1:-1], extended[2:]
+    at, first = x2, np.arange(-1, len(x2) - 1)
+    if right_ghost is None:
+        x1, x2, x3 = (np.append(x1, nodes[n - 3]), np.append(x2, nodes[n - 2]),
+                      np.append(x3, nodes[n - 1]))
+        at, first = np.append(at, nodes[n - 1]), np.append(first, n - 3)
+    w1, w2 = _quadratic_weights((x1, x2, x3), at)
     d1 = np.zeros((n, n))
     d2 = np.zeros((n, n))
-    ghost = [] if right_ghost is None else [right_ghost]
-    extended = [0.0, *nodes, *ghost]
-    for i in range(1, n + 1):
-        # stencil nodes, the node the weights are taken at, and its columns
-        if i == n and right_ghost is None:
-            stencil, at, cols = nodes[n - 3:], nodes[n - 1], (n - 3, n - 2, n - 1)
-        else:
-            stencil, at, cols = extended[i - 1:i + 2], extended[i], (i - 2, i - 1, i)
-        w1, w2 = _quadratic_weights(stencil, at)
-        for col, a, b in zip(cols, w1, w2):
-            if 0 <= col < n:
-                d1[i - 1, col] += a
-                d2[i - 1, col] += b
+    rows = np.arange(n)
+    for k in range(3):
+        cols = first + k
+        keep = (cols >= 0) & (cols < n)
+        d1[rows[keep], cols[keep]] += w1[k, keep]
+        d2[rows[keep], cols[keep]] += w2[k, keep]
     return d1, d2
 
 
@@ -169,9 +173,9 @@ def _assemble_conformable(a: float, b: float, c: float, delta: float,
     # two applications of the order-delta derivative, expanded by the
     # product rule; nesting the difference matrices instead would widen the
     # stencil and break exact agreement with the classical twin at delta=1
-    second = ((1.0 - delta) * np.diag(x ** (1.0 - 2.0 * delta)) @ d1
-              + np.diag(x ** (2.0 - 2.0 * delta)) @ d2)
-    first = np.diag(x ** (1.0 - delta)) @ d1
+    second = (((1.0 - delta) * x ** (1.0 - 2.0 * delta))[:, None] * d1
+              + (x ** (2.0 - 2.0 * delta))[:, None] * d2)
+    first = (x ** (1.0 - delta))[:, None] * d1
     return a * second + b * first + c * np.eye(grid.n)
 
 
@@ -206,14 +210,13 @@ def discrete_unitary(grid: GridPair, delta: Order) -> tuple:
     """Diagonal map between matched grids and its inverse.
 
     Node i of the graded grid is node i of the uniform grid after the
-    stretch, so the map is the scalar delta**(-1/2).
+    stretch, so the map is the scalar delta**(-1/2); the pair
+    (delta**(-1/2), delta**(1/2)) is returned as floats.
     """
     if delta != grid.delta:
         raise ValueError("grid was built for a different order")
-    n = grid.n
-    forward = np.eye(n) / np.sqrt(delta.delta)
-    inverse = np.eye(n) * np.sqrt(delta.delta)
-    return forward, inverse
+    root = float(np.sqrt(delta.delta))
+    return 1.0 / root, root
 
 
 def _window_rows(grid: GridPair) -> np.ndarray:
@@ -224,19 +227,20 @@ def _window_rows(grid: GridPair) -> np.ndarray:
 def _mapped_pair(p: DriftDiffusionParams, n: int, clamp_right: bool,
                  corpus) -> tuple:
     """The unitarily mapped graded operator, its classical twin, the corpus
-    sampled on the uniform grid, and the window rows."""
+    sampled on the uniform grid as the columns of one block, and the window
+    rows."""
     grid = GridPair.build(n, p.delta)
     graded = build_conformable_operator(p, grid, clamp_right)
     classical = build_classical_operator(p, grid, clamp_right)
     fwd, inv = discrete_unitary(grid, p.delta)
-    mapped = fwd @ graded.entries @ inv
-    vectors = [func(grid.xi_nodes) for _, func in corpus]
-    return mapped, classical.entries, vectors, _window_rows(grid)
+    mapped = (fwd * graded.entries) * inv
+    block = np.column_stack([func(grid.xi_nodes) for _, func in corpus])
+    return mapped, classical.entries, block, _window_rows(grid)
 
 
-def _window_sup(matrix: np.ndarray, vectors: list, rows: np.ndarray) -> float:
-    """Largest window entry of |matrix @ vec| over the vectors."""
-    return float(np.max([np.max(np.abs((matrix @ vec)[rows])) for vec in vectors]))
+def _window_sup(block: np.ndarray, rows: np.ndarray) -> float:
+    """Largest window entry of |block| over all its columns."""
+    return float(np.max(np.abs(block[rows])))
 
 
 def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
@@ -251,9 +255,9 @@ def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
         raise ValueError("conjugacy study needs n >= 16")
     out = []
     for n in n_list:
-        mapped, classical, vectors, rows = _mapped_pair(
+        mapped, classical, block, rows = _mapped_pair(
             p, int(n), False, SMOOTH_CORPUS)
-        out.append((int(n), _window_sup(mapped - classical, vectors, rows)))
+        out.append((int(n), _window_sup((mapped - classical) @ block, rows)))
     return out
 
 
@@ -372,15 +376,27 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     the closure mismatch at the uncontrolled boundary propagates into the
     interior.  Clamping both ends gives the well-posed comparison; the
     window error must stay below 5 * (window stencil residual) * t.
+
+    Both flows advance the corpus block through t_list, which must be
+    nondecreasing and nonnegative, with one exponential per distinct step.
     """
-    mapped, classical, vectors, rows = _mapped_pair(p, n, True, _CLAMPED_CORPUS)
-    stencil_residual = _window_sup(mapped - classical, vectors, rows)
+    times = [float(t) for t in t_list]
+    steps = np.diff([0.0, *times])
+    if np.any(steps < 0.0):
+        raise ValueError(f"t_list must be nonnegative and nondecreasing, got {t_list}")
+    mapped, classical, block, rows = _mapped_pair(p, n, True, _CLAMPED_CORPUS)
+    stencil_residual = _window_sup((mapped - classical) @ block, rows)
+    flows = {}
+    graded_state, classical_state = block, block
     records = []
-    for t in t_list:
-        err = _window_sup(expm(float(t) * mapped) - expm(float(t) * classical),
-                          vectors, rows)
-        records.append({"t": float(t), "error": err,
-                        "bound": 5.0 * stencil_residual * float(t)})
+    for t, step in zip(times, steps):
+        if step not in flows:
+            flows[step] = (expm(step * mapped), expm(step * classical))
+        graded_flow, classical_flow = flows[step]
+        graded_state = graded_flow @ graded_state
+        classical_state = classical_flow @ classical_state
+        err = _window_sup(graded_state - classical_state, rows)
+        records.append({"t": t, "error": err, "bound": 5.0 * stencil_residual * t})
     return {"n": n, "stencil_residual": stencil_residual, "records": records}
 
 

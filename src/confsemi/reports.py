@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-__all__ = ["CheckReport", "write_report_json", "write_summary_csv"]
+__all__ = ["CheckReport", "read_report_json", "write_report_json",
+           "write_summary_csv"]
 
 
 @dataclass
@@ -73,6 +74,27 @@ def write_report_json(reports: Iterable[CheckReport], path) -> None:
     ordered = sorted(reports, key=lambda r: r.check_id)
     payload = [r.json_dict() for r in ordered]
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+
+
+def read_report_json(path) -> dict:
+    """check_id -> record of a report.json that write_report_json wrote.
+
+    Raises OSError when the file cannot be read and ValueError when it is
+    not such a report (bad JSON, missing fields, repeated ids).
+    """
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: not a list of check records")
+    records = {}
+    for rec in data:
+        if not (isinstance(rec, dict) and isinstance(rec.get("check_id"), str)
+                and isinstance(rec.get("residual"), float)
+                and isinstance(rec.get("passed"), bool)):
+            raise ValueError(f"{path}: malformed check record {rec!r:.80}")
+        if rec["check_id"] in records:
+            raise ValueError(f"{path}: repeated check id {rec['check_id']}")
+        records[rec["check_id"]] = rec
+    return records
 
 
 def write_summary_csv(reports: Iterable[CheckReport], path) -> None:

@@ -553,11 +553,11 @@ def suite_drift_diffusion(cfg: RunConfig) -> Iterator:
         v = rng.standard_normal(64)
         w = rng.standard_normal(64)
         graded_ip = (grid.h / d) * float(np.sum(v * w))
-        mapped_ip = grid.h * float(np.sum((forward @ v) * (forward @ w)))
+        mapped_ip = grid.h * float(np.sum((forward * v) * (forward * w)))
         # Cauchy-Schwarz scale of the pairing: <v, w> itself can be near 0
         scale = (grid.h / d) * float(np.linalg.norm(v) * np.linalg.norm(w))
         worst = max(worst, abs(graded_ip - mapped_ip) / scale)
-        worst = max(worst, float(np.max(np.abs(inverse @ (forward @ v) - v))))
+        worst = max(worst, float(np.max(np.abs(inverse * (forward * v) - v))))
     yield ("drift_diffusion.unitary_pairing", {"n": 64},
            worst, cfg.tol("transfer"))
 

@@ -210,3 +210,49 @@ def test_sweep_writes_grid(tmp_path):
     assert len(rows) == 3  # header + 2 cells
     for row in rows[1:]:
         assert all(float(cell) == float(cell) for cell in row)  # finite
+
+
+# compare -------------------------------------------------------------------
+
+def test_compare_same_ids_exits_zero(tmp_path, capsys):
+    _, out_a = run_cli(tmp_path, seed="1", tag="c1")
+    _, out_b = run_cli(tmp_path, seed="2", tag="c2")
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 0
+    assert "0 added, 0 removed, 0 verdict flips" in capsys.readouterr().out
+
+
+def test_compare_reports_changes_and_exits_one(tmp_path, capsys):
+    _, out_a = run_cli(tmp_path, tag="c3")
+    records = json.loads((out_a / "report.json").read_text())
+    first, second = records[0], records[1]
+    # a verdict flip, a 10x residual move, one id dropped and one added
+    first.update(passed=False, residual=2.0 * first["tolerance"] + 1.0)
+    second["residual"] = 100.0 * second["residual"] + 1e-300
+    gone = records.pop()
+    records.append(dict(gone, check_id="clock.invented"))
+    out_b = tmp_path / "edited"
+    out_b.mkdir()
+    (out_b / "report.json").write_text(json.dumps(records))
+    capsys.readouterr()
+    assert main(["compare", str(out_a), str(out_b)]) == 1
+    out = capsys.readouterr().out
+    assert f"flip: {first['check_id']}: PASS -> FAIL" in out
+    assert f"moved: {second['check_id']}" in out
+    assert f"removed: {gone['check_id']}" in out
+    assert "added: clock.invented" in out
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"a": 1}',
+                                     '[{"check_id": "x"}]',
+                                     '[{"check_id": "x", "residual": 0.0, '
+                                     '"passed": true}, {"check_id": "x", '
+                                     '"residual": 0.0, "passed": true}]'])
+def test_compare_unreadable_input_exits_two(tmp_path, capsys, content):
+    _, out_a = run_cli(tmp_path, tag="c4")
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    if content is not None:
+        (bad / "report.json").write_text(content)
+    assert main(["compare", str(out_a), str(bad)]) == 2
+    assert "unreadable report" in capsys.readouterr().err

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from confsemi import drift_diffusion as dd
 from confsemi import (DriftDiffusionParams, EigenfunctionFamily,
                       FunctionHandle, GridPair, Order,
                       build_classical_operator, build_conformable_operator,
@@ -59,7 +61,8 @@ def test_grid_pair_coincides_at_order_one():
 def test_discrete_unitary_inverse_pair():
     grid = GridPair.build(48, Order(0.4))
     u, u_inv = discrete_unitary(grid, Order(0.4))
-    assert np.allclose(u @ u_inv, np.eye(48), atol=1e-14)
+    assert np.allclose(u * u_inv * np.eye(48), np.eye(48), atol=1e-14)
+    assert u == pytest.approx(0.4 ** -0.5, rel=1e-15)
 
 
 def test_discrete_unitary_preserves_pairing():
@@ -75,11 +78,79 @@ def test_discrete_unitary_preserves_pairing():
         f = rng.standard_normal(48)
         g = rng.standard_normal(48)
         left = np.sum(g_graded.ip_weights * f * g)
-        right = np.sum(g_uniform.ip_weights * (u @ f) * (u @ g))
+        right = np.sum(g_uniform.ip_weights * (u * f) * (u * g))
         assert left == pytest.approx(right, rel=1e-13)
 
 
+def loop_difference_matrices(nodes, right_ghost):
+    """The row-by-row assembly the vectorized builder must reproduce bitwise."""
+    n = len(nodes)
+    d1 = np.zeros((n, n))
+    d2 = np.zeros((n, n))
+    ghost = [] if right_ghost is None else [right_ghost]
+    extended = [0.0, *nodes, *ghost]
+    for i in range(1, n + 1):
+        if i == n and right_ghost is None:
+            stencil, at, cols = nodes[n - 3:], nodes[n - 1], (n - 3, n - 2, n - 1)
+        else:
+            stencil, at, cols = extended[i - 1:i + 2], extended[i], (i - 2, i - 1, i)
+        w1, w2 = dd._quadratic_weights(stencil, at)
+        for col, a, b in zip(cols, w1, w2):
+            if 0 <= col < n:
+                d1[i - 1, col] += a
+                d2[i - 1, col] += b
+    return d1, d2
+
+
+@pytest.mark.parametrize("n", [8, 17, 64])
+@pytest.mark.parametrize("delta", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("ghost", [None, 1.0])
+def test_difference_matrices_match_loop_bitwise(n, delta, ghost):
+    nodes = GridPair.build(n, Order(delta)).x_nodes
+    for got, want in zip(dd._difference_matrices(nodes, ghost),
+                         loop_difference_matrices(nodes, ghost)):
+        assert got.tobytes() == want.tobytes()
+
+
 # operator pair ------------------------------------------------------------------
+
+def test_real_generators_are_stored_real():
+    grid = GridPair.build(32, PARAMS.delta)
+    for g in (build_conformable_operator(PARAMS, grid),
+              build_classical_operator(PARAMS, grid)):
+        assert g.entries.dtype == np.float64
+
+
+def test_scalar_mapping_matches_dense_conjugation():
+    """the scalar unitary gives the old eye/sqrt(d) @ A @ eye*sqrt(d)."""
+    for n in (32, 64):
+        grid = GridPair.build(n, PARAMS.delta)
+        graded = build_conformable_operator(PARAMS, grid, clamp_right=True)
+        root = np.sqrt(PARAMS.delta.delta)
+        dense = (np.eye(n) / root) @ graded.entries @ (np.eye(n) * root)
+        mapped = dd._mapped_pair(PARAMS, n, True, dd._CLAMPED_CORPUS)[0]
+        assert np.max(np.abs(mapped - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_stepped_mild_errors_match_dense_expm(n):
+    """advancing the corpus block step by step reproduces the per-time
+    difference of the two dense exponentials."""
+    t_list = (0.25, 0.5, 1.0)
+    mapped, classical, block, rows = dd._mapped_pair(PARAMS, n, True,
+                                                      dd._CLAMPED_CORPUS)
+    out = mild_solution_residuals(PARAMS, n, t_list)
+    for t, rec in zip(t_list, out["records"]):
+        gap = (expm(t * mapped) - expm(t * classical)) @ block
+        want = np.max(np.abs(gap[rows]))
+        assert rec["t"] == t
+        assert rec["error"] == pytest.approx(want, rel=1e-10)
+
+
+def test_mild_solution_rejects_decreasing_times():
+    with pytest.raises(ValueError):
+        mild_solution_residuals(PARAMS, 32, (0.5, 0.25))
+
 
 def test_operators_coincide_at_order_one():
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(1.0))

@@ -82,6 +82,32 @@ def test_half_order_square_root_flow():
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("entries, dtype", [
+    (np.diag([-1.0, -2.0]), np.float64),
+    ([[0, 1], [0, 0]], np.float64),
+    (np.diag([-0.3 + 2.0j, -1.0 + 0.0j]), np.complex128),
+    (np.diag([-1.0, -2.0]).astype(complex), np.complex128),
+])
+def test_entries_dtype_follows_input(entries, dtype):
+    assert GeneratorMatrix(entries, np.ones(2)).entries.dtype == dtype
+
+
+@pytest.mark.parametrize("g", [nonnormal4(), dirichlet_second_difference(48)],
+                         ids=lambda g: g.label)
+def test_real_evolution_matches_complex_route(g):
+    """real arithmetic reproduces the flow of the complex-cast generator,
+    relative to the normwise scale ||exp(sA)|| ||x|| of the product.  Times
+    keep ||sA|| below ~3e3; beyond that both routes carry errors of order
+    eps ||sA|| and agree only to that level."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+    for s in (1e-3, 0.1, 0.3):
+        flow = expm(s * g.entries.astype(complex))
+        scale = np.linalg.norm(flow, 2) * np.linalg.norm(x)
+        got = evolve_classical(g, s, x)
+        assert np.linalg.norm(got - flow @ x) <= 1e-13 * scale
+
+
 # composition law -------------------------------------------------------------
 
 @settings(deadline=None, max_examples=60)
@@ -176,6 +202,21 @@ def test_resolvent_bound(lam):
     g = dirichlet_second_difference(128)
     rep = resolvent_bound_check(g, lam)
     assert rep.passed, rep.one_line()
+
+
+def test_resolvent_probes_match_one_by_one_products():
+    """the block of probes gives the lower excess of one product per probe."""
+    g = dirichlet_second_difference(32)
+    lam = 0.5
+    shifted = lam * np.eye(g.dim) - g.entries
+    rng = np.random.default_rng(4)
+    want = -np.inf
+    for _ in range(100):
+        x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
+        rhs = lam * g.w_norm(x)
+        want = max(want, (rhs - g.w_norm(shifted @ x)) / rhs)
+    got = resolvent_bound_check(g, lam, seed=4).params["lower_excess"]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0])
