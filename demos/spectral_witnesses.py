@@ -15,6 +15,7 @@ from confsemi import (Clock, DriftDiffusionParams, EigenfunctionFamily,
                       LambdaRectangle, Order, dsw_condition_check,
                       dsw_hypotheses_probe, periodic_orbit_check, x0_probe,
                       xinf_probe)
+from confsemi.config import TOLERANCE_DEFAULTS
 
 
 def banner(text):
@@ -41,7 +42,7 @@ def main():
     print(f"worst eigen residual / bound ratio : {rep.worst_eigen_ratio():.3f}")
     print(f"worst contour analyticity residual : {rep.worst_analyticity():.3e}")
     print(f"corner Gram determinant            : {rep.gram['det']:.3e}"
-          f"  (threshold {rep.gram['threshold']:.0e})")
+          f"  (threshold {TOLERANCE_DEFAULTS['gram_min']:.0e})")
 
     banner("Decay witness: a left-half-plane mode shrinks on schedule")
     decay = x0_probe(fam, -1.0, np.linspace(0.0, 4.0, 9))

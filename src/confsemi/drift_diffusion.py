@@ -32,7 +32,6 @@ __all__ = [
     "discrete_unitary",
     "conjugacy_residual",
     "empirical_orders",
-    "eigenfunction",
     "spectral_evolve",
     "mild_solution_residuals",
     "derivative_identity_residuals",
@@ -304,60 +303,23 @@ class EigenfunctionFamily:
         """Spectral value where the two characteristic roots coincide."""
         return self.reaction - self.drift ** 2 / (4.0 * self.diffusion)
 
-    def evaluate(self, lam: complex, xi) -> np.ndarray:
+    def evaluate(self, lam: complex, xi, k: int = 0) -> np.ndarray:
+        """The k-th xi-derivative of phi at the nodes xi."""
         mu1, mu2 = self.root_map(lam)
         xi = np.asarray(xi, dtype=float)
         if abs(mu1 - mu2) < 1e-8:
             mu = -self.drift / (2.0 * self.diffusion)
-            return xi * np.exp(mu * xi)
-        return (np.exp(mu1 * xi) - np.exp(mu2 * xi)) / (mu1 - mu2)
+            # d^k/dxi^k of xi e^{mu xi}; the k = 0 term is dropped, so a
+            # zero mu never meets a negative power
+            return np.exp(mu * xi) * (mu ** k * xi
+                                      + (k * mu ** (k - 1) if k else 0.0))
+        return (mu1 ** k * np.exp(mu1 * xi)
+                - mu2 ** k * np.exp(mu2 * xi)) / (mu1 - mu2)
 
     def fourth_derivative_sup(self, lam: complex, samples: int = 2001) -> float:
         """Max of |phi''''| on [0,1], the scale in the residual bound."""
         xi = np.linspace(0.0, 1.0, samples)
-        mu1, mu2 = self.root_map(lam)
-        if abs(mu1 - mu2) < 1e-8:
-            mu = -self.drift / (2.0 * self.diffusion)
-            vals = np.exp(mu * xi) * (mu ** 4 * xi + 4.0 * mu ** 3)
-        else:
-            vals = (mu1 ** 4 * np.exp(mu1 * xi)
-                    - mu2 ** 4 * np.exp(mu2 * xi)) / (mu1 - mu2)
-        return float(np.max(np.abs(vals)))
-
-
-def eigenfunction(fam: EigenfunctionFamily, lam: complex) -> FunctionHandle:
-    """Wrap one family member as a function handle with derivatives."""
-    mu1, mu2 = fam.root_map(lam)
-    if abs(mu1 - mu2) < 1e-8:
-        mu = -fam.drift / (2.0 * fam.diffusion)
-
-        def ev(xi):
-            xi = np.asarray(xi, dtype=float)
-            return xi * np.exp(mu * xi)
-
-        def d1(xi):
-            xi = np.asarray(xi, dtype=float)
-            return np.exp(mu * xi) * (1.0 + mu * xi)
-
-        def d2(xi):
-            xi = np.asarray(xi, dtype=float)
-            return np.exp(mu * xi) * (2.0 * mu + mu ** 2 * xi)
-    else:
-        def ev(xi):
-            xi = np.asarray(xi, dtype=float)
-            return (np.exp(mu1 * xi) - np.exp(mu2 * xi)) / (mu1 - mu2)
-
-        def d1(xi):
-            xi = np.asarray(xi, dtype=float)
-            return (mu1 * np.exp(mu1 * xi) - mu2 * np.exp(mu2 * xi)) / (mu1 - mu2)
-
-        def d2(xi):
-            xi = np.asarray(xi, dtype=float)
-            return (mu1 ** 2 * np.exp(mu1 * xi)
-                    - mu2 ** 2 * np.exp(mu2 * xi)) / (mu1 - mu2)
-
-    return FunctionHandle(evaluator=ev, classical_derivative=d1,
-                          second_derivative=d2)
+        return float(np.max(np.abs(self.evaluate(lam, xi, k=4))))
 
 
 def spectral_evolve(fam: EigenfunctionFamily, combo: list, t: float) -> list:

@@ -6,9 +6,10 @@ graded vs uniform), normalize it, and record it against the configured
 tolerance.  Seeds fix all randomness, so one configuration yields one byte
 stream of results.
 
-A suite is a generator.  It yields each check either as a tuple
-(check_id, params, residual, tolerance) or as a CheckReport that a library
-check built itself; `run_suite` times every item and records it.
+A suite is a generator that yields each check as a tuple
+(check_id, params, residual, tolerance).  Library checks only measure: they
+return a residual and params, and the suite composes the id and picks the
+configured tolerance.  `run_suite` times every item and records it.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ from .dynamics import (LambdaRectangle, clock_invariance_check,
                        dsw_condition_check, dsw_hypotheses_probe,
                        periodic_orbit_check, x0_probe, xinf_probe)
 from .reports import CheckReport
-from .semigroup import (ClassicalSemigroup, ConformableSemigroup,
-                        GeneratorMatrix, classical_generator_quotient,
-                        contraction_check, delta_law_residual,
-                        dirichlet_second_difference, dissipativity_margin,
-                        evolve_classical, generator_delta_quotient,
-                        resolvent_bound_check, solve_conformable_ode,
-                        strong_continuity_fit, taylor_matrix_exp)
+from .semigroup import (ConformableSemigroup, GeneratorMatrix,
+                        classical_generator_quotient, contraction_check,
+                        delta_law_residual, dirichlet_second_difference,
+                        dissipativity_margin, evolve_classical,
+                        generator_delta_quotient, resolvent_bound_check,
+                        solve_conformable_ode, strong_continuity_fit,
+                        taylor_matrix_exp)
 from .spaces import (SpaceSpec, SpatialUnitary, TimeIsometry, WeightSpec,
                      inner_product_2delta, lp_delta_norm, sobolev_norm,
                      spatial_unitary_apply, time_isometry_apply)
@@ -419,7 +420,7 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
     for gi, g in enumerate(law_gens):
         x = np.ones(g.dim, dtype=complex)
         for d in cfg.delta_list:
-            cs = ConformableSemigroup(ClassicalSemigroup(g), Clock(Order(d)))
+            cs = ConformableSemigroup(g, Clock(Order(d)))
             rng = np.random.default_rng([cfg.seed, 31, gi,
                                          int(round(1000 * d))])
             worst = 0.0
@@ -440,7 +441,7 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
         worst = 0.0
         for d in cfg.delta_list:
             clock = Clock(Order(d))
-            cs = ConformableSemigroup(ClassicalSemigroup(g), clock)
+            cs = ConformableSemigroup(g, clock)
             t_seq = [clock.psi_inv(0.5 * 2.0 ** (-k)) for k in range(8)]
             quot = generator_delta_quotient(cs, x.astype(complex), t_seq)
             err = g.w_norm(quot - ax) / scale
@@ -454,8 +455,7 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
     for g, x in quotient_cases:
         ax = g.entries @ x.astype(complex)
         s_seq = [0.5 * 2.0 ** (-k) for k in range(8)]
-        quot = classical_generator_quotient(ClassicalSemigroup(g),
-                                            x.astype(complex), s_seq)
+        quot = classical_generator_quotient(g, x.astype(complex), s_seq)
         worst = max(worst, g.w_norm(quot - ax) / g.w_norm(ax))
     yield ("semigroup.classical_quotient",
            {"generators": [g.label for g, _ in quotient_cases]},
@@ -485,7 +485,7 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
     for g, y in continuity_cases:
         x = g.entries @ y.astype(complex)  # x in the generator's range
         for d in (0.4, 0.8):
-            cs = ConformableSemigroup(ClassicalSemigroup(g), Clock(Order(d)))
+            cs = ConformableSemigroup(g, Clock(Order(d)))
             fit = strong_continuity_fit(cs, x)
             residual = fit["rel_dev"] + (0.0 if fit["decreasing"] else 1.0)
             yield (f"semigroup.strong_continuity[{g.label}][delta={d}]",
@@ -500,12 +500,14 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
            {"generator": lap.label, "margin": margin},
            margin, cfg.tol("dissipativity"))
     for lam in (0.1, 0.5, 1.0, 2.0):
-        yield resolvent_bound_check(lap, lam, seed=cfg.seed,
-                                    slack=cfg.tol("resolvent_slack"))
+        residual, params = resolvent_bound_check(lap, lam, seed=cfg.seed)
+        yield (f"resolvent_bound[{lap.label}][lam={lam}]", params,
+               residual, cfg.tol("resolvent_slack"))
     for d in (0.5, 1.0):
-        cs = ConformableSemigroup(ClassicalSemigroup(lap), Clock(Order(d)))
-        yield contraction_check(cs, (0.1, 1.0, 5.0), seed=cfg.seed,
-                                slack=cfg.tol("contraction_slack"))
+        cs = ConformableSemigroup(lap, Clock(Order(d)))
+        residual, params = contraction_check(cs, (0.1, 1.0, 5.0))
+        yield (f"contraction[{lap.label}][delta={d}]", params,
+               residual, cfg.tol("contraction_slack"))
 
 
 # --------------------------------------------------- drift-diffusion suite
@@ -656,7 +658,9 @@ def suite_transport(cfg: RunConfig) -> Iterator:
     contrast = "unit" if cfg.transport_weight != "unit" else "exp_decay"
     for weight in (cfg.transport_weight, contrast):
         model = TransportModel(alpha=order, weight=make_weight(weight, order))
-        yield weight_criterion_probe(model, windows, seed=cfg.seed)
+        # heuristic: recorded for its status, never fails a run
+        yield (f"weight_window_probe[{weight}][alpha={order.delta}]",
+               weight_criterion_probe(model, windows), 0.0, 0.0)
 
 
 # ---------------------------------------------------------- dynamics suite
@@ -680,7 +684,6 @@ def suite_dynamics(cfg: RunConfig) -> Iterator:
     rect = LambdaRectangle(center=0.0 + 0.0j, re_half=2.0, im_half=12.0)
 
     probe = dsw_hypotheses_probe(fam, rect, n=cfg.n_eigen,
-                                 gram_threshold=cfg.tol("gram_min"),
                                  residual_factor=cfg.tol("eigen_factor"))
     shared = {"a": cfg.dd_a, "b": cfg.dd_b, "c": cfg.dd_c, "n": cfg.n_eigen}
     yield ("dynamics.eigen_residual",
@@ -700,17 +703,18 @@ def suite_dynamics(cfg: RunConfig) -> Iterator:
            shrink, cfg.tol("analyticity"))
 
     det = probe.gram["det"]
+    threshold = cfg.tol("gram_min")
     yield ("dynamics.gram_separation",
-           dict(shared, det=det, threshold=probe.gram["threshold"],
+           dict(shared, det=det, threshold=threshold,
                 duplicate_values=probe.gram["duplicate_values"]),
-           probe.gram["threshold"] / det if det > 0.0 else float("inf"), 1.0)
+           threshold / det if det > 0.0 else float("inf"), 1.0)
 
     for d in (0.4, 0.8):
-        g = _diag_decay()
-        cs = ConformableSemigroup(ClassicalSemigroup(g), Clock(Order(d)))
-        yield clock_invariance_check(
-            cs, np.array([1.0, -1.0]), (0.3, 0.9, 1.7),
-            tolerance=cfg.tol("invariance"), seed=cfg.seed)
+        cs = ConformableSemigroup(_diag_decay(), Clock(Order(d)))
+        residual, params = clock_invariance_check(
+            cs, np.array([1.0, -1.0]), (0.3, 0.9, 1.7))
+        yield (f"clock_invariance[diag_decay][delta={d}]", params,
+               residual, cfg.tol("invariance"))
 
     for label, lam in (("-1", -1.0 + 0.0j), ("-0.5+3j", -0.5 + 3.0j)):
         decay = x0_probe(fam, lam, np.linspace(0.0, 4.0, 9))
@@ -764,10 +768,8 @@ def run_suite(cfg: RunConfig) -> list:
     for name in names:
         start = time.perf_counter()
         for item in _SUITES[name](cfg):
-            if not isinstance(item, CheckReport):
-                item = CheckReport.from_residual(
-                    *item, wall_time=time.perf_counter() - start, seed=cfg.seed)
-            reports.append(item)
+            reports.append(CheckReport.from_residual(
+                *item, wall_time=time.perf_counter() - start, seed=cfg.seed))
             start = time.perf_counter()
     return reports
 
@@ -786,7 +788,7 @@ def run_sweep(cfg: RunConfig) -> list:
             # has spurious fast-growing boundary modes whose exponential
             # overflows at sweep horizons, and the law holds for any generator
             g = build_classical_operator(p, grid, clamp_right=True)
-            cs = ConformableSemigroup(ClassicalSemigroup(g), Clock(Order(d)))
+            cs = ConformableSemigroup(g, Clock(Order(d)))
             x = grid.xi_nodes * (1.0 - grid.xi_nodes)
             law = max(delta_law_residual(cs, r, q, x.astype(complex))
                       for r, q in ((0.5, 1.2), (0.3, 0.7), (1.0, 1.0)))

@@ -9,14 +9,12 @@ discretized, so identities hold to rounding.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import FunctionHandle, pow_arr
 from .clock import Clock, Order
-from .reports import CheckReport
 from .spaces import WeightSpec, transported_weight
 
 __all__ = [
@@ -131,18 +129,19 @@ def transport_pde_residual(m: TransportModel, f: FunctionHandle, t: float,
     return float(np.max(np.abs(time_side - space_side)))
 
 
-def weight_criterion_probe(m: TransportModel, window_ends,
-                           decay_threshold: float = 1e-2,
-                           samples_per_window: int = 200,
-                           seed: int = 0) -> CheckReport:
+# a window infimum at or below this counts as decayed
+_DECAY_THRESHOLD = 1e-2
+_SAMPLES_PER_WINDOW = 200
+
+
+def weight_criterion_probe(m: TransportModel, window_ends) -> dict:
     """Window-infimum probe of the transported weight (HEURISTIC).
 
-    Samples the stretched weight over dyadic windows [E, 2E] and reports
-    whether the infima decrease toward zero.  This exposes the decay
-    mechanism that admissible shift weights need; it certifies nothing and
-    is recorded informationally.
+    Samples the stretched weight over dyadic windows [E, 2E] and returns
+    params saying whether the infima decrease toward zero.  This exposes
+    the decay mechanism that admissible shift weights need; it certifies
+    nothing and is recorded informationally.
     """
-    start = time.perf_counter()
     ends = list(window_ends)
     if len(ends) < 3:
         raise ValueError("need at least 3 windows")
@@ -151,21 +150,16 @@ def weight_criterion_probe(m: TransportModel, window_ends,
     rho_t = transported_weight(m.weight)
     infima = []
     for end in ends:
-        grid = np.linspace(end, 2.0 * end, samples_per_window)
+        grid = np.linspace(end, 2.0 * end, _SAMPLES_PER_WINDOW)
         infima.append(float(np.min(np.asarray(rho_t.evaluator(grid)).real)))
     decreasing = all(b < a for a, b in zip(infima, infima[1:]))
-    satisfied = decreasing and infima[-1] <= decay_threshold
-    name = m.weight.label or "weight"
-    params = {
+    satisfied = decreasing and infima[-1] <= _DECAY_THRESHOLD
+    return {
         "label": "HEURISTIC",
         "status": "criterion_satisfied" if satisfied else "criterion_not_satisfied",
-        "weight": name,
+        "weight": m.weight.label or "weight",
         "alpha": m.alpha.delta,
         "window_ends": [float(e) for e in ends],
         "infima": infima,
-        "decay_threshold": decay_threshold,
+        "decay_threshold": _DECAY_THRESHOLD,
     }
-    return CheckReport.from_residual(
-        check_id=f"weight_window_probe[{name}][alpha={m.alpha.delta}]",
-        params=params, residual=0.0, tolerance=0.0,
-        wall_time=time.perf_counter() - start, seed=seed)

@@ -11,7 +11,7 @@ from confsemi import (DriftDiffusionParams, EigenfunctionFamily,
                       FunctionHandle, GridPair, Order,
                       build_classical_operator, build_conformable_operator,
                       conjugacy_residual, derivative_identity_residuals,
-                      discrete_unitary, eigenfunction, empirical_orders,
+                      discrete_unitary, empirical_orders,
                       mild_solution_residuals, parameter_transfer,
                       spectral_evolve)
 
@@ -216,11 +216,46 @@ def test_eigenfunction_satisfies_operator_equation():
     fam = EigenfunctionFamily(1.0, 1.0, 0.4)
     xi = np.linspace(0.05, 0.95, 17)
     for lam in (0.5 + 4.0j, -2.0j, 1.0):
-        phi = eigenfunction(fam, lam)
-        lhs = (fam.diffusion * phi.second_derivative(xi)
-               + fam.drift * phi.classical_derivative(xi)
-               + fam.reaction * phi(xi))
-        assert np.allclose(lhs, lam * phi(xi), rtol=1e-10, atol=1e-10)
+        phi, d1, d2 = (fam.evaluate(lam, xi, k=k) for k in (0, 1, 2))
+        lhs = fam.diffusion * d2 + fam.drift * d1 + fam.reaction * phi
+        assert np.allclose(lhs, lam * phi, rtol=1e-10, atol=1e-10)
+
+
+def _reference_derivatives(fam, lam, xi):
+    """phi, phi', phi'' and phi'''' as separate closed forms per branch,
+    the formulas that evaluate(k) replaced."""
+    mu1, mu2 = fam.root_map(lam)
+    if abs(mu1 - mu2) < 1e-8:
+        mu = -fam.drift / (2.0 * fam.diffusion)
+        e = np.exp(mu * xi)
+        return {0: xi * e, 1: e * (1.0 + mu * xi),
+                2: e * (2.0 * mu + mu ** 2 * xi),
+                4: e * (mu ** 4 * xi + 4.0 * mu ** 3)}
+    e1, e2 = np.exp(mu1 * xi), np.exp(mu2 * xi)
+    return {0: (e1 - e2) / (mu1 - mu2),
+            1: (mu1 * e1 - mu2 * e2) / (mu1 - mu2),
+            2: (mu1 ** 2 * e1 - mu2 ** 2 * e2) / (mu1 - mu2),
+            4: (mu1 ** 4 * e1 - mu2 ** 4 * e2) / (mu1 - mu2)}
+
+
+def test_evaluate_matches_the_separate_closed_forms():
+    """evaluate(k) reproduces every branch formula exactly (array_equal,
+    so a signed zero at xi = 0 counts as equal), confluent point included."""
+    xi = np.linspace(0.0, 1.0, 65)
+    lams = [complex(re, im) for re in np.linspace(-4.0, 4.0, 19)
+            for im in np.linspace(-15.0, 15.0, 16)]
+    cases = 0
+    for a, b, c in ((1.0, 1.0, 0.4), (0.5, 2.0, 0.1), (2.0, 0.3, 1.5)):
+        for d in (0.3, 0.7, 1.0):
+            fam = EigenfunctionFamily.from_params(
+                DriftDiffusionParams(a, b, c, Order(d)))
+            for lam in lams + [fam.confluent_point()]:
+                want = _reference_derivatives(fam, lam, xi)
+                for k, ref in want.items():
+                    assert np.array_equal(fam.evaluate(lam, xi, k=k), ref), \
+                        (a, b, c, d, lam, k)
+                cases += 1
+    assert cases == 3 * 3 * 305
 
 
 def test_divided_difference_is_continuous_at_confluence():

@@ -43,6 +43,39 @@ def test_suite_mapping_is_suite_names():
     assert list(suites._SUITES) == SUITES
 
 
+def test_library_check_records(all_reports):
+    """Library checks return measurements; the suites compose their ids
+    and take their tolerances from the config."""
+    by_id = {rep.check_id: rep for rep in all_reports}
+    resolvent = SMALL.tol("resolvent_slack")
+    contraction = SMALL.tol("contraction_slack")
+    invariance = SMALL.tol("invariance")
+    expected = {
+        "resolvent_bound[dirichlet_laplacian[n=32]][lam=0.1]": resolvent,
+        "resolvent_bound[dirichlet_laplacian[n=32]][lam=0.5]": resolvent,
+        "resolvent_bound[dirichlet_laplacian[n=32]][lam=1.0]": resolvent,
+        "resolvent_bound[dirichlet_laplacian[n=32]][lam=2.0]": resolvent,
+        "contraction[dirichlet_laplacian[n=32]][delta=0.5]": contraction,
+        "contraction[dirichlet_laplacian[n=32]][delta=1.0]": contraction,
+        "clock_invariance[diag_decay][delta=0.4]": invariance,
+        "clock_invariance[diag_decay][delta=0.8]": invariance,
+        "weight_window_probe[exp_decay][alpha=0.5]": 0.0,
+        "weight_window_probe[unit][alpha=0.5]": 0.0,
+    }
+    assert {cid: by_id[cid].tolerance for cid in expected} == expected
+    assert all(by_id[cid].passed for cid in expected)
+    assert set(by_id["resolvent_bound[dirichlet_laplacian[n=32]][lam=0.1]"]
+               .params) == {"lambda", "n", "norm_excess", "lower_excess",
+                            "margin"}
+    # the heuristic probe records, never gates
+    for cid in ("weight_window_probe[exp_decay][alpha=0.5]",
+                "weight_window_probe[unit][alpha=0.5]"):
+        assert by_id[cid].residual == 0.0
+    gram = by_id["dynamics.gram_separation"]
+    assert gram.params["threshold"] == SMALL.tol("gram_min")
+    assert gram.residual == SMALL.tol("gram_min") / gram.params["det"]
+
+
 # drift_diffusion.unitary_pairing ---------------------------------------------
 
 @pytest.fixture

@@ -96,24 +96,23 @@ def test_pde_residual_requires_derivative():
 
 def test_weight_probe_decay_weight_satisfies():
     m = model(0.5, "exp_decay")
-    rep = weight_criterion_probe(m, (0.5, 1.0, 2.0, 4.0, 8.0))
-    assert rep.params["label"] == "HEURISTIC"
-    assert rep.params["status"] == "criterion_satisfied"
-    infima = rep.params["infima"]
+    params = weight_criterion_probe(m, (0.5, 1.0, 2.0, 4.0, 8.0))
+    assert params["label"] == "HEURISTIC"
+    assert params["status"] == "criterion_satisfied"
+    infima = params["infima"]
     assert all(b < a for a, b in zip(infima, infima[1:]))
 
 
 def test_weight_probe_flat_weight_does_not_satisfy():
-    # informational probe: never a gate, but the two weights must separate
-    rep = weight_criterion_probe(model(0.5, "unit"), (0.5, 1.0, 2.0, 4.0, 8.0))
-    assert rep.params["status"] == "criterion_not_satisfied"
-    assert rep.passed  # heuristic outcome must not fail a run
-    assert rep.residual == 0.0 and rep.tolerance == 0.0
+    # informational probe: never a gate (tests/test_suites.py checks that
+    # its records pass), but the two weights must separate
+    params = weight_criterion_probe(model(0.5, "unit"),
+                                    (0.5, 1.0, 2.0, 4.0, 8.0))
+    assert params["status"] == "criterion_not_satisfied"
 
 
 def test_weight_probe_deterministic():
     m = model(0.5, "gaussian")
-    a = weight_criterion_probe(m, (0.5, 1.0, 2.0), seed=11)
-    b = weight_criterion_probe(m, (0.5, 1.0, 2.0), seed=11)
-    assert a.check_id == b.check_id
-    assert a.params == b.params
+    a = weight_criterion_probe(m, (0.5, 1.0, 2.0))
+    b = weight_criterion_probe(m, (0.5, 1.0, 2.0))
+    assert a == b
