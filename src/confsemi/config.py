@@ -16,12 +16,17 @@ from typing import Mapping
 from .clock import Order
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config",
-           "SUITE_NAMES", "WEIGHT_IDS", "TOLERANCE_DEFAULTS"]
+           "SUITE_NAMES", "WEIGHT_IDS", "TOLERANCE_DEFAULTS", "ORDER_FLOOR"]
 
 SUITE_NAMES = ("calculus", "spaces", "clock", "semigroup", "drift-diffusion",
                "transport", "dynamics", "all")
 
 WEIGHT_IDS = ("unit", "exp_decay", "gaussian")
+
+# smallest order a run accepts: below it the inverse clock of the quotient
+# times, the orbit start (1e-3 delta)**(1/delta) and the graded nodes
+# xi**(1/delta) underflow, and runs end in tracebacks instead of verdicts
+ORDER_FLOOR = 0.02
 
 TOLERANCE_DEFAULTS = {
     "clock_roundtrip": 1e-13,
@@ -128,6 +133,9 @@ class RunConfig:
                 Order(d)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            if d < ORDER_FLOOR:
+                raise ConfigError(
+                    f"orders below {ORDER_FLOOR} are not supported, got {d}")
         for n in (*self.n_list, self.n_resolvent, self.n_eigen, *self.sweep_n_list):
             if n < 16:
                 raise ConfigError(f"grid sizes must be >= 16, got {n}")

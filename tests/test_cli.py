@@ -4,11 +4,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from confsemi import ConfigError, default_config, parse_config
 from confsemi.cli import main
-from confsemi.config import SUITE_NAMES, TOLERANCE_DEFAULTS
+from confsemi.config import ORDER_FLOOR, SUITE_NAMES, TOLERANCE_DEFAULTS
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -210,6 +211,58 @@ def test_sweep_writes_grid(tmp_path):
     assert len(rows) == 3  # header + 2 cells
     for row in rows[1:]:
         assert all(float(cell) == float(cell) for cell in row)  # finite
+
+
+def test_sweep_at_small_orders(tmp_path):
+    """the orbit starts at t0 = (1e-3 delta)**(1/delta), far below 1 for
+    small orders; the step-size floor must scale with t, not with 1."""
+    cfg = write(tmp_path, "[sweep]\ndelta_list = 0.05, 0.1, 0.2\nn_list = 32\n",
+                name="sweep.ini")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    with (out / "sweep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["delta"]) for r in rows] == [0.05, 0.1, 0.2]
+    for row in rows:
+        assert all(np.isfinite(float(cell)) for cell in row.values())
+        assert (float(row["correspondence_residual"])
+                <= TOLERANCE_DEFAULTS["orbit_oracle"])
+
+
+ORDER_KEYS = [("orders", "delta_list"), ("drift_diffusion", "delta"),
+              ("transport", "alpha"), ("sweep", "delta_list")]
+
+
+@pytest.mark.parametrize("section, key", ORDER_KEYS)
+def test_order_below_floor_exits_two(tmp_path, capsys, section, key):
+    below = float(np.nextafter(ORDER_FLOOR, 0.0))
+    cfg = write(tmp_path, f"[{section}]\n{key} = {below!r}\n")
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    assert main(["run", "--suite", "clock", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_runs_at_the_order_floor_end_in_verdicts(tmp_path, capsys):
+    """every order key at the floor: a complete report with unique ids and
+    a finite sweep cell, no traceback."""
+    text = "".join(f"[{section}]\n{key} = {ORDER_FLOOR}\n"
+                   for section, key in ORDER_KEYS if section != "sweep")
+    text += (f"[sweep]\ndelta_list = {ORDER_FLOOR}\nn_list = 16\n"
+             "[grids]\nn_list = 16, 32\nn_resolvent = 16\nn_eigen = 16\n")
+    cfg = write(tmp_path, text)
+    out = tmp_path / "floor"
+    assert main(["run", "--suite", "all", "--config", cfg,
+                 "--out", str(out)]) in (0, 1)
+    ids = [r["check_id"] for r in json.loads((out / "report.json").read_text())]
+    assert len(ids) == len(set(ids))
+    assert f"clock.roundtrip[delta={ORDER_FLOOR}]" in ids
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    with (out / "sweep.csv").open() as fh:
+        (row,) = csv.DictReader(fh)
+    assert all(np.isfinite(float(cell)) for cell in row.values())
+    capsys.readouterr()
 
 
 # compare -------------------------------------------------------------------
