@@ -6,9 +6,8 @@ Run directly: python3 demos/clock_tour.py
 
 import numpy as np
 
-from confsemi import (Clock, FunctionHandle, Order, SpaceSpec,
-                      WeightedQuadrature, conf_derivative, conf_integral,
-                      lp_delta_norm)
+from confsemi import (Clock, FunctionHandle, Order, WeightedQuadrature,
+                      conf_derivative, conf_integral, lp_delta_norm)
 
 
 def banner(text):
@@ -57,9 +56,8 @@ def main():
     print("The constant 1 has squared norm 1/delta on the unit horizon:")
     one = FunctionHandle(lambda t: np.ones_like(np.asarray(t, float)))
     for d in (0.3, 0.5, 0.9):
-        spec = SpaceSpec(Order(d), 2.0, 1.0)
         quad = WeightedQuadrature.build(Order(d), 0.0, 1.0)
-        val = lp_delta_norm(one, spec, quad) ** 2
+        val = lp_delta_norm(one, 2.0, quad) ** 2
         print(f"  delta={d:.1f}:  ||1||^2 = {val:.15f}   (exact {1 / d:.15f})")
     print()
     print("Everything above is checked to tighter tolerances in tests/.")

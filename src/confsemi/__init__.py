@@ -16,16 +16,12 @@ from .calculus import (
     conf_integral,
 )
 from .spaces import (
-    SpaceSpec,
-    SpatialUnitary,
-    TimeIsometry,
     WeightSpec,
     inner_product_2delta,
     lp_delta_norm,
     sobolev_norm,
     spatial_unitary_apply,
     time_isometry_apply,
-    transported_weight,
 )
 from .reports import CheckReport
 from .semigroup import (
@@ -88,16 +84,12 @@ __all__ = [
     "conf_derivative_iterated",
     "conf_derivative_limit",
     "conf_integral",
-    "SpaceSpec",
-    "SpatialUnitary",
-    "TimeIsometry",
     "WeightSpec",
     "inner_product_2delta",
     "lp_delta_norm",
     "sobolev_norm",
     "spatial_unitary_apply",
     "time_isometry_apply",
-    "transported_weight",
     "CheckReport",
     "ConformableSemigroup",
     "GeneratorMatrix",

@@ -32,19 +32,6 @@ class ConvergenceError(RuntimeError):
     """Raised when an extrapolated difference-quotient sequence diverges."""
 
 
-def pow_arr(base: np.ndarray, exponent: float) -> np.ndarray:
-    """Elementwise base**exponent for base >= 0 with an explicit 0 branch.
-
-    Exponent 1 returns the base values bitwise (order-1 reductions exact)."""
-    base = np.asarray(base, dtype=float)
-    if exponent == 1.0:
-        return base.copy()
-    out = np.zeros_like(base)
-    pos = base > 0.0
-    out[pos] = np.exp(exponent * np.log(base[pos]))
-    return out
-
-
 @dataclass(frozen=True)
 class FunctionHandle:
     """A scalar function with optional analytic derivatives.
@@ -66,7 +53,7 @@ class WeightedQuadrature:
     """Composite Gauss-Legendre rule in the substituted variable s.
 
     Nodes and weights integrate ds over (psi(a), psi(b)); pairing them with
-    f((delta*s)**(1/delta)) integrates f against t**(delta-1) dt over (a, b).
+    f(psi_inv(s)) (`t_nodes`) integrates f against t**(delta-1) dt over (a, b).
     When the interval starts at 0, the first panel is subdivided
     geometrically toward s = 0: substituted profiles generically carry an
     s**(1/delta) cusp there that uniform panels cannot resolve.
@@ -103,12 +90,7 @@ class WeightedQuadrature:
 
     def t_nodes(self) -> np.ndarray:
         """Quadrature nodes mapped back to the original variable."""
-        d = self.delta.delta
-        return pow_arr(d * self.nodes, 1.0 / d)
-
-    def integrate_transformed(self, values: np.ndarray) -> complex:
-        """Sum of weights against sampled transformed-integrand values."""
-        return complex(np.sum(self.weights * np.asarray(values)))
+        return Clock(self.delta).psi_inv(self.nodes)
 
 
 def conf_derivative(f: FunctionHandle, delta: Order, t: float):
@@ -181,7 +163,7 @@ def conf_integral(f: FunctionHandle, delta: Order, a: float, t: float,
     if abs(qa - a) > 1e-12 * (1 + abs(a)) or abs(qb - t) > 1e-12 * (1 + abs(t)):
         raise ValueError(
             f"quadrature interval {quad.interval} does not match ({a}, {t})")
-    return quad.integrate_transformed(f.evaluator(quad.t_nodes()))
+    return complex(np.sum(quad.weights * np.asarray(f.evaluator(quad.t_nodes()))))
 
 
 def conf_derivative_iterated(f: FunctionHandle, delta: Order, k: int, t: float):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .calculus import FunctionHandle
+from .calculus import FunctionHandle, conf_derivative, conf_derivative_iterated
 from .clock import Order, pow_pos
 
 __all__ = [
@@ -376,11 +376,11 @@ def derivative_identity_residuals(u: FunctionHandle, delta: Order,
                                   xi_points) -> tuple:
     """Chain-rule consistency of the two derivative routes.
 
-    Left route: the order-delta derivative of u evaluated at the graded
-    point x = xi**(1/delta).  Right route: delta times the analytic
-    derivative of the stretched profile w(xi) = u(xi**(1/delta)); the
-    second-order version carries delta**2.  Both routes use analytic
-    derivatives only.
+    Left route: the library's order-delta derivative of u, once and twice
+    (`conf_derivative`, `conf_derivative_iterated`), at the graded point
+    x = xi**(1/delta) > 0.  Right route: delta times the analytic derivative
+    of the stretched profile w(xi) = u(xi**(1/delta)); the second-order
+    version carries delta**2.  Both routes use analytic derivatives only.
     """
     if u.classical_derivative is None or u.second_derivative is None:
         raise ValueError("identity check needs both analytic derivatives")
@@ -390,9 +390,8 @@ def derivative_identity_residuals(u: FunctionHandle, delta: Order,
     for xi in xi_points:
         xi = float(xi)
         x = pow_pos(xi, 1.0 / d)
-        left1 = x ** (1.0 - d) * u.classical_derivative(x)
-        left2 = ((1.0 - d) * x ** (1.0 - 2.0 * d) * u.classical_derivative(x)
-                 + x ** (2.0 - 2.0 * d) * u.second_derivative(x))
+        left1 = conf_derivative(u, delta, x)
+        left2 = conf_derivative_iterated(u, delta, 2, x)
         dx1 = (1.0 / d) * xi ** (1.0 / d - 1.0)
         dx2 = (1.0 / d) * (1.0 / d - 1.0) * xi ** (1.0 / d - 2.0)
         w1 = u.classical_derivative(x) * dx1

@@ -2,13 +2,16 @@
 
 report.json must be byte-identical across runs with equal config and seed, so
 the volatile wall_time field stays on the in-memory record (and in console
-output) but is excluded from both serialized forms.
+output) but is excluded from both serialized forms.  report.json is strict
+JSON: a non-finite residual is written as null with its kind ("nan", "inf")
+in params["residual_kind"], and non-finite param floats as strings.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -42,10 +45,15 @@ class CheckReport:
                    wall_time=float(wall_time), seed=int(seed))
 
     def json_dict(self) -> dict:
+        params = dict(self.params)
+        residual = self.residual
+        if not math.isfinite(residual):
+            params["residual_kind"] = repr(residual)
+            residual = None
         return {
             "check_id": self.check_id,
-            "params": {k: _plain(v) for k, v in sorted(self.params.items())},
-            "residual": self.residual,
+            "params": {k: _plain(v) for k, v in sorted(params.items())},
+            "residual": residual,
             "tolerance": self.tolerance,
             "passed": self.passed,
             "seed": self.seed,
@@ -58,9 +66,12 @@ class CheckReport:
 
 
 def _plain(value):
-    """Coerce params to JSON-stable primitives (repr for complex numbers)."""
+    """Coerce params to strict-JSON primitives (repr for complex numbers and
+    non-finite floats)."""
     if isinstance(value, bool) or value is None:
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
     if isinstance(value, (int, float, str)):
         return value
     if isinstance(value, complex):
@@ -73,20 +84,27 @@ def _plain(value):
 def write_report_json(reports: Iterable[CheckReport], path) -> None:
     ordered = sorted(reports, key=lambda r: r.check_id)
     payload = [r.json_dict() for r in ordered]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False,
+                                     allow_nan=False) + "\n")
 
 
 def read_report_json(path) -> dict:
     """check_id -> record of a report.json that write_report_json wrote.
 
-    Raises OSError when the file cannot be read and ValueError when it is
-    not such a report (bad JSON, missing fields, repeated ids).
+    A null residual is read back as the float its params["residual_kind"]
+    names.  Raises OSError when the file cannot be read and ValueError when
+    it is not such a report (bad JSON, missing fields, repeated ids).
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise ValueError(f"{path}: not a list of check records")
     records = {}
     for rec in data:
+        if isinstance(rec, dict) and rec.get("residual", 0.0) is None:
+            params = rec.get("params")
+            kind = params.get("residual_kind") if isinstance(params, dict) else None
+            if kind in ("nan", "inf", "-inf"):
+                rec["residual"] = float(kind)
         if not (isinstance(rec, dict) and isinstance(rec.get("check_id"), str)
                 and isinstance(rec.get("residual"), float)
                 and isinstance(rec.get("passed"), bool)):

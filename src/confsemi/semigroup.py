@@ -331,6 +331,8 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
     clock = Clock(delta)
     x0 = np.asarray(x0, dtype=complex)
     matrix = g.entries
+    # psi_inv(1e-3) in this route's own rounding; the clock's exp/log
+    # differs in the last bit at most orders and would move orbit residuals
     t0 = min(1e-3, (1e-3 * d) ** (1.0 / d))
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Weighted Lebesgue/Sobolev norms and the two unitary changes of variable.
 
-Functions on (0,T) are measured against the weight t**(delta-1) dt.  The time
-isometry turns that weighted norm into a plain Lebesgue norm on (0, psi(T))
-by the substitution s = t**delta / delta; the spatial unitary does the same
-on (0,1) with the stretch xi = x**delta plus the amplitude factor
-delta**(-1/2).  Transported weights carry a half-line weight through the
-spatial substitution.
+Functions on (0,T) are measured against the weight t**(delta-1) dt.  A
+norm takes the exponent p and a `WeightedQuadrature` built on (0, T): the
+rule carries the order delta and the interval, so nothing else restates
+them.  The time isometry turns the weighted norm into a plain Lebesgue norm
+on (0, psi(T)) by the clock substitution s = psi(t); the spatial unitary
+does the same on (0,1) with the stretch xi = x**delta plus the amplitude
+factor delta**(-1/2).
 """
 
 from __future__ import annotations
@@ -15,94 +16,51 @@ from typing import Literal
 
 import numpy as np
 
-from .calculus import FunctionHandle, WeightedQuadrature, pow_arr
-from .clock import Clock, Order
+from .calculus import FunctionHandle, WeightedQuadrature
+from .clock import Clock, Order, pow_arr
 
 __all__ = [
-    "SpaceSpec",
-    "TimeIsometry",
-    "SpatialUnitary",
     "WeightSpec",
     "lp_delta_norm",
     "inner_product_2delta",
     "time_isometry_apply",
     "spatial_unitary_apply",
     "sobolev_norm",
-    "transported_weight",
 ]
 
 
 @dataclass(frozen=True)
-class SpaceSpec:
-    """Weighted space parameters: order, exponent p >= 1, interval (0, T)."""
-
-    delta: Order
-    p: float
-    horizon: float  # T; the interval is (0, T)
-
-    def __post_init__(self) -> None:
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class TimeIsometry:
-    """Substitution map onto (0, psi(T)) that preserves the weighted norm."""
-
-    source: SpaceSpec
-
-    @property
-    def delta(self) -> Order:
-        return self.source.delta
-
-    def target_end(self) -> float:
-        return Clock(self.delta).psi(self.source.horizon)
-
-
-@dataclass(frozen=True)
-class SpatialUnitary:
-    """Amplitude-corrected stretch on (0,1): scaling by delta**(-1/2)."""
-
-    delta: Order
-
-
-@dataclass(frozen=True)
 class WeightSpec:
-    """A positive weight on the half-line together with its stretch order."""
+    """A positive weight on the half-line."""
 
-    alpha: Order
     rho: FunctionHandle
     label: str = ""
 
 
-def _check_rule(spec: SpaceSpec, quad: WeightedQuadrature) -> None:
-    if quad.delta != spec.delta:
-        raise ValueError("quadrature order differs from the space order")
-    a, b = quad.interval
-    if a != 0.0 or abs(b - spec.horizon) > 1e-12 * (1 + abs(b)):
+def _check_rule(p: float, quad: WeightedQuadrature) -> None:
+    if p < 1.0:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if quad.interval[0] != 0.0:
         raise ValueError(
-            f"quadrature interval {quad.interval} does not match (0, {spec.horizon})")
+            f"quadrature interval {quad.interval} does not start at 0")
 
 
-def lp_delta_norm(f: FunctionHandle, spec: SpaceSpec,
+def lp_delta_norm(f: FunctionHandle, p: float,
                   quad: WeightedQuadrature) -> float:
     """Weighted p-norm (integral of |f|**p against t**(delta-1) dt)**(1/p)."""
-    _check_rule(spec, quad)
+    _check_rule(p, quad)
     vals = np.abs(np.asarray(f.evaluator(quad.t_nodes())))
-    total = float(np.sum(quad.weights * vals ** spec.p))
+    total = float(np.sum(quad.weights * vals ** p))
     if not np.isfinite(total):
         raise FloatingPointError("non-finite integrand sample in norm")
-    return total ** (1.0 / spec.p)
+    return total ** (1.0 / p)
 
 
-def inner_product_2delta(f: FunctionHandle, g: FunctionHandle, spec: SpaceSpec,
+def inner_product_2delta(f: FunctionHandle, g: FunctionHandle,
                          quad: WeightedQuadrature) -> complex:
-    """Sesquilinear weighted pairing; second argument is conjugated."""
-    if spec.p != 2:
-        raise ValueError("inner product is defined on the p=2 space")
-    _check_rule(spec, quad)
+    """Sesquilinear weighted pairing of the p=2 space; second argument is
+    conjugated."""
+    _check_rule(2.0, quad)
     t = quad.t_nodes()
     fv = np.asarray(f.evaluator(t))
     gv = np.asarray(g.evaluator(t))
@@ -112,31 +70,24 @@ def inner_product_2delta(f: FunctionHandle, g: FunctionHandle, spec: SpaceSpec,
     return total
 
 
-def time_isometry_apply(iso: TimeIsometry, f: FunctionHandle) -> FunctionHandle:
-    """Return s -> f((delta*s)**(1/delta)) on (0, psi(T))."""
-    d = iso.delta.delta
-    end = iso.target_end()
+def time_isometry_apply(clock: Clock, horizon: float,
+                        f: FunctionHandle) -> FunctionHandle:
+    """Return s -> f(psi_inv(s)) on (0, psi(horizon))."""
+    end = clock.psi(horizon)
 
     def ev(s):
         arr = np.asarray(s, dtype=float)
-        if np.any(arr < -1e-15) or np.any(arr > end * (1 + 1e-12) + 1e-15):
+        if np.any(arr > end * (1 + 1e-12) + 1e-15):
             raise ValueError(f"evaluation outside (0, {end})")
-        return f.evaluator(pow_arr(d * arr, 1.0 / d))
+        return f.evaluator(clock.psi_inv(arr))
 
-    deriv = None
-    if f.classical_derivative is not None:
-        def deriv(s):  # chain rule through the inverse substitution
-            arr = np.asarray(s, dtype=float)
-            t = pow_arr(d * arr, 1.0 / d)
-            return f.classical_derivative(t) * pow_arr(d * arr, 1.0 / d - 1.0)
-
-    return FunctionHandle(evaluator=ev, classical_derivative=deriv)
+    return FunctionHandle(evaluator=ev)
 
 
-def spatial_unitary_apply(u: SpatialUnitary, f: FunctionHandle,
+def spatial_unitary_apply(order: Order, f: FunctionHandle,
                           direction: Literal["forward", "inverse"]) -> FunctionHandle:
     """Forward: xi -> delta**(-1/2) f(xi**(1/delta)); inverse undoes it."""
-    d = u.delta.delta
+    d = order.delta
     root = d ** 0.5
     if direction == "forward":
         def ev(xi):
@@ -158,7 +109,7 @@ def _check_unit_interval(arr: np.ndarray) -> None:
         raise ValueError("evaluation outside (0, 1)")
 
 
-def sobolev_norm(f: FunctionHandle, m: int, spec: SpaceSpec,
+def sobolev_norm(f: FunctionHandle, m: int, p: float,
                  quad: WeightedQuadrature) -> float:
     """(sum over k <= m of the weighted p-norm**p of the k-fold order-delta
     derivative)**(1/p), for m in {0, 1, 2}."""
@@ -168,8 +119,8 @@ def sobolev_norm(f: FunctionHandle, m: int, spec: SpaceSpec,
         raise ValueError("m >= 1 needs classical_derivative")
     if m >= 2 and f.second_derivative is None:
         raise ValueError("m = 2 needs second_derivative")
-    _check_rule(spec, quad)
-    d = spec.delta.delta
+    _check_rule(p, quad)
+    d = quad.delta.delta
     t = quad.t_nodes()
     layers = [np.asarray(f.evaluator(t))]
     if m >= 1:
@@ -181,16 +132,5 @@ def sobolev_norm(f: FunctionHandle, m: int, spec: SpaceSpec,
                       * np.asarray(f.second_derivative(t)))
     total = 0.0
     for vals in layers:
-        total += float(np.sum(quad.weights * np.abs(vals) ** spec.p))
-    return total ** (1.0 / spec.p)
-
-
-def transported_weight(w: WeightSpec) -> FunctionHandle:
-    """Carry the weight through the spatial stretch: xi -> rho((alpha*xi)**(1/alpha))."""
-    a = w.alpha.delta
-
-    def ev(xi):
-        arr = np.asarray(xi, dtype=float)
-        return w.rho.evaluator(pow_arr(a * arr, 1.0 / a))
-
-    return FunctionHandle(evaluator=ev)
+        total += float(np.sum(quad.weights * np.abs(vals) ** p))
+    return total ** (1.0 / p)

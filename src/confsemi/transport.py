@@ -1,10 +1,12 @@
 """Closed-form transport model on the half-line.
 
-The spatial stretch psi(x) = x**alpha / alpha turns the flow
-x -> f(psi_inv(psi(x) + t)) into a plain shift in the stretched variable:
-substituting xi = psi(x) conjugates the stretched flow to translation.  All
-operators here are symbolic compositions of closed forms; nothing is
-discretized, so identities hold to rounding.
+The model's order-alpha `Clock`, applied to space, is the stretch
+psi(x) = x**alpha / alpha.  It turns the flow x -> f(psi_inv(psi(x) + t))
+into a plain shift: substituting xi = psi(x) (`apply_Q`) conjugates the
+stretched flow to translation, and the same forward map carries a weight on
+the half-line into the stretched variable.  All operators here are symbolic
+compositions of closed forms; nothing is discretized, so identities hold to
+rounding.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import FunctionHandle, pow_arr
-from .clock import Clock, Order
-from .spaces import WeightSpec, transported_weight
+from .calculus import FunctionHandle
+from .clock import Clock, Order, pow_arr
+from .spaces import WeightSpec
 
 __all__ = [
     "TransportModel",
@@ -33,10 +35,6 @@ class TransportModel:
     alpha: Order
     weight: WeightSpec
 
-    def __post_init__(self) -> None:
-        if self.weight.alpha != self.alpha:
-            raise ValueError("weight stretch order differs from the model order")
-
     @property
     def clock(self) -> Clock:
         return Clock(self.alpha)
@@ -47,39 +45,34 @@ def apply_S_alpha(m: TransportModel, f: FunctionHandle, t: float) -> FunctionHan
     if t < 0.0:
         raise ValueError(f"flow time must be nonnegative, got {t}")
     a = m.alpha.delta
-
-    def pulled(x):
-        arr = np.asarray(x, dtype=float)
-        xi = pow_arr(arr, a) / a + t
-        return pow_arr(a * xi, 1.0 / a)
+    clock = m.clock
 
     def ev(x):
-        return f.evaluator(pulled(x))
+        return f.evaluator(clock.psi_inv(clock.psi(np.asarray(x, dtype=float)) + t))
 
     deriv = None
     if f.classical_derivative is not None:
         def deriv(x):  # chain rule through psi_inv(psi(x) + t)
             arr = np.asarray(x, dtype=float)
-            xi = pow_arr(arr, a) / a + t
+            xi = clock.psi(arr) + t
             inner = pow_arr(a * xi, 1.0 / a - 1.0) * pow_arr(arr, a - 1.0)
-            return f.classical_derivative(pow_arr(a * xi, 1.0 / a)) * inner
+            return f.classical_derivative(clock.psi_inv(xi)) * inner
 
     return FunctionHandle(evaluator=ev, classical_derivative=deriv)
 
 
 def apply_Q(m: TransportModel, f: FunctionHandle, direction: str) -> FunctionHandle:
     """Forward: xi -> f(psi_inv(xi)); inverse: x -> g(psi(x))."""
-    a = m.alpha.delta
     if direction == "forward":
-        def ev(xi):
-            arr = np.asarray(xi, dtype=float)
-            return f.evaluator(pow_arr(a * arr, 1.0 / a))
+        to_arg = m.clock.psi_inv
     elif direction == "inverse":
-        def ev(x):
-            arr = np.asarray(x, dtype=float)
-            return f.evaluator(pow_arr(arr, a) / a)
+        to_arg = m.clock.psi
     else:
         raise ValueError(f"direction must be forward or inverse, got {direction}")
+
+    def ev(x):
+        return f.evaluator(to_arg(np.asarray(x, dtype=float)))
+
     return FunctionHandle(evaluator=ev)
 
 
@@ -147,7 +140,7 @@ def weight_criterion_probe(m: TransportModel, window_ends) -> dict:
         raise ValueError("need at least 3 windows")
     if any(e2 <= e1 for e1, e2 in zip(ends, ends[1:])):
         raise ValueError("window ends must be increasing")
-    rho_t = transported_weight(m.weight)
+    rho_t = apply_Q(m, m.weight.rho, "forward")
     infima = []
     for end in ends:
         grid = np.linspace(end, 2.0 * end, _SAMPLES_PER_WINDOW)

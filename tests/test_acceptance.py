@@ -12,8 +12,8 @@ import pytest
 
 from confsemi import (Clock, ConformableSemigroup, DriftDiffusionParams, EigenfunctionFamily,
                       FunctionHandle, GeneratorMatrix, LambdaRectangle, Order,
-                      SpaceSpec, SpatialUnitary, TimeIsometry, TransportModel,
-                      WeightedQuadrature, conf_derivative_limit, conf_integral,
+                      TransportModel, WeightedQuadrature,
+                      conf_derivative_limit, conf_integral,
                       conjugacy_residual, contraction_check, delta_law_residual,
                       dirichlet_second_difference, dissipativity_margin,
                       dsw_condition_check, dsw_hypotheses_probe,
@@ -86,11 +86,9 @@ def test_criterion_01_time_isometry():
         quad = WeightedQuadrature.build(Order(delta), 0.0, 1.0)
         s_end = Clock(Order(delta)).psi(1.0)
         for p in (1.0, 2.0):
-            spec = SpaceSpec(Order(delta), p, 1.0)
-            iso = TimeIsometry(spec)
             for f in corpus():
-                left = lp_delta_norm(f, spec, quad)
-                g = time_isometry_apply(iso, f)
+                left = lp_delta_norm(f, p, quad)
+                g = time_isometry_apply(Clock(Order(delta)), 1.0, f)
                 right = plain_graded_gauss(
                     s_end, lambda s: np.abs(g(s)) ** p) ** (1.0 / p)
                 worst = max(worst, abs(left - right) / left)
@@ -104,16 +102,14 @@ def test_criterion_02_spatial_unitarity():
     start = time.perf_counter()
     worst = 0.0
     for delta in (0.3, 0.5, 0.9):
-        spec = SpaceSpec(Order(delta), 2.0, 1.0)
         quad = WeightedQuadrature.build(Order(delta), 0.0, 1.0)
-        u = SpatialUnitary(Order(delta))
         for f in corpus():
-            left_sq = lp_delta_norm(f, spec, quad) ** 2
-            g = spatial_unitary_apply(u, f, "forward")
+            left_sq = lp_delta_norm(f, 2.0, quad) ** 2
+            g = spatial_unitary_apply(Order(delta), f, "forward")
             right_sq = plain_graded_gauss(1.0, lambda xi: np.abs(g(xi)) ** 2)
             worst = max(worst, abs(left_sq - right_sq) / max(left_sq, 1.0))
         stretch = FunctionHandle(lambda x, d=delta: np.asarray(x, float) ** d)
-        got_sq = lp_delta_norm(stretch, spec, quad) ** 2
+        got_sq = lp_delta_norm(stretch, 2.0, quad) ** 2
         worst = max(worst, abs(got_sq - 1.0 / (3.0 * delta)) * 3.0 * delta)
         if delta == 0.5:
             assert got_sq == pytest.approx(2.0 / 3.0, rel=1e-10)
@@ -260,7 +256,7 @@ def test_criterion_10_transport_conjugacy_and_pde():
     worst_conj = 0.0
     worst_pde = 0.0
     for alpha in (0.3, 0.5, 1.0):
-        m = TransportModel(Order(alpha), make_weight("exp_decay", Order(alpha)))
+        m = TransportModel(Order(alpha), make_weight("exp_decay"))
         xi = 0.05 + 2.95 * rng.random(50)
         for t in (0.3, 1.0):
             res = transport_conjugacy_residual(m, f, t, xi) / 2.0  # 1+max|sin|

@@ -7,7 +7,7 @@ from scipy.special import gamma, gammainc
 from confsemi import (FunctionHandle, Order, WeightedQuadrature,
                       conf_derivative, conf_derivative_iterated,
                       conf_derivative_limit, conf_integral)
-from confsemi.calculus import pow_arr
+from confsemi.clock import pow_arr
 
 SIN = FunctionHandle(np.sin, np.cos, lambda t: -np.sin(t))
 EXPD = FunctionHandle(lambda t: np.exp(-t), lambda t: -np.exp(-t),
@@ -134,22 +134,3 @@ def test_derivative_then_integral(delta):
     quad = WeightedQuadrature.build(d, t_lo, t_hi)
     got = conf_integral(stretched, d, t_lo, t_hi, quad)
     assert got == pytest.approx(np.sin(t_hi) - np.sin(t_lo), rel=1e-10)
-
-
-# array power helper ---------------------------------------------------------
-
-def test_pow_arr_zero_and_unit_branches():
-    base = np.array([0.0, 0.25, 1.0, 2.7182818])
-    out = pow_arr(base, 0.5)
-    assert out[0] == 0.0
-    assert out[2] == pytest.approx(1.0, rel=1e-15)
-    unit = pow_arr(base, 1.0)
-    assert np.array_equal(unit, base)
-    unit[0] = 99.0  # exponent-1 branch must copy, not alias
-    assert base[0] == 0.0
-
-
-def test_pow_arr_matches_scalar_power():
-    base = np.linspace(0.1, 3.0, 7)
-    got = pow_arr(base, 0.37)
-    assert np.allclose(got, base**0.37, rtol=1e-14)

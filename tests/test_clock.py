@@ -2,12 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confsemi import Clock, Order
-from confsemi.clock import pow_pos
+from confsemi.clock import pow_arr, pow_pos
 
 DELTAS = st.floats(min_value=0.05, max_value=1.0, exclude_min=True)
 TIMES = st.floats(min_value=1e-6, max_value=50.0)
@@ -102,3 +103,66 @@ def test_half_order_example():
     assert c.psi(0.25) == pytest.approx(1.0, rel=1e-15)
     assert c.psi_inv(1.0) == pytest.approx(0.25, rel=1e-15)
     assert math.isclose(c.psi(9.0), 6.0, rel_tol=1e-15)
+
+
+# array power helper ---------------------------------------------------------
+
+def test_pow_arr_zero_and_unit_branches():
+    base = np.array([0.0, 0.25, 1.0, 2.7182818])
+    out = pow_arr(base, 0.5)
+    assert out[0] == 0.0
+    assert out[2] == pytest.approx(1.0, rel=1e-15)
+    unit = pow_arr(base, 1.0)
+    assert np.array_equal(unit, base)
+    unit[0] = 99.0  # exponent-1 branch must copy, not alias
+    assert base[0] == 0.0
+
+
+def test_pow_arr_matches_scalar_power():
+    base = np.linspace(0.1, 3.0, 7)
+    got = pow_arr(base, 0.37)
+    assert np.allclose(got, base**0.37, rtol=1e-14)
+
+
+# array clock -------------------------------------------------------------------
+
+TINY = np.finfo(float).tiny
+# 0, subnormals, the smallest normal, and ordinary values
+ARRAY_INPUTS = np.array([0.0, 5e-324, 1e-310, TINY / 2.0, TINY, 1e-300, 1e-12,
+                         1e-6, 0.3, 1.0, 1.7, 10.0, 1e6])
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 1.0])
+def test_array_clock_matches_the_inline_formulas(delta):
+    """the array maps keep the bits of the formulas they replace"""
+    c = Clock(Order(delta))
+    x = ARRAY_INPUTS.copy()
+    assert np.array_equal(c.psi(x), pow_arr(x, delta) / delta)
+    assert np.array_equal(c.psi_inv(x), pow_arr(delta * x, 1.0 / delta))
+    grid = x.reshape(13, 1)
+    assert np.array_equal(c.psi(grid), (pow_arr(x, delta) / delta).reshape(13, 1))
+    assert np.array_equal(x, ARRAY_INPUTS)  # inputs are not written to
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 1.0])
+def test_array_clock_agrees_with_the_scalar_clock(delta):
+    c = Clock(Order(delta))
+    x = np.array([0.0, 1e-6, 0.3, 1.0, 1.7, 10.0])
+    assert np.allclose(c.psi(x), [c.psi(v) for v in x], rtol=1e-14, atol=0.0)
+    assert np.allclose(c.psi_inv(x), [c.psi_inv(v) for v in x],
+                       rtol=1e-13, atol=0.0)
+
+
+def test_array_negative_time_raises_and_dust_is_clamped():
+    c = Clock(Order(0.4))
+    bad = np.array([0.5, -1e-3])
+    with pytest.raises(ValueError):
+        c.psi(bad)
+    with pytest.raises(ValueError):
+        c.psi_inv(bad)
+    with pytest.raises(ValueError):
+        c.psi(np.array([np.nextafter(-1e-15, -1.0)]))
+    dust = np.array([-5e-16, 0.5])
+    assert np.array_equal(c.psi(dust), [0.0, c.psi(np.array([0.5]))[0]])
+    assert c.psi_inv(dust)[0] == 0.0
+    assert dust[0] == -5e-16

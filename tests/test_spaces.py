@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsemi import (Clock, FunctionHandle, Order, SpaceSpec, SpatialUnitary,
-                      TimeIsometry, WeightedQuadrature, inner_product_2delta,
+from confsemi import (Clock, FunctionHandle, Order, TransportModel,
+                      WeightedQuadrature, apply_Q, inner_product_2delta,
                       lp_delta_norm, make_weight, sobolev_norm,
-                      spatial_unitary_apply, time_isometry_apply,
-                      transported_weight)
+                      spatial_unitary_apply, time_isometry_apply)
 
 HORIZON = 1.0
 
@@ -52,61 +51,55 @@ def plain_graded_gauss(end, fn, depth=14, pts=24):
 @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9, 1.0])
 def test_norm_of_constant_one(delta):
     """squared norm of the constant 1 is 1/delta on the unit horizon."""
-    spec = SpaceSpec(Order(delta), 2.0, HORIZON)
-    got = lp_delta_norm(corpus()[0][1], spec, quad_for(delta))
+    got = lp_delta_norm(corpus()[0][1], 2.0, quad_for(delta))
     assert got == pytest.approx((1.0 / delta) ** 0.5, rel=1e-13)
 
 
 def test_norm_of_identity_function_at_half():
-    spec = SpaceSpec(Order(0.5), 2.0, HORIZON)
-    got = lp_delta_norm(corpus()[1][1], spec, quad_for(0.5))
+    got = lp_delta_norm(corpus()[1][1], 2.0, quad_for(0.5))
     assert got == pytest.approx((2.0 / 5.0) ** 0.5, rel=1e-13)
 
 
 @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9])
 def test_orthogonalization_constant(delta):
     """projecting t on the constants: c = delta/(1+delta), remainder orthogonal."""
-    spec = SpaceSpec(Order(delta), 2.0, HORIZON)
     quad = quad_for(delta)
     one = corpus()[0][1]
     lin = corpus()[1][1]
-    c = inner_product_2delta(lin, one, spec, quad) / \
-        inner_product_2delta(one, one, spec, quad)
+    c = inner_product_2delta(lin, one, quad) / \
+        inner_product_2delta(one, one, quad)
     assert complex(c).real == pytest.approx(delta / (1.0 + delta), rel=1e-12)
     rem = FunctionHandle(lambda t, cc=complex(c).real: np.asarray(t, float) - cc)
-    ip = inner_product_2delta(rem, one, spec, quad)
+    ip = inner_product_2delta(rem, one, quad)
     assert abs(ip) <= 1e-10
 
 
 def test_sobolev_layer_worked_value():
     # f = t at order one: squared layer-1 norm is 1/3 + 1
-    spec = SpaceSpec(Order(1.0), 2.0, HORIZON)
-    got = sobolev_norm(corpus()[1][1], 1, spec, quad_for(1.0))
+    got = sobolev_norm(corpus()[1][1], 1, 2.0, quad_for(1.0))
     assert got == pytest.approx((1.0 / 3.0 + 1.0) ** 0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("delta", [0.4, 0.8])
 def test_sobolev_layer_zero_is_plain_norm(delta):
-    spec = SpaceSpec(Order(delta), 2.0, HORIZON)
     quad = quad_for(delta)
     for _, f in corpus():
-        assert sobolev_norm(f, 0, spec, quad) == pytest.approx(
-            lp_delta_norm(f, spec, quad), rel=1e-14)
+        assert sobolev_norm(f, 0, 2.0, quad) == pytest.approx(
+            lp_delta_norm(f, 2.0, quad), rel=1e-14)
 
 
 @pytest.mark.parametrize("delta", [0.4, 0.8])
 def test_sobolev_layers_monotone(delta):
-    spec = SpaceSpec(Order(delta), 2.0, HORIZON)
     quad = quad_for(delta)
     f = corpus()[3][1]
-    norms = [sobolev_norm(f, m, spec, quad) for m in (0, 1, 2)]
+    norms = [sobolev_norm(f, m, 2.0, quad) for m in (0, 1, 2)]
     assert norms[0] <= norms[1] <= norms[2]
 
 
 def test_transported_weight_worked_value():
     """exponential weight under the order-1/2 substitution becomes a Gaussian."""
-    w = make_weight("exp_decay", Order(0.5))
-    moved = transported_weight(w)
+    w = make_weight("exp_decay")
+    moved = apply_Q(TransportModel(Order(0.5), w), w.rho, "forward")
     xi = np.linspace(0.0, 3.0, 13)
     assert np.allclose(moved(xi), np.exp(-(xi**2) / 4.0), rtol=1e-13)
 
@@ -116,13 +109,12 @@ def test_transported_weight_worked_value():
 @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9])
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_time_isometry(delta, p):
-    spec = SpaceSpec(Order(delta), p, HORIZON)
     quad = quad_for(delta)
-    iso = TimeIsometry(spec)
-    s_end = Clock(Order(delta)).psi(HORIZON)
+    clock = Clock(Order(delta))
+    s_end = clock.psi(HORIZON)
     for _, f in corpus():
-        left = lp_delta_norm(f, spec, quad)
-        g = time_isometry_apply(iso, f)
+        left = lp_delta_norm(f, p, quad)
+        g = time_isometry_apply(clock, HORIZON, f)
         right = plain_graded_gauss(s_end, lambda s: np.abs(g(s)) ** p) ** (1.0 / p)
         assert abs(left - right) <= 1e-10 * max(left, 1e-30)
 
@@ -131,12 +123,10 @@ def test_time_isometry(delta, p):
 
 @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9])
 def test_spatial_unitarity(delta):
-    spec = SpaceSpec(Order(delta), 2.0, HORIZON)
     quad = quad_for(delta)
-    u = SpatialUnitary(Order(delta))
     for _, f in corpus():
-        left_sq = lp_delta_norm(f, spec, quad) ** 2
-        g = spatial_unitary_apply(u, f, "forward")
+        left_sq = lp_delta_norm(f, 2.0, quad) ** 2
+        g = spatial_unitary_apply(Order(delta), f, "forward")
         right_sq = plain_graded_gauss(1.0, lambda xi: np.abs(g(xi)) ** 2)
         assert abs(left_sq - right_sq) <= 1e-10 * max(left_sq, 1.0)
 
@@ -144,9 +134,8 @@ def test_spatial_unitarity(delta):
 @pytest.mark.parametrize("delta", [0.3, 0.5, 0.9, 1.0])
 def test_spatial_unitarity_stretch_power_value(delta):
     """the squared norm of x^delta is 1/(3 delta), 2/3 at delta = 1/2."""
-    spec = SpaceSpec(Order(delta), 2.0, HORIZON)
     f = FunctionHandle(lambda x, d=delta: np.asarray(x, float) ** d)
-    left_sq = lp_delta_norm(f, spec, quad_for(delta)) ** 2
+    left_sq = lp_delta_norm(f, 2.0, quad_for(delta)) ** 2
     assert left_sq == pytest.approx(1.0 / (3.0 * delta), rel=1e-12)
     if delta == 0.5:
         assert left_sq == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -154,7 +143,7 @@ def test_spatial_unitarity_stretch_power_value(delta):
 
 @pytest.mark.parametrize("delta", [0.4, 1.0])
 def test_spatial_unitary_roundtrip(delta):
-    u = SpatialUnitary(Order(delta))
+    u = Order(delta)
     f = corpus()[3][1]
     back = spatial_unitary_apply(u, spatial_unitary_apply(u, f, "forward"),
                                  "inverse")
@@ -169,17 +158,24 @@ def test_spatial_unitary_roundtrip(delta):
                        min_size=4, max_size=4),
        delta=st.sampled_from([0.3, 0.6, 1.0]))
 def test_cauchy_schwarz(coeffs, delta):
-    spec = SpaceSpec(Order(delta), 2.0, HORIZON)
     quad = quad_for(delta)
     f = FunctionHandle(lambda t: np.polyval(coeffs, np.asarray(t, float)))
     g = FunctionHandle(lambda t: np.sin(3.0 * np.asarray(t, float)))
-    ip = abs(inner_product_2delta(f, g, spec, quad))
-    bound = lp_delta_norm(f, spec, quad) * lp_delta_norm(g, spec, quad)
+    ip = abs(inner_product_2delta(f, g, quad))
+    bound = lp_delta_norm(f, 2.0, quad) * lp_delta_norm(g, 2.0, quad)
     assert ip <= bound * (1.0 + 1e-12) + 1e-12
 
 
-def test_quad_spec_mismatch_rejected():
-    spec = SpaceSpec(Order(0.5), 2.0, HORIZON)
-    wrong = WeightedQuadrature.build(Order(0.7), 0.0, HORIZON)
+def test_rule_off_zero_or_p_below_one_rejected():
+    """the rule carries the order and (0, T); one on (a, T) with a > 0 or an
+    exponent below 1 is rejected."""
+    one = corpus()[0][1]
+    off_zero = WeightedQuadrature.build(Order(0.7), 0.25, HORIZON)
     with pytest.raises(ValueError):
-        lp_delta_norm(corpus()[0][1], spec, wrong)
+        lp_delta_norm(one, 2.0, off_zero)
+    with pytest.raises(ValueError):
+        inner_product_2delta(one, one, off_zero)
+    with pytest.raises(ValueError):
+        sobolev_norm(one, 1, 2.0, off_zero)
+    with pytest.raises(ValueError):
+        lp_delta_norm(one, 0.5, quad_for(0.7))

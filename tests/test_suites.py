@@ -114,3 +114,13 @@ def test_unitary_pairing_catches_a_scaled_forward_map(pairing_only, monkeypatch)
     for seed in range(5):
         residual, tolerance = unitary_pairing(seed)
         assert residual > tolerance
+
+
+def test_clock_roundtrip_at_the_order_floor():
+    """the s-grid starts where psi_inv is a normal float, so the smallest
+    accepted order measures the clock rather than underflow"""
+    cfg = replace(SMALL, suite="clock", delta_list=(0.02,))
+    (rep,) = [r for r in run_suite(cfg)
+              if r.check_id == "clock.roundtrip[delta=0.02]"]
+    assert rep.passed
+    assert rep.residual <= cfg.tol("clock_roundtrip")

@@ -14,12 +14,7 @@ EXPD = FunctionHandle(lambda x: np.exp(-x), lambda x: -np.exp(-x),
 
 
 def model(alpha, weight_id="exp_decay"):
-    return TransportModel(Order(alpha), make_weight(weight_id, Order(alpha)))
-
-
-def test_model_rejects_mismatched_weight():
-    with pytest.raises(ValueError):
-        TransportModel(Order(0.5), make_weight("unit", Order(0.7)))
+    return TransportModel(Order(alpha), make_weight(weight_id))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
