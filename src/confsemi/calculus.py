@@ -103,18 +103,20 @@ def conf_derivative(f: FunctionHandle, delta: Order, t: float):
     return float(t) ** (1.0 - d) * f.classical_derivative(t)
 
 
-def conf_derivative_limit(f: FunctionHandle, delta: Order, t: float,
-                          h_min: float = 1e-6):
+# smallest step of the limit quotient's halving sequence
+_LIMIT_H_MIN = 1e-6
+
+
+def conf_derivative_limit(f: FunctionHandle, delta: Order, t: float):
     """The defining stretched difference quotient, Richardson-extrapolated.
 
-    Quotients are taken over h = h0 * 2**-k down to h_min (h0 = 1e-2); a
-    two-column Richardson step removes the leading O(h) error.  Declared
-    convergent when two successive extrapolants differ by < 1e-8 relative.
+    Quotients are taken over h = h0 * 2**-k down to _LIMIT_H_MIN = 1e-6
+    (h0 = 1e-2); a two-column Richardson step removes the leading O(h) error.
+    Declared convergent when two successive extrapolants differ by < 1e-8
+    relative.
     """
     if t <= 0.0:
         raise ValueError(f"limit quotient needs t > 0, got {t}")
-    if h_min <= 0.0:
-        raise ValueError("h_min must be positive")
     d = delta.delta
     stretch = float(t) ** (1.0 - d)
     f_t = f.evaluator(t)
@@ -126,7 +128,7 @@ def conf_derivative_limit(f: FunctionHandle, delta: Order, t: float,
     q_prev = quotient(h)
     extrapolants = []
     deltas = []
-    while h / 2.0 >= h_min * 0.5:
+    while h / 2.0 >= _LIMIT_H_MIN * 0.5:
         h /= 2.0
         q = quotient(h)
         r = 2.0 * q - q_prev  # cancels the O(h) term under halving
@@ -136,9 +138,9 @@ def conf_derivative_limit(f: FunctionHandle, delta: Order, t: float,
         if len(deltas) >= 1 and deltas[-1] < 1e-8 * (1.0 + abs(r)):
             return r
         q_prev = q
-        if h < h_min:
+        if h < _LIMIT_H_MIN:
             break
-    # tolerate hitting h_min while still improving; flag genuine divergence
+    # tolerate stopping at _LIMIT_H_MIN while improving; flag genuine divergence
     if len(deltas) >= 2 and deltas[-1] > deltas[-2]:
         table = ", ".join(f"{e:.6e}" for e in extrapolants[-4:])
         raise ConvergenceError(

@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
 
 from .config import SUITE_NAMES, ConfigError, parse_config
 from .reports import read_report_json, write_report_json, write_summary_csv
-from .suites import run_suite, run_sweep
+from .suites import SWEEP_COLUMNS, run_suite, run_sweep
 
 __all__ = ["main"]
-
-_SWEEP_COLUMNS = ("delta", "n", "a", "b", "c", "conjugacy_residual",
-                  "law_residual", "correspondence_residual")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,19 +79,27 @@ def _cmd_sweep(args) -> int:
     sweep_path = os.path.join(cfg.out_dir, "sweep.csv")
     with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SWEEP_COLUMNS)
+        writer.writerow(SWEEP_COLUMNS)
         for row in rows:
             writer.writerow([repr(row[col]) if isinstance(row[col], float)
-                             else row[col] for col in _SWEEP_COLUMNS])
-    bad = sum(1 for row in rows
-              for col in ("conjugacy_residual", "law_residual",
-                          "correspondence_residual")
-              if not (row[col] == row[col] and abs(row[col]) < float("inf")))
+                             else row[col] for col in SWEEP_COLUMNS])
+    # the parameter columns are finite by config validation
+    bad = sum(1 for row in rows for col in SWEEP_COLUMNS
+              if not math.isfinite(row[col]))
     print(f"{len(rows)} sweep rows -> {sweep_path}")
     if bad:
         print(f"{bad} non-finite residual cells", file=sys.stderr)
         return 1
     return 0
+
+
+def _moved(old: float, new: float) -> bool:
+    """True when a residual changed by over 10x, or changed kind among
+    finite, inf and nan."""
+    a, b = abs(old), abs(new)
+    if math.isfinite(a) and math.isfinite(b):
+        return a > 10.0 * b or b > 10.0 * a
+    return math.isnan(a) != math.isnan(b) or math.isinf(a) != math.isinf(b)
 
 
 def _cmd_compare(args) -> int:
@@ -118,8 +124,7 @@ def _cmd_compare(args) -> int:
             verdicts = " -> ".join("PASS" if rec["passed"] else "FAIL"
                                    for rec in (old, new))
             print(f"flip: {cid}: {verdicts} ({change})")
-        a, b = abs(old["residual"]), abs(new["residual"])
-        if a > 10.0 * b or b > 10.0 * a:
+        if _moved(old["residual"], new["residual"]):
             moved += 1
             print(f"moved: {cid}: {change}")
     print(f"{len(before.keys() & after.keys())} common ids, {len(added)} added, "

@@ -1,15 +1,17 @@
 """Run configuration: sectioned key=value files with strict key checking.
 
-Every key has a default, so an empty file is a valid configuration.  Unknown
-sections or keys are rejected rather than ignored; a silently dropped
-tolerance would change what a run certifies.
+Each key is declared once, on the RunConfig field it sets, with its section
+and default; [tolerances] is keyed by TOLERANCE_DEFAULTS.  Every key has a
+default, so an empty file is a valid configuration.  Unknown sections or keys
+are rejected rather than ignored; a silently dropped tolerance would change
+what a run certifies.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -62,62 +64,40 @@ TOLERANCE_DEFAULTS = {
     "invariance": 1e-13,
 }
 
-# section -> key -> (type tag, default); the single source of truth for
-# what a configuration file may contain
-_SCHEMA = {
-    "run": {
-        "suite": ("str", "all"),
-        "seed": ("int", 0),
-        "out": ("str", "runs"),
-    },
-    "orders": {
-        "delta_list": ("float_list", (0.3, 0.5, 0.7, 1.0)),
-    },
-    "drift_diffusion": {
-        "a": ("float", 1.0),
-        "b": ("float", 1.0),
-        "c": ("float", 0.4),
-        "delta": ("float", 0.5),
-    },
-    "transport": {
-        "alpha": ("float", 0.5),
-        "weight": ("str", "exp_decay"),
-    },
-    "grids": {
-        "n_list": ("int_list", (64, 128, 256)),
-        "n_resolvent": ("int", 128),
-        "n_eigen": ("int", 256),
-    },
-    "tolerances": {key: ("float", val) for key, val in TOLERANCE_DEFAULTS.items()},
-    "sweep": {
-        "delta_list": ("float_list", (0.4, 0.7, 1.0)),
-        "n_list": ("int_list", (32, 64)),
-    },
-}
-
 
 class ConfigError(ValueError):
     """Malformed or out-of-contract configuration input."""
 
 
+def _ini(section: str, key: str, default):
+    """A RunConfig field that [section] key sets in a configuration file.
+
+    The default also fixes how the file's text is read: as its scalar type,
+    or as a comma-separated list of its first entry's type.
+    """
+    return field(default=default, metadata={"ini": (section, key)})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    suite: str
-    seed: int
-    out_dir: str
-    delta_list: tuple
-    dd_a: float
-    dd_b: float
-    dd_c: float
-    dd_delta: float
-    transport_alpha: float
-    transport_weight: str
-    n_list: tuple
-    n_resolvent: int
-    n_eigen: int
-    tolerances: Mapping[str, float]
-    sweep_delta_list: tuple
-    sweep_n_list: tuple
+    suite: str = _ini("run", "suite", "all")
+    seed: int = _ini("run", "seed", 0)
+    out_dir: str = _ini("run", "out", "runs")
+    delta_list: tuple = _ini("orders", "delta_list", (0.3, 0.5, 0.7, 1.0))
+    dd_a: float = _ini("drift_diffusion", "a", 1.0)
+    dd_b: float = _ini("drift_diffusion", "b", 1.0)
+    dd_c: float = _ini("drift_diffusion", "c", 0.4)
+    dd_delta: float = _ini("drift_diffusion", "delta", 0.5)
+    transport_alpha: float = _ini("transport", "alpha", 0.5)
+    transport_weight: str = _ini("transport", "weight", "exp_decay")
+    n_list: tuple = _ini("grids", "n_list", (64, 128, 256))
+    n_resolvent: int = _ini("grids", "n_resolvent", 128)
+    n_eigen: int = _ini("grids", "n_eigen", 256)
+    # keyed in [tolerances] by TOLERANCE_DEFAULTS
+    tolerances: Mapping[str, float] = field(
+        default_factory=lambda: MappingProxyType(dict(TOLERANCE_DEFAULTS)))
+    sweep_delta_list: tuple = _ini("sweep", "delta_list", (0.4, 0.7, 1.0))
+    sweep_n_list: tuple = _ini("sweep", "n_list", (32, 64))
 
     def __post_init__(self) -> None:
         if self.suite not in SUITE_NAMES:
@@ -172,50 +152,23 @@ class RunConfig:
         return cfg
 
 
-def _convert(section: str, key: str, tag: str, raw: str):
+def _convert(section: str, key: str, default, raw: str):
+    """raw read as default's type: a scalar, or a comma-separated tuple."""
     raw = raw.strip()
+    listed = isinstance(default, tuple)
+    kind = type(default[0]) if listed else type(default)
     try:
-        if tag == "str":
-            return raw
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "float_list":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if tag == "int_list":
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        if listed:
+            return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
+        return kind(raw)
     except ValueError:
+        tag = f"{kind.__name__}_list" if listed else kind.__name__
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {tag}") from None
-    raise AssertionError(f"unhandled tag {tag}")
-
-
-def _build(values: dict) -> RunConfig:
-    return RunConfig(
-        suite=values["run"]["suite"],
-        seed=values["run"]["seed"],
-        out_dir=values["run"]["out"],
-        delta_list=values["orders"]["delta_list"],
-        dd_a=values["drift_diffusion"]["a"],
-        dd_b=values["drift_diffusion"]["b"],
-        dd_c=values["drift_diffusion"]["c"],
-        dd_delta=values["drift_diffusion"]["delta"],
-        transport_alpha=values["transport"]["alpha"],
-        transport_weight=values["transport"]["weight"],
-        n_list=values["grids"]["n_list"],
-        n_resolvent=values["grids"]["n_resolvent"],
-        n_eigen=values["grids"]["n_eigen"],
-        tolerances=MappingProxyType(dict(values["tolerances"])),
-        sweep_delta_list=values["sweep"]["delta_list"],
-        sweep_n_list=values["sweep"]["n_list"],
-    )
 
 
 def default_config() -> RunConfig:
-    values = {sec: {key: default for key, (_, default) in keys.items()}
-              for sec, keys in _SCHEMA.items()}
-    return _build(values)
+    return RunConfig()
 
 
 def parse_config(path: str) -> RunConfig:
@@ -228,18 +181,28 @@ def parse_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
 
-    values = {sec: {key: default for key, (_, default) in keys.items()}
-              for sec, keys in _SCHEMA.items()}
+    # section -> key -> default of every key a file may set
+    known = {"tolerances": TOLERANCE_DEFAULTS}
+    names = {}
+    for f in fields(RunConfig):
+        if "ini" in f.metadata:
+            section, key = f.metadata["ini"]
+            known.setdefault(section, {})[key] = f.default
+            names[section, key] = f.name
+    settings, tolerances = {}, dict(TOLERANCE_DEFAULTS)
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in known:
             raise ConfigError(
                 f"unknown section [{section}]; "
-                f"known sections: {', '.join(sorted(_SCHEMA))}")
+                f"known sections: {', '.join(sorted(known))}")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in known[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}]; "
-                    f"known keys: {', '.join(sorted(_SCHEMA[section]))}")
-            tag, _ = _SCHEMA[section][key]
-            values[section][key] = _convert(section, key, tag, raw)
-    return _build(values)
+                    f"known keys: {', '.join(sorted(known[section]))}")
+            value = _convert(section, key, known[section][key], raw)
+            if section == "tolerances":
+                tolerances[key] = value
+            else:
+                settings[names[section, key]] = value
+    return RunConfig(**settings, tolerances=MappingProxyType(tolerances))

@@ -35,8 +35,6 @@ __all__ = [
     "spectral_evolve",
     "mild_solution_residuals",
     "derivative_identity_residuals",
-    "SMOOTH_CORPUS",
-    "WINDOW",
 ]
 
 from .semigroup import GeneratorMatrix, _scale_for_squaring, _square_flushed
@@ -53,6 +51,9 @@ SMOOTH_CORPUS = (
 # interior window whose rows enter residual metrics; fixed so the row set
 # does not creep toward the boundary layers as the grid is refined
 WINDOW = (0.1, 0.9)
+
+# uniform samples on [0,1] over which fourth_derivative_sup takes its max
+_SUP_SAMPLES = 2001
 
 # corpus for evolution comparisons: vanishes at both clamped ends
 _CLAMPED_CORPUS = (
@@ -316,9 +317,9 @@ class EigenfunctionFamily:
         return (mu1 ** k * np.exp(mu1 * xi)
                 - mu2 ** k * np.exp(mu2 * xi)) / (mu1 - mu2)
 
-    def fourth_derivative_sup(self, lam: complex, samples: int = 2001) -> float:
+    def fourth_derivative_sup(self, lam: complex) -> float:
         """Max of |phi''''| on [0,1], the scale in the residual bound."""
-        xi = np.linspace(0.0, 1.0, samples)
+        xi = np.linspace(0.0, 1.0, _SUP_SAMPLES)
         return float(np.max(np.abs(self.evaluate(lam, xi, k=4))))
 
 

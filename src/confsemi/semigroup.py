@@ -33,7 +33,6 @@ __all__ = [
     "contraction_check",
     "dirichlet_second_difference",
     "strong_continuity_fit",
-    "neville_extrapolate",
 ]
 
 
@@ -269,7 +268,10 @@ class OrbitSample:
     norms: np.ndarray
 
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau.  scipy.integrate.solve_ivp(method="RK45")
+# steps the same pair to the same accuracy, and its orbits run faster, but
+# importing scipy.integrate costs the command line more start-up time than a
+# default run spends in all its orbit solves; so the stepper is written out.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = (
     (),
@@ -284,9 +286,12 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 
+# accepted and rejected steps one advance may take before it gives up
+_RK45_MAX_STEPS = 500_000
+
 
 def _rk45_advance(rhs, t: float, x: np.ndarray, t_target: float,
-                  rtol: float, atol: float, max_steps: int = 500_000):
+                  rtol: float, atol: float):
     """Integrate rhs from (t, x) to t_target with embedded 5(4) steps."""
     h = max((t_target - t) / 100.0, 1e-12)
     steps = 0
@@ -310,7 +315,7 @@ def _rk45_advance(rhs, t: float, x: np.ndarray, t_target: float,
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
         steps += 1
-        if steps > max_steps:
+        if steps > _RK45_MAX_STEPS:
             raise FloatingPointError(f"step budget exhausted at t={t}")
     return x
 

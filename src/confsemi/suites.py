@@ -47,7 +47,11 @@ from .transport import (TransportModel, apply_S_alpha,
                         transport_conjugacy_residual, transport_pde_residual,
                         weight_criterion_probe)
 
-__all__ = ["run_suite", "run_sweep", "make_weight"]
+__all__ = ["run_suite", "run_sweep", "make_weight", "SWEEP_COLUMNS"]
+
+# the columns of a run_sweep row, in order
+SWEEP_COLUMNS = ("delta", "n", "a", "b", "c", "conjugacy_residual",
+                 "law_residual", "correspondence_residual")
 
 
 # ---------------------------------------------------------------- fixtures
@@ -769,7 +773,8 @@ def run_suite(cfg: RunConfig) -> list:
 
 
 def run_sweep(cfg: RunConfig) -> list:
-    """Cross-parameter residual table: one row per (delta, n) cell."""
+    """Cross-parameter residual table: one row per (delta, n) cell, a dict
+    keyed by SWEEP_COLUMNS."""
     rows = []
     for d in sorted(cfg.sweep_delta_list):
         correspondence = _orbit_gap(d)
@@ -787,11 +792,7 @@ def run_sweep(cfg: RunConfig) -> list:
             law = max(delta_law_residual(cs, r, q, x.astype(complex))
                       for r, q in ((0.5, 1.2), (0.3, 0.7), (1.0, 1.0)))
             law /= g.w_norm(x)
-            rows.append({
-                "delta": d, "n": n,
-                "a": cfg.dd_a, "b": cfg.dd_b, "c": cfg.dd_c,
-                "conjugacy_residual": conjugacy,
-                "law_residual": law,
-                "correspondence_residual": correspondence,
-            })
+            rows.append(dict(zip(SWEEP_COLUMNS, (
+                d, n, cfg.dd_a, cfg.dd_b, cfg.dd_c,
+                conjugacy, law, correspondence))))
     return rows

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import math
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,10 @@ import pytest
 
 from confsemi import ConfigError, default_config, parse_config
 from confsemi.cli import main
-from confsemi.config import ORDER_FLOOR, SUITE_NAMES, TOLERANCE_DEFAULTS
+from confsemi.config import (ORDER_FLOOR, SUITE_NAMES, TOLERANCE_DEFAULTS,
+                             RunConfig)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -69,18 +75,102 @@ isometry = 1e-9
 
 
 def test_unknown_section_rejected(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown section [extra]; known sections: drift_diffusion, "
+            "grids, orders, run, sweep, tolerances, transport")):
         parse_config(write(tmp_path, "[run]\nsuite = clock\n\n[extra]\nx = 1\n"))
 
 
 def test_unknown_key_rejected(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(
+            "unknown key 'turbo' in [run]; known keys: out, seed, suite")):
         parse_config(write(tmp_path, "[run]\nsuite = clock\nturbo = yes\n"))
 
 
 def test_unknown_tolerance_rejected(tmp_path):
-    with pytest.raises(ConfigError):
+    known = ", ".join(sorted(TOLERANCE_DEFAULTS))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"unknown key 'mystery' in [tolerances]; known keys: {known}")):
         parse_config(write(tmp_path, "[tolerances]\nmystery = 1e-3\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[run]\nseed = sometimes\n", "[run] seed: cannot parse 'sometimes' as int"),
+    ("[orders]\ndelta_list = 0.4, x\n",
+     "[orders] delta_list: cannot parse '0.4, x' as float_list"),
+    ("[grids]\nn_list = 64, 3.5\n",
+     "[grids] n_list: cannot parse '64, 3.5' as int_list"),
+    ("[drift_diffusion]\nb = fast\n",
+     "[drift_diffusion] b: cannot parse 'fast' as float"),
+    ("[tolerances]\nlaw = tight\n",
+     "[tolerances] law: cannot parse 'tight' as float"),
+])
+def test_unparsable_values_name_their_type(tmp_path, text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(write(tmp_path, text))
+    assert str(info.value) == message
+
+
+# every key a configuration file may set outside [tolerances], with the
+# default the README documents
+CONFIG_KEYS = {
+    ("run", "suite"): "all", ("run", "seed"): 0, ("run", "out"): "runs",
+    ("orders", "delta_list"): (0.3, 0.5, 0.7, 1.0),
+    ("drift_diffusion", "a"): 1.0, ("drift_diffusion", "b"): 1.0,
+    ("drift_diffusion", "c"): 0.4, ("drift_diffusion", "delta"): 0.5,
+    ("transport", "alpha"): 0.5, ("transport", "weight"): "exp_decay",
+    ("grids", "n_list"): (64, 128, 256), ("grids", "n_resolvent"): 128,
+    ("grids", "n_eigen"): 256,
+    ("sweep", "delta_list"): (0.4, 0.7, 1.0), ("sweep", "n_list"): (32, 64),
+}
+
+
+def ini_text(cfg):
+    """cfg written out as a configuration file that sets every key."""
+    sections = {}
+    for f in fields(RunConfig):
+        if "ini" in f.metadata:
+            section, key = f.metadata["ini"]
+            value = getattr(cfg, f.name)
+            if isinstance(value, tuple):
+                value = ", ".join(repr(v) for v in value)
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    sections["tolerances"] = [f"{k} = {v!r}" for k, v in cfg.tolerances.items()]
+    return "".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                   for section, lines in sections.items())
+
+
+def test_config_keys_are_the_run_config_fields():
+    keys = {f.metadata["ini"]: f.default for f in fields(RunConfig)
+            if "ini" in f.metadata}
+    assert keys == CONFIG_KEYS
+    assert default_config() == RunConfig()
+
+
+@pytest.mark.parametrize("cfg", [
+    default_config(),
+    replace(default_config(), suite="transport", seed=9, out_dir="elsewhere",
+            delta_list=(0.25, 0.9), dd_a=2.0, dd_b=0.5, dd_c=1.5,
+            dd_delta=0.75, transport_alpha=0.3, transport_weight="gaussian",
+            n_list=(32,), n_resolvent=64, n_eigen=100,
+            tolerances=dict(TOLERANCE_DEFAULTS, law=3e-9),
+            sweep_delta_list=(1.0, 0.6), sweep_n_list=(16, 48)),
+], ids=["defaults", "every-key-moved"])
+def test_every_key_round_trips(tmp_path, cfg):
+    text = ini_text(cfg)
+    assert text.count(" = ") == len(CONFIG_KEYS) + len(TOLERANCE_DEFAULTS)
+    assert parse_config(write(tmp_path, text)) == cfg
+
+
+def test_shipped_default_config_is_the_default():
+    assert parse_config(str(CONFIGS / "default.ini")) == default_config()
+
+
+def test_shipped_sweep_config_sets_only_the_sweep_lists():
+    cfg = parse_config(str(CONFIGS / "sweep.ini"))
+    assert (cfg.sweep_delta_list, cfg.sweep_n_list) == ((0.4, 0.7, 1.0), (32, 64))
+    assert cfg == replace(default_config(), sweep_delta_list=cfg.sweep_delta_list,
+                          sweep_n_list=cfg.sweep_n_list)
 
 
 @pytest.mark.parametrize("text", [
@@ -341,6 +431,39 @@ def test_compare_reports_changes_and_exits_one(tmp_path, capsys):
     assert f"moved: {second['check_id']}" in out
     assert f"removed: {gone['check_id']}" in out
     assert "added: clock.invented" in out
+
+
+def one_record_report(directory, residual):
+    """A hand-written report.json holding one check "x" at gate 1.0."""
+    finite = math.isfinite(residual)
+    record = {"check_id": "x",
+              "params": {} if finite else {"residual_kind": repr(residual)},
+              "residual": residual if finite else None,
+              "tolerance": 1.0, "passed": residual <= 1.0, "seed": 0}
+    directory.mkdir()
+    (directory / "report.json").write_text(json.dumps([record]))
+    return str(directory)
+
+
+@pytest.mark.parametrize("old, new, moved", [
+    (float("inf"), float("nan"), 1),
+    (float("nan"), 5.0, 1),
+    (5.0, float("inf"), 1),
+    (5.0, 40.0, 0),
+    (5.0, 60.0, 1),
+    (float("nan"), float("nan"), 0),
+    (float("inf"), float("inf"), 0),
+])
+def test_compare_counts_moves_between_residual_kinds(tmp_path, capsys,
+                                                     old, new, moved):
+    """a residual that turns non-finite, finite again, or from inf to nan
+    has moved; a FAIL that stays a FAIL is no flip"""
+    before = one_record_report(tmp_path / "before", old)
+    after = one_record_report(tmp_path / "after", new)
+    assert main(["compare", before, after]) == 0
+    out = capsys.readouterr().out
+    assert f"0 verdict flips, {moved} residuals moved over 10x" in out
+    assert ("moved: x: " in out) == bool(moved)
 
 
 @pytest.mark.parametrize("content", [None, "{not json", '{"a": 1}',

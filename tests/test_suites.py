@@ -124,3 +124,9 @@ def test_clock_roundtrip_at_the_order_floor():
               if r.check_id == "clock.roundtrip[delta=0.02]"]
     assert rep.passed
     assert rep.residual <= cfg.tol("clock_roundtrip")
+
+
+def test_sweep_rows_follow_the_sweep_columns():
+    rows = suites.run_sweep(replace(SMALL, sweep_delta_list=(1.0,),
+                                    sweep_n_list=(16,)))
+    assert [tuple(row) for row in rows] == [suites.SWEEP_COLUMNS]
