@@ -48,7 +48,7 @@ def main():
     for d in (0.3, 0.5, 0.9):
         quad = WeightedQuadrature.build(Order(d), 0.0, 1.0)
         f = FunctionHandle(lambda t: np.asarray(t, float))
-        got = conf_integral(f, Order(d), 0.0, 1.0, quad)
+        got = conf_integral(f, quad)
         print(f"  delta={d:.1f}:  integral of t = {got:.15f}"
               f"   (exact {1.0 / (1.0 + d):.15f})")
 

@@ -28,7 +28,7 @@ def main():
     banner("The coefficient band c < b^2/(2a) < 1")
     for a, b, c in ((1.0, 1.0, 0.4), (1.0, 1.0, 0.6), (1.0, 2.0, 0.5)):
         out = dsw_condition_check(DriftDiffusionParams(a, b, c, Order(1.0)))
-        verdict = "inside " if out["holds"] else "outside"
+        verdict = "inside " if out["status"] == "condition_met" else "outside"
         print(f"  (a,b,c)=({a},{b},{c}):  ratio {out['ratio']:.3f}  "
               f"-> {verdict} the band")
 
@@ -45,26 +45,24 @@ def main():
           f"  (threshold {TOLERANCE_DEFAULTS['gram_min']:.0e})")
 
     banner("Decay witness: a left-half-plane mode shrinks on schedule")
-    decay = x0_probe(fam, -1.0, np.linspace(0.0, 4.0, 9))
-    print(f"norm ratio error vs exp(Re(lam) t): {decay['worst_error']:.3e}")
-    print(f"monotone decay: {decay['monotone_decay']}")
+    error, decay = x0_probe(-1.0, np.linspace(0.0, 4.0, 9))
+    print(f"norm ratio error vs exp(Re(lam) t): {error:.3e}")
+    print(f"monotone decay: {decay['monotone']}")
 
     banner("Landing witness: tiny seed, prescribed arrival")
-    landing = xinf_probe(fam, 1.0, eps=1e-3)
+    error, landing = xinf_probe(fam, 1.0, eps=1e-3)
     print(f"seed norm {landing['seed_norm']:.3e} (budget 1e-03), "
           f"arrival time t* = {landing['t_star']:.4f}")
-    print(f"terminal coefficient error: {landing['terminal_error']:.3e}")
+    print(f"terminal coefficient error: {error:.3e}")
 
     banner("Periodic witness: a purely imaginary mode returns")
-    orbit = periodic_orbit_check(fam, omega=2.0 * np.pi)
+    error, orbit = periodic_orbit_check(omega=2.0 * np.pi)
     clock = Clock(Order(0.5))
     print(f"classical period tau = {orbit['tau']:.4f}, "
           f"rescaled return time = {orbit['t_return']:.4f} "
           f"(clock inverse of tau: {clock.psi_inv(orbit['tau']):.4f})")
-    print(f"full-period coefficient error: "
-          f"{orbit['coefficient_error_full']:.3e}")
-    print(f"half-period sign flip error  : "
-          f"{orbit['coefficient_error_half']:.3e}")
+    print(f"worst return error (full and half period, flow, clock "
+          f"transfer): {error:.3e}")
 
 
 if __name__ == "__main__":

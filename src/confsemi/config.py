@@ -119,8 +119,12 @@ class RunConfig:
         for n in (*self.n_list, self.n_resolvent, self.n_eigen, *self.sweep_n_list):
             if n < 16:
                 raise ConfigError(f"grid sizes must be >= 16, got {n}")
-        if not self.delta_list or not self.n_list:
-            raise ConfigError("delta_list and n_list must be nonempty")
+        if not self.delta_list:
+            raise ConfigError("delta_list must be nonempty")
+        if len(self.n_list) < 2:
+            raise ConfigError(
+                f"[grids] n_list needs at least two grid sizes, got "
+                f"{self.n_list}: the conjugacy order compares successive sizes")
         # each entry gets its own check ids or sweep rows; a repeat would
         # write the same id or row twice
         for name, values in (("[orders] delta_list", self.delta_list),

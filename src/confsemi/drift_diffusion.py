@@ -32,7 +32,6 @@ __all__ = [
     "discrete_unitary",
     "conjugacy_residual",
     "empirical_orders",
-    "spectral_evolve",
     "mild_solution_residuals",
     "derivative_identity_residuals",
 ]
@@ -206,16 +205,14 @@ def build_conformable_operator(p: DriftDiffusionParams, grid: GridPair,
                            label=f"graded[n={grid.n}]")
 
 
-def discrete_unitary(grid: GridPair, delta: Order) -> tuple:
+def discrete_unitary(grid: GridPair) -> tuple:
     """Diagonal map between matched grids and its inverse.
 
     Node i of the graded grid is node i of the uniform grid after the
     stretch, so the map is the scalar delta**(-1/2); the pair
     (delta**(-1/2), delta**(1/2)) is returned as floats.
     """
-    if delta != grid.delta:
-        raise ValueError("grid was built for a different order")
-    root = float(np.sqrt(delta.delta))
+    root = float(np.sqrt(grid.delta.delta))
     return 1.0 / root, root
 
 
@@ -232,7 +229,7 @@ def _mapped_pair(p: DriftDiffusionParams, n: int, clamp_right: bool,
     grid = GridPair.build(n, p.delta)
     graded = build_conformable_operator(p, grid, clamp_right)
     classical = build_classical_operator(p, grid, clamp_right)
-    fwd, inv = discrete_unitary(grid, p.delta)
+    fwd, inv = discrete_unitary(grid)
     mapped = (fwd * graded.entries) * inv
     block = np.column_stack([func(grid.xi_nodes) for _, func in corpus])
     return mapped, classical.entries, block, _window_rows(grid)
@@ -321,15 +318,6 @@ class EigenfunctionFamily:
         """Max of |phi''''| on [0,1], the scale in the residual bound."""
         xi = np.linspace(0.0, 1.0, _SUP_SAMPLES)
         return float(np.max(np.abs(self.evaluate(lam, xi, k=4))))
-
-
-def spectral_evolve(fam: EigenfunctionFamily, combo: list, t: float) -> list:
-    """Exact flow on an eigenfunction span: each coefficient picks up
-    the scalar factor exp(lam * t)."""
-    lams = [lam for lam, _ in combo]
-    if len(set(lams)) != len(lams):
-        raise ValueError("spectral values in a combination must be distinct")
-    return [(lam, coeff * cmath.exp(lam * t)) for lam, coeff in combo]
 
 
 def _flow(matrix: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clock import Clock, Order
 from .drift_diffusion import (DriftDiffusionParams, EigenfunctionFamily,
-                              GridPair, _assemble_classical, spectral_evolve)
+                              GridPair, _assemble_classical)
 from .semigroup import ConformableSemigroup, GeneratorMatrix, evolve_classical
 
 __all__ = [
@@ -39,36 +39,34 @@ _FUNCTIONALS = (
 )
 # radius of the contour means; each is also taken at half this radius
 _CONTOUR_RADIUS = 0.1
+# trapezoid nodes on each circle: exact mean for trig polynomials up to
+# degree 15, far more than the truncation needs here
+_CONTOUR_POINTS = 16
 
 
 @dataclass(frozen=True)
 class LambdaRectangle:
     """Axis-aligned sampling rectangle in the spectral plane.
 
-    Sampled on an n_re x n_im grid; the probe needs at least 9 points and
-    at least one sample on the imaginary axis.
+    Sampled on a 3 x 3 grid, which must put at least one sample on the
+    imaginary axis.
     """
 
     center: complex
     re_half: float
     im_half: float
-    n_re: int = 3
-    n_im: int = 3
 
     def __post_init__(self) -> None:
         if self.re_half < 0.0 or self.im_half < 0.0:
             raise ValueError("half-extents must be nonnegative")
-        if self.n_re * self.n_im < 9:
-            raise ValueError(
-                f"need at least 9 sample points, got {self.n_re * self.n_im}")
         if not any(abs(lam.real) <= 1e-12 for lam in self.samples()):
             raise ValueError("no sample point lies on the imaginary axis")
 
     def samples(self) -> list:
         res = np.linspace(self.center.real - self.re_half,
-                          self.center.real + self.re_half, self.n_re)
+                          self.center.real + self.re_half, 3)
         ims = np.linspace(self.center.imag - self.im_half,
-                          self.center.imag + self.im_half, self.n_im)
+                          self.center.imag + self.im_half, 3)
         return [complex(r, i) for r in res for i in ims]
 
     def corners(self) -> list:
@@ -98,30 +96,31 @@ class DSWReport:
 def dsw_condition_check(p: DriftDiffusionParams) -> dict:
     """Coefficient inequality gating the dichotomy: c < b^2/(2a) < 1.
 
-    The ratio is invariant under the parameter transfer, so raw and
-    transferred coefficients give the same verdict.
+    Returns the params of an informational record, the verdict in
+    "status".  The ratio is invariant under the parameter transfer, so raw
+    and transferred coefficients give the same verdict.
     """
     ratio = p.b ** 2 / (2.0 * p.a)
     holds = (p.c < ratio) and (ratio < 1.0)
     return {
+        "a": p.a,
+        "b": p.b,
+        "c": p.c,
+        "status": "condition_met" if holds else "condition_not_met",
         "ratio": ratio,
-        "reaction": p.c,
-        "holds": holds,
         "lower_margin": ratio - p.c,
         "upper_margin": 1.0 - ratio,
     }
 
 
 def _contour_mean(fam: EigenfunctionFamily, test_vals: np.ndarray,
-                  xi: np.ndarray, h: float, center: complex, radius: float,
-                  points: int = 16) -> complex:
-    # trapezoid on the circle = exact mean for trig polynomials up to degree
-    # points-1, far more than the truncation needs here
+                  xi: np.ndarray, h: float, center: complex,
+                  radius: float) -> complex:
     total = 0.0 + 0.0j
-    for k in range(points):
-        lam = center + radius * cmath.exp(2j * math.pi * k / points)
+    for k in range(_CONTOUR_POINTS):
+        lam = center + radius * cmath.exp(2j * math.pi * k / _CONTOUR_POINTS)
         total += h * np.sum(test_vals * fam.evaluate(lam, xi))
-    return total / points
+    return total / _CONTOUR_POINTS
 
 
 def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
@@ -223,41 +222,33 @@ def clock_invariance_check(cs: ConformableSemigroup, x: np.ndarray,
     }
 
 
-def x0_probe(fam: EigenfunctionFamily, lam: complex, t_grid) -> dict:
+def x0_probe(lam: complex, t_grid) -> tuple:
     """Forward decay witness on a strictly stable mode.
 
-    The modal coefficient is exp(lam t); the probe records how far its
-    magnitude strays from exp(Re lam * t) and whether it decreases strictly
-    along the grid.
+    The modal coefficient is exp(lam t); the residual is how far its
+    magnitude strays from exp(Re lam * t), plus 1 unless it decreases
+    strictly along the grid.  Returns (residual, params).
     """
     if lam.real >= 0.0:
         raise ValueError(f"decay witness needs Re lam < 0, got {lam}")
     times = [float(t) for t in t_grid]
     if len(times) < 3 or any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ValueError("need at least 3 strictly increasing times")
-    mags, errors = [], []
-    for t in times:
-        _, coeff = spectral_evolve(fam, [(lam, 1.0 + 0.0j)], t)[0]
-        mag = abs(coeff)
-        expected = math.exp(lam.real * t)
-        mags.append(mag)
-        errors.append(abs(mag - expected) / expected)
-    return {
-        "lam": lam,
-        "times": times,
-        "coefficient_errors": errors,
-        "monotone_decay": all(b < a for a, b in zip(mags, mags[1:])),
-        "worst_error": max(errors),
-    }
+    mags = [abs(cmath.exp(lam * t)) for t in times]
+    worst = max(abs(mag - math.exp(lam.real * t)) / math.exp(lam.real * t)
+                for mag, t in zip(mags, times))
+    monotone = all(b < a for a, b in zip(mags, mags[1:]))
+    return worst + (0.0 if monotone else 1.0), {"lam": lam, "monotone": monotone}
 
 
 def xinf_probe(fam: EigenfunctionFamily, lam: complex, eps: float,
-               n: int = 256) -> dict:
+               n: int = 256) -> tuple:
     """Backward-launch witness on a strictly unstable mode.
 
     Seeds y = exp(-lam t*) phi with t* chosen so the seed norm is eps/2;
-    flowing forward for t* should land back on phi.  Both clauses are
-    recorded: the seed norm, to hold against eps, and the recovery error.
+    flowing forward for t* should land back on phi.  The residual is the
+    recovery error of the coefficient, plus 1 unless the seed norm is below
+    eps.  Returns (residual, params).
     """
     if lam.real <= 0.0:
         raise ValueError(f"growth witness needs Re lam > 0, got {lam}")
@@ -273,52 +264,42 @@ def xinf_probe(fam: EigenfunctionFamily, lam: complex, eps: float,
         t_star = math.log(phi_norm / eps_prime) / lam.real
     seed_coeff = cmath.exp(-lam * t_star)
     seed_norm = abs(seed_coeff) * phi_norm
-    _, end_coeff = spectral_evolve(fam, [(lam, seed_coeff)], t_star)[0]
-    terminal_error = abs(end_coeff - 1.0)
-    return {
+    terminal_error = abs(seed_coeff * cmath.exp(lam * t_star) - 1.0)
+    return terminal_error + (0.0 if seed_norm < eps else 1.0), {
         "lam": lam,
         "eps": eps,
         "t_star": t_star,
-        "phi_norm": phi_norm,
         "seed_norm": seed_norm,
-        "terminal_error": terminal_error,
-        "recovery_gap": terminal_error * phi_norm,
     }
 
 
-def periodic_orbit_check(fam: EigenfunctionFamily, omega: float,
-                         delta: Order = Order(0.5)) -> dict:
-    """Rotating-pair witness at frequency omega.
+def periodic_orbit_check(omega: float) -> tuple:
+    """Rotating-pair witness at frequency omega, on the order-1/2 clock.
 
     The conjugate modes +/- i omega return to their start after
     tau = 2 pi / omega and negate after half that.  The rescaled flow on
     the matching rotation generator returns at the pulled-back time
-    psi_inv(tau); its clock-transfer residual is recorded alongside.
+    psi_inv(tau).  The residual is the worst of the two coefficient errors,
+    the return gap and the clock-transfer residual.  Returns
+    (residual, params).
     """
     if omega <= 0.0:
         raise ValueError(f"need omega > 0, got {omega}")
     tau = 2.0 * math.pi / omega
-    combo = [(1j * omega, 1.0 + 0.0j), (-1j * omega, 1.0 + 0.0j)]
-    full = spectral_evolve(fam, combo, tau)
-    half = spectral_evolve(fam, combo, tau / 2.0)
-    err_full = max(abs(coeff - 1.0) for _, coeff in full)
-    err_half = max(abs(coeff + 1.0) for _, coeff in half)
+    modes = (1j * omega, -1j * omega)
+    err_full = max(abs(cmath.exp(lam * tau) - 1.0) for lam in modes)
+    err_half = max(abs(cmath.exp(lam * (tau / 2.0)) + 1.0) for lam in modes)
 
     rotation = GeneratorMatrix(
-        entries=np.diag([1j * omega, -1j * omega]),
-        ip_weights=np.ones(2), label=f"rotation[omega={omega}]")
-    cs = ConformableSemigroup(rotation, Clock(delta))
+        entries=np.diag(modes), ip_weights=np.ones(2),
+        label=f"rotation[omega={omega}]")
+    cs = ConformableSemigroup(rotation, Clock(Order(0.5)))
     x = np.array([1.0, 1.0], dtype=complex)
     t_return = cs.clock.psi_inv(tau)
     return_gap = rotation.w_norm(cs.evolve(t_return, x) - x) / rotation.w_norm(x)
     transfer_residual, _ = clock_invariance_check(cs, x, [tau])
-    return {
+    return max(err_full, err_half, return_gap, transfer_residual), {
         "omega": omega,
         "tau": tau,
-        "delta": delta.delta,
         "t_return": t_return,
-        "coefficient_error_full": err_full,
-        "coefficient_error_half": err_half,
-        "return_gap": return_gap,
-        "transfer_residual": transfer_residual,
     }

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -26,23 +26,19 @@ class CheckReport:
     params: dict
     residual: float
     tolerance: float
-    passed: bool
     wall_time: float
     seed: int
 
-    def __post_init__(self) -> None:
-        # keep the pass flag honest against the recorded numbers
-        if self.passed != (self.residual <= self.tolerance):
-            raise ValueError(
-                f"{self.check_id}: passed={self.passed} contradicts "
-                f"residual={self.residual} vs tolerance={self.tolerance}")
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
 
     @classmethod
     def from_residual(cls, check_id: str, params: dict, residual: float,
                       tolerance: float, wall_time: float, seed: int) -> "CheckReport":
         return cls(check_id=check_id, params=dict(params), residual=float(residual),
-                   tolerance=float(tolerance), passed=bool(residual <= tolerance),
-                   wall_time=float(wall_time), seed=int(seed))
+                   tolerance=float(tolerance), wall_time=float(wall_time),
+                   seed=int(seed))
 
     def json_dict(self) -> dict:
         params = dict(self.params)

@@ -32,7 +32,7 @@ __all__ = [
     "resolvent_bound_check",
     "contraction_check",
     "dirichlet_second_difference",
-    "strong_continuity_fit",
+    "strong_continuity_check",
 ]
 
 
@@ -444,25 +444,28 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
                            label=f"dirichlet_laplacian[n={n}]")
 
 
-def strong_continuity_fit(cs: ConformableSemigroup, x: np.ndarray) -> dict:
+def strong_continuity_check(cs: ConformableSemigroup, x: np.ndarray) -> tuple:
     """Small-time behaviour of ||S(t)x - x|| on the dyadic grid t = 2**-k,
     k = 4..20.
 
-    Returns the decrease flag, the fitted slope C = max of gap/psi(t), the
-    weighted norm of A x, and their relative deviation (first-order bound).
+    Fits the slope C = max of gap/psi(t) and holds it against the weighted
+    norm of A x (first-order bound).  Returns (residual, params), the
+    residual being their relative deviation, plus 1 unless the gaps
+    decrease.
     """
     g = cs.generator
     x = np.asarray(x, dtype=complex)
     ts = [2.0 ** -k for k in range(4, 21)]
     gaps = np.array([g.w_norm(cs.evolve(t, x) - x) for t in ts])
     psis = np.array([cs.clock.psi(t) for t in ts])
-    ratios = gaps / psis
-    slope = float(np.max(ratios))
+    slope = float(np.max(gaps / psis))
     generator_norm = g.w_norm(g.entries @ x)
     decreasing = bool(np.all(np.diff(gaps) < 0.0))
-    return {
-        "decreasing": decreasing,
+    rel_dev = abs(slope - generator_norm) / generator_norm
+    return rel_dev + (0.0 if decreasing else 1.0), {
+        "generator": g.label,
+        "delta": cs.clock.delta,
         "slope": slope,
         "generator_norm": generator_norm,
-        "rel_dev": abs(slope - generator_norm) / generator_norm,
+        "decreasing": decreasing,
     }

@@ -11,7 +11,6 @@ factor delta**(-1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -20,21 +19,12 @@ from .calculus import FunctionHandle, WeightedQuadrature
 from .clock import Clock, Order, pow_arr
 
 __all__ = [
-    "WeightSpec",
     "lp_delta_norm",
     "inner_product_2delta",
     "time_isometry_apply",
     "spatial_unitary_apply",
     "sobolev_norm",
 ]
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """A positive weight on the half-line."""
-
-    rho: FunctionHandle
-    label: str = ""
 
 
 def _check_rule(p: float, quad: WeightedQuadrature) -> None:

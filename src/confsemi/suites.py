@@ -39,13 +39,12 @@ from .semigroup import (ConformableSemigroup, GeneratorMatrix,
                         delta_law_residual, dirichlet_second_difference,
                         dissipativity_margin, evolve_classical,
                         generator_delta_quotient, resolvent_bound_check,
-                        solve_conformable_ode, strong_continuity_fit,
+                        solve_conformable_ode, strong_continuity_check,
                         taylor_matrix_exp)
-from .spaces import (WeightSpec, inner_product_2delta, lp_delta_norm,
-                     sobolev_norm, spatial_unitary_apply, time_isometry_apply)
-from .transport import (TransportModel, apply_S_alpha,
-                        transport_conjugacy_residual, transport_pde_residual,
-                        weight_criterion_probe)
+from .spaces import (inner_product_2delta, lp_delta_norm, sobolev_norm,
+                     spatial_unitary_apply, time_isometry_apply)
+from .transport import (apply_S_alpha, transport_conjugacy_residual,
+                        transport_pde_residual, weight_criterion_probe)
 
 __all__ = ["run_suite", "run_sweep", "make_weight", "SWEEP_COLUMNS"]
 
@@ -86,7 +85,7 @@ def _nonnormal4() -> GeneratorMatrix:
                            label="nonnormal4")
 
 
-def make_weight(weight_id: str) -> WeightSpec:
+def make_weight(weight_id: str) -> FunctionHandle:
     """Named weight profiles usable in the transport model."""
     if weight_id == "unit":
         rho = FunctionHandle(evaluator=lambda t: np.ones_like(
@@ -98,7 +97,7 @@ def make_weight(weight_id: str) -> WeightSpec:
             -np.asarray(t, dtype=float) ** 2))
     else:
         raise ValueError(f"unknown weight id {weight_id!r}")
-    return WeightSpec(rho=rho, label=weight_id)
+    return rho
 
 
 # ------------------------------------------------------------- clock suite
@@ -166,7 +165,7 @@ def _integral_profile(f: FunctionHandle, order: Order) -> FunctionHandle:
         if arr.ndim == 0:
             quad = WeightedQuadrature.build(order, 0.0, float(arr),
                                             panels=8, points_per_panel=12)
-            return complex(conf_integral(f, order, 0.0, float(arr), quad)).real
+            return complex(conf_integral(f, quad)).real
         return np.array([ev(float(v)) for v in arr.flat]).reshape(arr.shape)
 
     return FunctionHandle(evaluator=ev)
@@ -218,8 +217,7 @@ def suite_calculus(cfg: RunConfig) -> Iterator:
                 * np.asarray(f.classical_derivative(t)))
             for t_end in (0.5, 1.0, 2.0):
                 quad = WeightedQuadrature.build(order, t_lo, t_end)
-                got = complex(conf_integral(stretched, order, t_lo, t_end,
-                                            quad)).real
+                got = complex(conf_integral(stretched, quad)).real
                 want = float(np.asarray(f.evaluator(t_end))
                              - np.asarray(f.evaluator(t_lo)))
                 worst = max(worst, abs(got - want) / max(1.0, abs(want)))
@@ -245,8 +243,7 @@ def suite_calculus(cfg: RunConfig) -> Iterator:
             worst = max(worst, abs(conf_derivative(f, unit, t)
                                    - float(np.asarray(f.classical_derivative(t)))))
     quad = WeightedQuadrature.build(unit, 0.0, 1.0)
-    plain = complex(conf_integral(
-        FunctionHandle(evaluator=np.cos), unit, 0.0, 1.0, quad)).real
+    plain = complex(conf_integral(FunctionHandle(evaluator=np.cos), quad)).real
     worst = max(worst, abs(plain - math.sin(1.0)))
     yield ("calculus.classical_reduction[delta=1.0]", {"delta": 1.0},
            worst, cfg.tol("classical_reduction"))
@@ -257,12 +254,12 @@ def suite_calculus(cfg: RunConfig) -> Iterator:
         evaluator=lambda t: np.exp(np.sin(half.psi(np.asarray(t, dtype=float)))))
     fine = WeightedQuadrature.build(order, 0.0, 2.0, panels=64,
                                     points_per_panel=16)
-    exact = complex(conf_integral(osc, order, 0.0, 2.0, fine)).real
+    exact = complex(conf_integral(osc, fine)).real
     errors = []
     for panels in (4, 8, 16):
         quad = WeightedQuadrature.build(order, 0.0, 2.0, panels=panels,
                                         points_per_panel=4)
-        approx = complex(conf_integral(osc, order, 0.0, 2.0, quad)).real
+        approx = complex(conf_integral(osc, quad)).real
         errors.append(abs(approx - exact))
     factors = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
     yield ("calculus.quadrature_refinement[delta=0.5]",
@@ -486,12 +483,8 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
         x = g.entries @ y.astype(complex)  # x in the generator's range
         for d in (0.4, 0.8):
             cs = ConformableSemigroup(g, Clock(Order(d)))
-            fit = strong_continuity_fit(cs, x)
-            residual = fit["rel_dev"] + (0.0 if fit["decreasing"] else 1.0)
-            yield (f"semigroup.strong_continuity[{g.label}][delta={d}]",
-                   {"generator": g.label, "delta": d,
-                    "slope": fit["slope"], "generator_norm": fit["generator_norm"],
-                    "decreasing": fit["decreasing"]},
+            residual, params = strong_continuity_check(cs, x)
+            yield (f"semigroup.strong_continuity[{g.label}][delta={d}]", params,
                    residual, cfg.tol("strong_continuity"))
 
     lap = dirichlet_second_difference(cfg.n_resolvent)
@@ -511,6 +504,14 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
 
 
 # --------------------------------------------------- drift-diffusion suite
+
+def _bound_ratio(error: float, bound: float) -> float:
+    """error / bound, where a zero bound (at delta = 1 the two operators
+    coincide) admits only a zero error."""
+    if bound == 0.0:
+        return 0.0 if error == 0.0 else math.inf
+    return error / bound
+
 
 def suite_drift_diffusion(cfg: RunConfig) -> Iterator:
     rng = np.random.default_rng([cfg.seed, 41])
@@ -550,7 +551,7 @@ def suite_drift_diffusion(cfg: RunConfig) -> Iterator:
     for d in cfg.delta_list:
         order = Order(d)
         grid = GridPair.build(64, order)
-        forward, inverse = discrete_unitary(grid, order)
+        forward, inverse = discrete_unitary(grid)
         rng = np.random.default_rng([cfg.seed, 43, int(round(1000 * d))])
         v = rng.standard_normal(64)
         w = rng.standard_normal(64)
@@ -580,7 +581,8 @@ def suite_drift_diffusion(cfg: RunConfig) -> Iterator:
 
     for n in cfg.n_list:
         result = mild_solution_residuals(base, n, (0.25, 0.5, 1.0))
-        worst = max(rec["error"] / rec["bound"] for rec in result["records"])
+        worst = max(_bound_ratio(rec["error"], rec["bound"])
+                    for rec in result["records"])
         yield (f"drift_diffusion.mild_bound[n={n}]",
                dict(coeffs, delta=cfg.dd_delta, n=n,
                     stencil_residual=result["stencil_residual"],
@@ -607,16 +609,14 @@ def suite_transport(cfg: RunConfig) -> Iterator:
         for _, f in _calc_corpus()]
     x_grid = np.linspace(0.1, 2.5, 60)
     for a in sorted({0.3, 0.5, 1.0, cfg.transport_alpha}):
-        order = Order(a)
-        model = TransportModel(alpha=order,
-                               weight=make_weight(cfg.transport_weight))
+        clock = Clock(Order(a))
         rng = np.random.default_rng([cfg.seed, 53, int(round(1000 * a))])
         xi_samples = rng.uniform(0.05, 3.0, size=100)
 
         worst = 0.0
         for f, scale in corpus:
             for t in (0.3, 1.0):
-                res = transport_conjugacy_residual(model, f, t, xi_samples)
+                res = transport_conjugacy_residual(clock, f, t, xi_samples)
                 worst = max(worst, res / scale)
         yield (f"transport.conjugacy[alpha={a}]",
                {"alpha": a, "times": [0.3, 1.0], "samples": 100},
@@ -625,15 +625,15 @@ def suite_transport(cfg: RunConfig) -> Iterator:
         x_samples = np.linspace(0.2, 2.0, 40)
         worst = 0.0
         for f, _ in corpus:
-            worst = max(worst, transport_pde_residual(model, f, 0.7, x_samples))
+            worst = max(worst, transport_pde_residual(clock, f, 0.7, x_samples))
         yield (f"transport.pde_residual[alpha={a}]", {"alpha": a, "t": 0.7},
                worst, cfg.tol("transport_pde"))
 
         worst = 0.0
         for f, scale in corpus:
             for r, q in ((0.4, 0.9), (0.7, 0.7)):
-                once = apply_S_alpha(model, apply_S_alpha(model, f, q), r)
-                joint = apply_S_alpha(model, f, r + q)
+                once = apply_S_alpha(clock, apply_S_alpha(clock, f, q), r)
+                joint = apply_S_alpha(clock, f, r + q)
                 gap = float(np.max(np.abs(
                     np.asarray(once.evaluator(x_grid))
                     - np.asarray(joint.evaluator(x_grid)))))
@@ -641,24 +641,23 @@ def suite_transport(cfg: RunConfig) -> Iterator:
         yield (f"transport.flow_law[alpha={a}]", {"alpha": a},
                worst, cfg.tol("transport_pointwise"))
 
-    unit_model = TransportModel(alpha=Order(1.0), weight=make_weight("unit"))
     worst = 0.0
     for f, _ in corpus:
-        flowed = apply_S_alpha(unit_model, f, 0.8)
+        flowed = apply_S_alpha(Clock(Order(1.0)), f, 0.8)
         shifted = np.asarray(f.evaluator(x_grid + 0.8))
         worst = max(worst, float(np.max(np.abs(
             np.asarray(flowed.evaluator(x_grid)) - shifted))))
     yield ("transport.shift_reduction[alpha=1.0]", {"alpha": 1.0, "t": 0.8},
            worst, cfg.tol("transport_pointwise"))
 
-    order = Order(cfg.transport_alpha)
+    clock = Clock(Order(cfg.transport_alpha))
     windows = (0.5, 1.0, 2.0, 4.0, 8.0)
     contrast = "unit" if cfg.transport_weight != "unit" else "exp_decay"
     for weight in (cfg.transport_weight, contrast):
-        model = TransportModel(alpha=order, weight=make_weight(weight))
+        params = weight_criterion_probe(clock, make_weight(weight), windows)
         # heuristic: recorded for its status, never fails a run
-        yield (f"weight_window_probe[{weight}][alpha={order.delta}]",
-               weight_criterion_probe(model, windows), 0.0, 0.0)
+        yield (f"weight_window_probe[{weight}][alpha={clock.delta}]",
+               dict(params, weight=weight), 0.0, 0.0)
 
 
 # ---------------------------------------------------------- dynamics suite
@@ -666,15 +665,9 @@ def suite_transport(cfg: RunConfig) -> Iterator:
 def suite_dynamics(cfg: RunConfig) -> Iterator:
     condition_triples = ((1.0, 1.0, 0.4), (1.0, 1.0, 0.6), (1.0, 2.0, 0.5))
     for a, b, c in condition_triples:
-        verdict = dsw_condition_check(
-            DriftDiffusionParams(a=a, b=b, c=c, delta=Order(1.0)))
         yield (f"dynamics.condition[a={a}][b={b}][c={c}]",
-               {"a": a, "b": b, "c": c,
-                "status": "condition_met" if verdict["holds"]
-                else "condition_not_met",
-                "ratio": verdict["ratio"],
-                "lower_margin": verdict["lower_margin"],
-                "upper_margin": verdict["upper_margin"]},
+               dsw_condition_check(
+                   DriftDiffusionParams(a=a, b=b, c=c, delta=Order(1.0))),
                0.0, 0.0)
 
     fam = EigenfunctionFamily.from_params(DriftDiffusionParams(
@@ -715,30 +708,19 @@ def suite_dynamics(cfg: RunConfig) -> Iterator:
                residual, cfg.tol("invariance"))
 
     for label, lam in (("-1", -1.0 + 0.0j), ("-0.5+3j", -0.5 + 3.0j)):
-        decay = x0_probe(fam, lam, np.linspace(0.0, 4.0, 9))
-        yield (f"dynamics.x0_decay[lam={label}]",
-               dict(shared, lam=lam, monotone=decay["monotone_decay"]),
-               decay["worst_error"] + (0.0 if decay["monotone_decay"] else 1.0),
-               cfg.tol("decay"))
-
-    for lam, eps in ((1.0 + 0.0j, 1e-3), (2.0 + 0.0j, 1e-5)):
-        rec = xinf_probe(fam, lam, eps, n=cfg.n_eigen)
-        residual = rec["terminal_error"] + (
-            0.0 if rec["seed_norm"] < eps else 1.0)
-        yield (f"dynamics.xinf_landing[lam={lam.real}][eps={eps}]",
-               dict(shared, lam=lam, eps=eps, t_star=rec["t_star"],
-                    seed_norm=rec["seed_norm"]),
+        residual, params = x0_probe(lam, np.linspace(0.0, 4.0, 9))
+        yield (f"dynamics.x0_decay[lam={label}]", dict(shared, **params),
                residual, cfg.tol("decay"))
 
+    for lam, eps in ((1.0 + 0.0j, 1e-3), (2.0 + 0.0j, 1e-5)):
+        residual, params = xinf_probe(fam, lam, eps, n=cfg.n_eigen)
+        yield (f"dynamics.xinf_landing[lam={lam.real}][eps={eps}]",
+               dict(shared, **params), residual, cfg.tol("decay"))
+
     for omega in (2.0 * math.pi, 1.0):
-        rec = periodic_orbit_check(fam, omega)
-        residual = max(rec["coefficient_error_full"],
-                       rec["coefficient_error_half"],
-                       rec["return_gap"], rec["transfer_residual"])
+        residual, params = periodic_orbit_check(omega)
         yield (f"dynamics.periodic_return[omega={omega}]",
-               dict(shared, omega=omega, tau=rec["tau"],
-                    t_return=rec["t_return"]),
-               residual, cfg.tol("periodic"))
+               dict(shared, **params), residual, cfg.tol("periodic"))
 
 
 # ------------------------------------------------------------ entry points

@@ -1,26 +1,22 @@
 """Closed-form transport model on the half-line.
 
-The model's order-alpha `Clock`, applied to space, is the stretch
+An order-alpha `Clock`, applied to space, is the stretch
 psi(x) = x**alpha / alpha.  It turns the flow x -> f(psi_inv(psi(x) + t))
 into a plain shift: substituting xi = psi(x) (`apply_Q`) conjugates the
-stretched flow to translation, and the same forward map carries a weight on
-the half-line into the stretched variable.  All operators here are symbolic
-compositions of closed forms; nothing is discretized, so identities hold to
-rounding.
+stretched flow to translation, and the same map carries a weight on the
+half-line into the stretched variable.  The clock is all that a function
+here reads of the model.  All operators are symbolic compositions of
+closed forms; nothing is discretized, so identities hold to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calculus import FunctionHandle
-from .clock import Clock, Order, pow_arr
-from .spaces import WeightSpec
+from .clock import Clock, pow_arr
 
 __all__ = [
-    "TransportModel",
     "apply_S_alpha",
     "apply_Q",
     "apply_W",
@@ -30,22 +26,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransportModel:
-    alpha: Order
-    weight: WeightSpec
-
-    @property
-    def clock(self) -> Clock:
-        return Clock(self.alpha)
-
-
-def apply_S_alpha(m: TransportModel, f: FunctionHandle, t: float) -> FunctionHandle:
+def apply_S_alpha(clock: Clock, f: FunctionHandle, t: float) -> FunctionHandle:
     """Flow along the stretched shift: x -> f(psi_inv(psi(x) + t))."""
     if t < 0.0:
         raise ValueError(f"flow time must be nonnegative, got {t}")
-    a = m.alpha.delta
-    clock = m.clock
+    a = clock.delta
 
     def ev(x):
         return f.evaluator(clock.psi_inv(clock.psi(np.asarray(x, dtype=float)) + t))
@@ -61,17 +46,10 @@ def apply_S_alpha(m: TransportModel, f: FunctionHandle, t: float) -> FunctionHan
     return FunctionHandle(evaluator=ev, classical_derivative=deriv)
 
 
-def apply_Q(m: TransportModel, f: FunctionHandle, direction: str) -> FunctionHandle:
-    """Forward: xi -> f(psi_inv(xi)); inverse: x -> g(psi(x))."""
-    if direction == "forward":
-        to_arg = m.clock.psi_inv
-    elif direction == "inverse":
-        to_arg = m.clock.psi
-    else:
-        raise ValueError(f"direction must be forward or inverse, got {direction}")
-
-    def ev(x):
-        return f.evaluator(to_arg(np.asarray(x, dtype=float)))
+def apply_Q(clock: Clock, f: FunctionHandle) -> FunctionHandle:
+    """Straightening map xi -> f(psi_inv(xi))."""
+    def ev(xi):
+        return f.evaluator(clock.psi_inv(np.asarray(xi, dtype=float)))
 
     return FunctionHandle(evaluator=ev)
 
@@ -87,7 +65,7 @@ def apply_W(g: FunctionHandle, t: float) -> FunctionHandle:
     return FunctionHandle(evaluator=ev)
 
 
-def transport_conjugacy_residual(m: TransportModel, f: FunctionHandle, t: float,
+def transport_conjugacy_residual(clock: Clock, f: FunctionHandle, t: float,
                                  xi_samples) -> float:
     """Pointwise defect of (stretch then flow) versus (shift then stretch).
 
@@ -95,29 +73,30 @@ def transport_conjugacy_residual(m: TransportModel, f: FunctionHandle, t: float,
     so the residual is pure rounding.
     """
     xi = np.asarray(xi_samples, dtype=float)
-    left = apply_Q(m, apply_S_alpha(m, f, t), "forward").evaluator(xi)
-    right = apply_W(apply_Q(m, f, "forward"), t).evaluator(xi)
+    left = apply_Q(clock, apply_S_alpha(clock, f, t)).evaluator(xi)
+    right = apply_W(apply_Q(clock, f), t).evaluator(xi)
     return float(np.max(np.abs(np.asarray(left) - np.asarray(right))))
 
 
-def transport_pde_residual(m: TransportModel, f: FunctionHandle, t: float,
-                           x_samples, dt: float = 1e-5) -> float:
+def transport_pde_residual(clock: Clock, f: FunctionHandle, t: float,
+                           x_samples) -> float:
     """Defect of the evolution equation along the closed-form flow.
 
-    Time derivative by central difference, space side by the order-alpha
-    derivative of the flowed profile with its analytic chain-rule
-    derivative.
+    Time derivative by central difference with step 1e-5, space side by
+    the order-alpha derivative of the flowed profile with its analytic
+    chain-rule derivative.
     """
     if f.classical_derivative is None:
         raise ValueError("residual check needs the analytic derivative")
+    dt = 1e-5
     if t <= dt:
         raise ValueError(f"need t > dt, got t={t}")
-    a = m.alpha.delta
+    a = clock.delta
     x = np.asarray(x_samples, dtype=float)
-    ahead = apply_S_alpha(m, f, t + dt).evaluator(x)
-    behind = apply_S_alpha(m, f, t - dt).evaluator(x)
+    ahead = apply_S_alpha(clock, f, t + dt).evaluator(x)
+    behind = apply_S_alpha(clock, f, t - dt).evaluator(x)
     time_side = (np.asarray(ahead) - np.asarray(behind)) / (2.0 * dt)
-    flowed = apply_S_alpha(m, f, t)
+    flowed = apply_S_alpha(clock, f, t)
     space_side = pow_arr(x, 1.0 - a) * np.asarray(flowed.classical_derivative(x))
     return float(np.max(np.abs(time_side - space_side)))
 
@@ -127,8 +106,9 @@ _DECAY_THRESHOLD = 1e-2
 _SAMPLES_PER_WINDOW = 200
 
 
-def weight_criterion_probe(m: TransportModel, window_ends) -> dict:
-    """Window-infimum probe of the transported weight (HEURISTIC).
+def weight_criterion_probe(clock: Clock, rho: FunctionHandle,
+                           window_ends) -> dict:
+    """Window-infimum probe of the weight rho carried by the clock (HEURISTIC).
 
     Samples the stretched weight over dyadic windows [E, 2E] and returns
     params saying whether the infima decrease toward zero.  This exposes
@@ -140,7 +120,7 @@ def weight_criterion_probe(m: TransportModel, window_ends) -> dict:
         raise ValueError("need at least 3 windows")
     if any(e2 <= e1 for e1, e2 in zip(ends, ends[1:])):
         raise ValueError("window ends must be increasing")
-    rho_t = apply_Q(m, m.weight.rho, "forward")
+    rho_t = apply_Q(clock, rho)
     infima = []
     for end in ends:
         grid = np.linspace(end, 2.0 * end, _SAMPLES_PER_WINDOW)
@@ -150,8 +130,7 @@ def weight_criterion_probe(m: TransportModel, window_ends) -> dict:
     return {
         "label": "HEURISTIC",
         "status": "criterion_satisfied" if satisfied else "criterion_not_satisfied",
-        "weight": m.weight.label or "weight",
-        "alpha": m.alpha.delta,
+        "alpha": clock.delta,
         "window_ends": [float(e) for e in ends],
         "infima": infima,
         "decay_threshold": _DECAY_THRESHOLD,

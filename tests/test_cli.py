@@ -152,7 +152,7 @@ def test_config_keys_are_the_run_config_fields():
     replace(default_config(), suite="transport", seed=9, out_dir="elsewhere",
             delta_list=(0.25, 0.9), dd_a=2.0, dd_b=0.5, dd_c=1.5,
             dd_delta=0.75, transport_alpha=0.3, transport_weight="gaussian",
-            n_list=(32,), n_resolvent=64, n_eigen=100,
+            n_list=(32, 48), n_resolvent=64, n_eigen=100,
             tolerances=dict(TOLERANCE_DEFAULTS, law=3e-9),
             sweep_delta_list=(1.0, 0.6), sweep_n_list=(16, 48)),
 ], ids=["defaults", "every-key-moved"])
@@ -178,6 +178,7 @@ def test_shipped_sweep_config_sets_only_the_sweep_lists():
     "[transport]\nweight = sawtooth\n",
     "[orders]\ndelta_list = 0.4, 1.7\n",
     "[grids]\nn_list = 8\n",
+    "[grids]\nn_list = 16\n",
     "[tolerances]\nlaw = -1e-3\n",
     "[run]\nseed = sometimes\n",
     "[tolerances]\nlaw = nan\n",
@@ -279,6 +280,31 @@ def test_negative_seed_override_exits_two(tmp_path, capsys):
                  "--out", str(tmp_path / "s"), "--seed", "-3"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_one_entry_n_list_exits_two(tmp_path, capsys):
+    """the conjugacy order compares successive grid sizes, so one size
+    cannot be checked"""
+    cfg = write(tmp_path, "[grids]\nn_list = 16\n", name="one.ini")
+    code = main(["run", "--suite", "drift-diffusion", "--config", cfg,
+                 "--out", str(tmp_path / "one")])
+    assert code == 2
+    assert "n_list needs at least two grid sizes" in capsys.readouterr().err
+
+
+def test_order_one_mild_bounds_are_zero(tmp_path, capsys):
+    """at delta = 1 the operator pair coincides: every mild_bound record has
+    error 0 against bound 0, which counts as a zero ratio"""
+    cfg = write(tmp_path, "[drift_diffusion]\ndelta = 1.0\n", name="one.ini")
+    out = tmp_path / "unit"
+    assert main(["run", "--suite", "all", "--config", cfg,
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    mild = {r["check_id"]: r["residual"]
+            for r in json.loads((out / "report.json").read_text())
+            if r["check_id"].startswith("drift_diffusion.mild_bound")}
+    assert mild == {f"drift_diffusion.mild_bound[n={n}]": 0.0
+                    for n in (64, 128, 256)}
 
 
 def test_bad_suite_name_rejected_by_parser(tmp_path, capsys):

@@ -12,8 +12,7 @@ from confsemi import (DriftDiffusionParams, EigenfunctionFamily,
                       build_classical_operator, build_conformable_operator,
                       conjugacy_residual, derivative_identity_residuals,
                       discrete_unitary, empirical_orders,
-                      mild_solution_residuals, parameter_transfer,
-                      spectral_evolve)
+                      mild_solution_residuals, parameter_transfer)
 
 PARAMS = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
 
@@ -60,7 +59,7 @@ def test_grid_pair_coincides_at_order_one():
 
 def test_discrete_unitary_inverse_pair():
     grid = GridPair.build(48, Order(0.4))
-    u, u_inv = discrete_unitary(grid, Order(0.4))
+    u, u_inv = discrete_unitary(grid)
     assert np.allclose(u * u_inv * np.eye(48), np.eye(48), atol=1e-14)
     assert u == pytest.approx(0.4 ** -0.5, rel=1e-15)
 
@@ -69,7 +68,7 @@ def test_discrete_unitary_preserves_pairing():
     """graded-grid inner product equals the uniform one after the map."""
     delta = Order(0.4)
     grid = GridPair.build(48, delta)
-    u, _ = discrete_unitary(grid, delta)
+    u, _ = discrete_unitary(grid)
     p = DriftDiffusionParams(1.0, 1.0, 0.4, delta)
     g_graded = build_conformable_operator(p, grid)
     g_uniform = build_classical_operator(p, grid)
@@ -267,21 +266,6 @@ def test_divided_difference_is_continuous_at_confluence():
     eps = 1e-6 * (1.0 + abs(star))
     for lam in (star + eps, star - eps, star + 1j * eps):
         assert np.max(np.abs(fam.evaluate(lam, xi) - base)) <= 1e-4
-
-
-def test_spectral_evolution_scalar_factors():
-    fam = EigenfunctionFamily(1.0, 1.0, 0.4)
-    combo = [(1.0 + 2.0j, 0.5), (-1.0j, 2.0)]
-    out = spectral_evolve(fam, combo, 0.7)
-    for (lam, before), (lam2, after) in zip(combo, out):
-        assert lam == lam2
-        assert after == pytest.approx(before * np.exp(lam * 0.7), rel=1e-14)
-
-
-def test_spectral_evolution_rejects_repeats():
-    fam = EigenfunctionFamily(1.0, 1.0, 0.4)
-    with pytest.raises(ValueError):
-        spectral_evolve(fam, [(1.0, 1.0), (1.0, 2.0)], 0.1)
 
 
 def test_family_from_params_uses_transferred_coefficients():

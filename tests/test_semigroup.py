@@ -11,7 +11,7 @@ from confsemi import (Clock, ConformableSemigroup, GeneratorMatrix, Order,
                       dirichlet_second_difference, dissipativity_margin,
                       evolve_classical, generator_delta_quotient,
                       resolvent_bound_check, solve_conformable_ode,
-                      strong_continuity_fit, taylor_matrix_exp)
+                      strong_continuity_check, taylor_matrix_exp)
 from confsemi.config import TOLERANCE_DEFAULTS
 
 
@@ -183,13 +183,15 @@ def test_orbit_norms_recorded_and_decaying():
 # continuity and contraction ----------------------------------------------------
 
 @pytest.mark.parametrize("delta", [0.4, 0.8])
-def test_strong_continuity_fit(delta):
+def test_strong_continuity_check(delta):
     g = diag_decay()
     cs = conformable(g, delta)
     x = (g.entries @ np.array([1.0, 1.0])).astype(complex)
-    fit = strong_continuity_fit(cs, x)
-    assert fit["decreasing"]
-    assert fit["rel_dev"] <= 0.1
+    residual, params = strong_continuity_check(cs, x)
+    assert params["decreasing"]
+    assert residual <= 0.1
+    assert residual == pytest.approx(
+        abs(params["slope"] - params["generator_norm"]) / params["generator_norm"])
 
 
 def test_dissipativity_margin_dirichlet():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsemi import (Clock, FunctionHandle, Order, TransportModel,
-                      WeightedQuadrature, apply_Q, inner_product_2delta,
+from confsemi import (Clock, FunctionHandle, Order, WeightedQuadrature,
+                      apply_Q, inner_product_2delta,
                       lp_delta_norm, make_weight, sobolev_norm,
                       spatial_unitary_apply, time_isometry_apply)
 
@@ -98,8 +98,7 @@ def test_sobolev_layers_monotone(delta):
 
 def test_transported_weight_worked_value():
     """exponential weight under the order-1/2 substitution becomes a Gaussian."""
-    w = make_weight("exp_decay")
-    moved = apply_Q(TransportModel(Order(0.5), w), w.rho, "forward")
+    moved = apply_Q(Clock(Order(0.5)), make_weight("exp_decay"))
     xi = np.linspace(0.0, 3.0, 13)
     assert np.allclose(moved(xi), np.exp(-(xi**2) / 4.0), rtol=1e-13)
 

@@ -106,8 +106,8 @@ def test_unitary_pairing_passes_on_seeds_0_to_299(pairing_only):
 
 
 def test_unitary_pairing_catches_a_scaled_forward_map(pairing_only, monkeypatch):
-    def scaled(grid, delta):
-        forward, inverse = discrete_unitary(grid, delta)
+    def scaled(grid):
+        forward, inverse = discrete_unitary(grid)
         return forward * (1.0 + 1e-12), inverse
 
     monkeypatch.setattr(suites, "discrete_unitary", scaled)
