@@ -15,9 +15,9 @@ import pytest
 from confsemi import (Clock, ConformableSemigroup, DriftDiffusionParams, EigenfunctionFamily,
                       FunctionHandle, GeneratorMatrix, LambdaRectangle, Order,
                       WeightedQuadrature,
-                      conf_derivative_limit, conf_integral,
-                      conjugacy_residual, contraction_check, delta_law_residual,
-                      dirichlet_second_difference, dissipativity_margin,
+                      clock_invariance_check, conf_derivative_limit,
+                      conf_integral, conjugacy_residual, contraction_check,
+                      delta_law_residual, dirichlet_second_difference, dissipativity_margin,
                       dsw_condition_check, dsw_hypotheses_probe,
                       empirical_orders, evolve_classical,
                       generator_delta_quotient, lp_delta_norm,
@@ -305,6 +305,11 @@ def test_criterion_12_dynamical_witnesses():
     assert params["t_return"] == pytest.approx(
         Clock(Order(0.5)).psi_inv(1.0), rel=1e-14)
     assert orbit <= 1e-9
+    rotation = GeneratorMatrix(np.diag([2j * np.pi, -2j * np.pi]), np.ones(2))
+    transfer, _ = clock_invariance_check(
+        ConformableSemigroup(rotation, Clock(Order(0.5))),
+        np.array([1.0, 1.0], dtype=complex), [params["tau"]])
+    assert transfer <= 1e-12
     elapsed = time.process_time() - start
     assert elapsed < 1.0
     report(12, "dynamical_witnesses", decay, 1e-12, elapsed)

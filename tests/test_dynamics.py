@@ -101,13 +101,14 @@ def test_clock_invariance(delta):
         assert params[item] <= 1e-13
 
 
-def test_clock_invariance_on_the_rotation_pair():
-    """the transfer term of the periodic witness, at its order 1/2"""
-    omega = 2.0 * np.pi
+@pytest.mark.parametrize("omega", [2.0 * np.pi, 1.0])
+def test_clock_invariance_on_the_rotation_pair(omega):
+    """the transfer term of the periodic witness, at its order 1/2 and its
+    period tau = 2 pi / omega"""
     g = GeneratorMatrix(np.diag([1j * omega, -1j * omega]), np.ones(2))
     cs = ConformableSemigroup(g, Clock(Order(0.5)))
     residual, _ = clock_invariance_check(
-        cs, np.array([1.0, 1.0], dtype=complex), [1.0])
+        cs, np.array([1.0, 1.0], dtype=complex), [2.0 * np.pi / omega])
     assert residual <= 1e-12
 
 
