@@ -6,7 +6,7 @@ Run directly: python3 demos/clock_tour.py
 
 import numpy as np
 
-from confsemi import (Clock, FunctionHandle, Order, WeightedQuadrature,
+from confsemi import (FunctionHandle, Order, WeightedQuadrature,
                       conf_derivative, conf_integral, lp_delta_norm)
 
 
@@ -20,18 +20,18 @@ def main():
     banner("The rescaling map and its inverse")
     print("Order delta in (0, 1] bends the time axis: s = t^delta / delta.")
     for d in (0.3, 0.5, 1.0):
-        clock = Clock(Order(d))
+        order = Order(d)
         t = 1.7
-        s = clock.psi(t)
+        s = order.psi(t)
         print(f"  delta={d:.1f}:  t={t}  ->  s={s:.6f}  ->  back="
-              f"{clock.psi_inv(s):.6f}")
+              f"{order.psi_inv(s):.6f}")
 
     banner("Half order turns flows into square-root flows")
-    clock = Clock(Order(0.5))
+    order = Order(0.5)
     print("At delta = 1/2 the map is s = 2 sqrt(t), so a semigroup composed")
     print("with it moves like exp(2 sqrt(t) A):")
     for t in (0.25, 1.0, 4.0):
-        print(f"  t={t:<5} s={clock.psi(t):.4f}")
+        print(f"  t={t:<5} s={order.psi(t):.4f}")
 
     banner("The stretched derivative obeys a shifted power rule")
     print("Applying the order-delta derivative to t^m gives m t^(m-delta):")

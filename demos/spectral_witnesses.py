@@ -11,7 +11,7 @@ Run directly: python3 demos/spectral_witnesses.py
 
 import numpy as np
 
-from confsemi import (Clock, DriftDiffusionParams, EigenfunctionFamily,
+from confsemi import (DriftDiffusionParams, EigenfunctionFamily,
                       LambdaRectangle, Order, dsw_condition_check,
                       dsw_hypotheses_probe, periodic_orbit_check, x0_probe,
                       xinf_probe)
@@ -57,10 +57,10 @@ def main():
 
     banner("Periodic witness: a purely imaginary mode returns")
     error, orbit = periodic_orbit_check(omega=2.0 * np.pi)
-    clock = Clock(Order(0.5))
+    order = Order(0.5)
     print(f"classical period tau = {orbit['tau']:.4f}, "
           f"rescaled return time = {orbit['t_return']:.4f} "
-          f"(clock inverse of tau: {clock.psi_inv(orbit['tau']):.4f})")
+          f"(clock inverse of tau: {order.psi_inv(orbit['tau']):.4f})")
     print(f"worst return error (full and half period, flow, clock "
           f"transfer): {error:.3e}")
 

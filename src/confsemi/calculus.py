@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clock import Clock, Order
+from .clock import Order
 
 __all__ = [
     "FunctionHandle",
@@ -65,7 +65,6 @@ class WeightedQuadrature:
     interval: tuple
     nodes: np.ndarray
     weights: np.ndarray
-    panels: int
 
     @classmethod
     def build(cls, delta: Order, a: float, b: float, panels: int = 12,
@@ -74,8 +73,7 @@ class WeightedQuadrature:
             raise ValueError(f"need 0 <= a < b, got ({a}, {b})")
         if panels < 1 or points_per_panel < 2:
             raise ValueError("panels >= 1 and points_per_panel >= 2 required")
-        clock = Clock(delta)
-        lo, hi = clock.psi(a), clock.psi(b)
+        lo, hi = delta.psi(a), delta.psi(b)
         ref_x, ref_w = np.polynomial.legendre.leggauss(points_per_panel)
         edges = np.linspace(lo, hi, panels + 1)
         if lo == 0.0:
@@ -85,12 +83,11 @@ class WeightedQuadrature:
         halves = 0.5 * np.diff(edges)
         nodes = (mids[:, None] + halves[:, None] * ref_x[None, :]).ravel()
         weights = (halves[:, None] * ref_w[None, :]).ravel()
-        return cls(delta=delta, interval=(a, b), nodes=nodes,
-                   weights=weights, panels=panels)
+        return cls(delta=delta, interval=(a, b), nodes=nodes, weights=weights)
 
     def t_nodes(self) -> np.ndarray:
         """Quadrature nodes mapped back to the original variable."""
-        return Clock(self.delta).psi_inv(self.nodes)
+        return self.delta.psi_inv(self.nodes)
 
 
 def conf_derivative(f: FunctionHandle, delta: Order, t: float):

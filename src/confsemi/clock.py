@@ -1,8 +1,9 @@
 """Power-law time rescaling shared by every other module.
 
-A clock of order delta maps conformable time t to classical semigroup time
-s = t**delta / delta.  The map is a strictly increasing bijection of the
-nonnegative half-line onto itself, with inverse t = (delta * s)**(1/delta).
+An `Order` delta is the clock: it maps conformable time t to classical
+semigroup time s = t**delta / delta.  The map is a strictly increasing
+bijection of the nonnegative half-line onto itself, with inverse
+t = (delta * s)**(1/delta).
 Both maps take a float or a numpy array; this is the one place where either
 formula is written down.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Order", "Clock", "pow_pos", "pow_arr"]
+__all__ = ["Order", "pow_pos", "pow_arr"]
 
 # inputs more negative than this are rejected; anything in [-NEG_DUST, 0)
 # is treated as floating-point dust from upstream subtraction and clamped to 0
@@ -48,17 +49,6 @@ def pow_arr(base: np.ndarray, exponent: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Order:
-    """Rescaling order delta, restricted to the interval (0, 1]."""
-
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"order must lie in (0, 1], got {self.delta}")
-
-
 def _clean_nonneg(value: float, what: str) -> float:
     if value < 0.0:
         if value >= -NEG_DUST:
@@ -77,18 +67,18 @@ def _clean_nonneg_arr(values: np.ndarray, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Clock:
-    """The rescaling map of one fixed order and its inverse.
+class Order:
+    """Rescaling order delta in (0, 1], with its clock map and inverse.
 
     A numpy array is mapped elementwise with `pow_arr`; anything else is
     taken as one float and mapped with `pow_pos`.
     """
 
-    order: Order
+    delta: float
 
-    @property
-    def delta(self) -> float:
-        return self.order.delta
+    def __post_init__(self) -> None:
+        if not (0.0 < self.delta <= 1.0):
+            raise ValueError(f"order must lie in (0, 1], got {self.delta}")
 
     def psi(self, t):
         """Forward map t -> t**delta / delta."""

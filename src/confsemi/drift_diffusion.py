@@ -157,35 +157,32 @@ def _difference_matrices(nodes: np.ndarray, right_ghost: Optional[float]) -> tup
     return d1, d2
 
 
-def _assemble_classical(a_t: float, b_t: float, c: float, grid: GridPair,
-                        clamp_right: bool) -> np.ndarray:
-    ghost = 1.0 if clamp_right else None
-    d1, d2 = _difference_matrices(grid.xi_nodes, ghost)
-    return a_t * d2 + b_t * d1 + c * np.eye(grid.n)
-
-
 def _assemble_conformable(a: float, b: float, c: float, delta: float,
-                          grid: GridPair, clamp_right: bool) -> np.ndarray:
+                          x: np.ndarray, clamp_right: bool) -> np.ndarray:
+    """a D(Df) + b Df + c f with the order-delta derivative D on nodes x.
+
+    At delta = 1 the weights are exactly 0 and 1, so the classical twin is
+    this routine at order 1 on the uniform nodes, in identical arithmetic.
+    """
     ghost = 1.0 if clamp_right else None
-    d1, d2 = _difference_matrices(grid.x_nodes, ghost)
-    x = grid.x_nodes
+    d1, d2 = _difference_matrices(x, ghost)
     # two applications of the order-delta derivative, expanded by the
     # product rule; nesting the difference matrices instead would widen the
     # stencil and break exact agreement with the classical twin at delta=1
     second = (((1.0 - delta) * x ** (1.0 - 2.0 * delta))[:, None] * d1
               + (x ** (2.0 - 2.0 * delta))[:, None] * d2)
     first = (x ** (1.0 - delta))[:, None] * d1
-    return a * second + b * first + c * np.eye(grid.n)
+    return a * second + b * first + c * np.eye(len(x))
 
 
 def build_classical_operator(p: DriftDiffusionParams, grid: GridPair,
                              clamp_right: bool = False) -> GeneratorMatrix:
-    """Constant-coefficient twin on the uniform grid, plain mesh weights."""
+    """Constant-coefficient twin on the uniform grid, plain mesh weight h."""
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
     a_t, b_t, c = parameter_transfer(p)
-    entries = _assemble_classical(a_t, b_t, c, grid, clamp_right)
-    return GeneratorMatrix(entries=entries, ip_weights=grid.h * np.ones(grid.n),
+    entries = _assemble_conformable(a_t, b_t, c, 1.0, grid.xi_nodes, clamp_right)
+    return GeneratorMatrix(entries=entries, weight=grid.h,
                            label=f"classical[n={grid.n}]")
 
 
@@ -199,9 +196,8 @@ def build_conformable_operator(p: DriftDiffusionParams, grid: GridPair,
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
     d = p.delta.delta
-    entries = _assemble_conformable(p.a, p.b, p.c, d, grid, clamp_right)
-    return GeneratorMatrix(entries=entries,
-                           ip_weights=(grid.h / d) * np.ones(grid.n),
+    entries = _assemble_conformable(p.a, p.b, p.c, d, grid.x_nodes, clamp_right)
+    return GeneratorMatrix(entries=entries, weight=grid.h / d,
                            label=f"graded[n={grid.n}]")
 
 

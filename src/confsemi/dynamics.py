@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clock import Clock, Order
+from .clock import Order
 from .drift_diffusion import (DriftDiffusionParams, EigenfunctionFamily,
-                              GridPair, _assemble_classical)
+                              GridPair, _assemble_conformable)
 from .semigroup import ConformableSemigroup, GeneratorMatrix, evolve_classical
 
 __all__ = [
@@ -136,8 +136,8 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
     degenerate Gram (duplicated spectral values) is recorded, not raised.
     """
     grid = GridPair.build(n, Order(1.0))
-    matrix = _assemble_classical(fam.diffusion, fam.drift, fam.reaction,
-                                 grid, clamp_right=False)
+    matrix = _assemble_conformable(fam.diffusion, fam.drift, fam.reaction,
+                                   1.0, grid.xi_nodes, clamp_right=False)
     xi = grid.xi_nodes
     h = grid.h
     centered = slice(0, n - 1)  # last row is one-sided, excluded from the bound
@@ -205,7 +205,7 @@ def clock_invariance_check(cs: ConformableSemigroup, x: np.ndarray,
     item_i = item_ii = item_iii = 0.0
     for s in s_arr:
         classical = evolve_classical(g, s, x)
-        pulled = cs.evolve(cs.clock.psi_inv(s), x)
+        pulled = cs.evolve(cs.order.psi_inv(s), x)
         ref = g.w_norm(classical)
         item_i = max(item_i, g.w_norm(pulled - classical) / (ref + 1e-300))
         disp_c = g.w_norm(classical - x)
@@ -214,7 +214,7 @@ def clock_invariance_check(cs: ConformableSemigroup, x: np.ndarray,
         item_iii = max(item_iii, abs(g.w_norm(pulled) - ref) / (1.0 + ref))
     return max(item_i, item_ii, item_iii), {
         "generator": g.label or "unnamed",
-        "delta": cs.clock.delta,
+        "delta": cs.order.delta,
         "s_list": s_arr,
         "flow_transfer": item_i,
         "displacement_transfer": item_ii,
@@ -291,11 +291,11 @@ def periodic_orbit_check(omega: float) -> tuple:
     err_half = max(abs(cmath.exp(lam * (tau / 2.0)) + 1.0) for lam in modes)
 
     rotation = GeneratorMatrix(
-        entries=np.diag(modes), ip_weights=np.ones(2),
+        entries=np.diag(modes), weight=1.0,
         label=f"rotation[omega={omega}]")
-    cs = ConformableSemigroup(rotation, Clock(Order(0.5)))
+    cs = ConformableSemigroup(rotation, Order(0.5))
     x = np.array([1.0, 1.0], dtype=complex)
-    t_return = cs.clock.psi_inv(tau)
+    t_return = cs.order.psi_inv(tau)
     return_gap = rotation.w_norm(cs.evolve(t_return, x) - x) / rotation.w_norm(x)
     transfer_residual, _ = clock_invariance_check(cs, x, [tau])
     return max(err_full, err_half, return_gap, transfer_residual), {

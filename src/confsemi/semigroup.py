@@ -1,22 +1,24 @@
 """Finite-dimensional evolution backends and their verification battery.
 
-A generator matrix A, together with a diagonal discrete inner product,
-defines the classical flow exp(sA).  Pairing that flow with a clock of order
-delta gives the rescaled family S(t) = exp(psi(t) A).  This module evaluates
-both, the composition law in the rescaled time, difference-quotient
-reconstructions of the generator, an independent adaptive Runge-Kutta orbit
-for the singular ODE x'(t) = t**(delta-1) A x(t), and the dissipativity /
-resolvent / contraction battery for negative generators.
+A generator matrix A, together with a scalar-weighted discrete inner
+product, defines the classical flow exp(sA).  Pairing that flow with the
+clock of an order delta gives the rescaled family S(t) = exp(psi(t) A).
+This module evaluates both, the composition law in the rescaled time,
+difference-quotient reconstructions of the generator, an independent
+adaptive Runge-Kutta orbit for the singular ODE x'(t) = t**(delta-1) A x(t),
+and the dissipativity / resolvent / contraction battery for negative
+generators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import bandwidth, expm
 
-from .clock import Clock, Order
+from .clock import Order
 
 __all__ = [
     "GeneratorMatrix",
@@ -38,10 +40,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Square generator with a diagonal weighted inner product.
+    """Square generator with a scalar-weighted inner product.
 
-    ip_weights w define <x, y> = sum_i w_i x_i conj(y_i); every norm in this
-    module is taken in that inner product.
+    The weight w defines <x, y> = w sum_i x_i conj(y_i); every norm in this
+    module is taken in that inner product.  One weight for every node scales
+    all vector norms alike, so an operator norm in it is the Euclidean one.
 
     Real entries are stored as float64 and complex entries as complex128, so
     real generators run expm, SVD and inversion in real arithmetic.  State
@@ -49,26 +52,24 @@ class GeneratorMatrix:
     """
 
     entries: np.ndarray
-    ip_weights: np.ndarray
+    weight: float
     label: str = ""
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries)
         entries = entries.astype(
             complex if np.iscomplexobj(entries) else float, copy=False)
-        weights = np.asarray(self.ip_weights, dtype=float)
+        weight = float(self.weight)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         if entries.shape[0] < 1:
             raise ValueError("need at least one state dimension")
-        if weights.shape != (entries.shape[0],):
-            raise ValueError("ip_weights length must match the matrix size")
-        if np.any(weights <= 0.0):
-            raise ValueError("ip_weights must all be positive")
+        if not 0.0 < weight < math.inf:
+            raise ValueError(f"weight must be finite and positive, got {weight}")
         if not np.all(np.isfinite(entries)):
             raise FloatingPointError("generator has non-finite entries")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "ip_weights", weights)
+        object.__setattr__(self, "weight", weight)
 
     @property
     def dim(self) -> int:
@@ -76,13 +77,7 @@ class GeneratorMatrix:
 
     def w_norm(self, x: np.ndarray) -> float:
         x = np.asarray(x)
-        return float(np.sqrt(np.sum(self.ip_weights * np.abs(x) ** 2).real))
-
-    def w_operator_norm(self, matrix: np.ndarray) -> float:
-        # similarity by sqrt(W) turns the weighted norm into the Euclidean one
-        root = np.sqrt(self.ip_weights)
-        scaled = (root[:, None] * matrix) / root[None, :]
-        return float(np.linalg.norm(scaled, 2))
+        return float(np.sqrt(np.sum(self.weight * np.abs(x) ** 2).real))
 
 
 # series length of the expm oracle: at norm <= 1/2 the tail is far below
@@ -192,10 +187,10 @@ class ConformableSemigroup:
     """The rescaled family: evolve(t, x) = exp(psi(t) A) x."""
 
     generator: GeneratorMatrix
-    clock: Clock
+    order: Order
 
     def evolve(self, t: float, x: np.ndarray) -> np.ndarray:
-        return evolve_classical(self.generator, self.clock.psi(t), x)
+        return evolve_classical(self.generator, self.order.psi(t), x)
 
 
 def delta_law_residual(cs: ConformableSemigroup, r: float, q: float,
@@ -207,7 +202,7 @@ def delta_law_residual(cs: ConformableSemigroup, r: float, q: float,
     """
     if r < 0.0 or q < 0.0:
         raise ValueError("law arguments must be nonnegative")
-    d = cs.clock.delta
+    d = cs.order.delta
     one_shot = cs.evolve((r + q) ** (1.0 / d), x)
     two_step = cs.evolve(r ** (1.0 / d), cs.evolve(q ** (1.0 / d), x))
     return cs.generator.w_norm(one_shot - two_step)
@@ -241,7 +236,7 @@ def generator_delta_quotient(cs: ConformableSemigroup, x: np.ndarray,
         raise ValueError("need at least 4 quotient times")
     if np.any(t_seq <= 0.0) or np.any(np.diff(t_seq) >= 0.0):
         raise ValueError("t_seq must be positive and strictly decreasing")
-    us = [cs.clock.psi(t) for t in t_seq]
+    us = [cs.order.psi(t) for t in t_seq]
     limit = classical_generator_quotient(cs.generator, x, us)
     if not np.all(np.isfinite(limit)):
         raise FloatingPointError("quotient extrapolation diverged")
@@ -333,7 +328,6 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     d = delta.delta
-    clock = Clock(delta)
     x0 = np.asarray(x0, dtype=complex)
     matrix = g.entries
     # psi_inv(1e-3) in this route's own rounding; the clock's exp/log
@@ -346,12 +340,12 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
     times = np.linspace(0.0, t_end, n_out)
     states = []
     t_cur = t0
-    x_cur = expm(clock.psi(t0) * matrix) @ x0
+    x_cur = expm(delta.psi(t0) * matrix) @ x0
     for t in times:
         if t == 0.0:
             states.append(x0.copy())
         elif t <= t0:
-            states.append(expm(clock.psi(t) * matrix) @ x0)
+            states.append(expm(delta.psi(t) * matrix) @ x0)
         else:
             x_cur = _rk45_advance(rhs, t_cur, x_cur, t, rtol, atol)
             t_cur = t
@@ -363,12 +357,11 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
 def dissipativity_margin(g: GeneratorMatrix) -> float:
     """Largest Rayleigh quotient Re<Ax, x> over unit weighted-norm x.
 
-    Computed as the top eigenvalue of the weighted-symmetrized matrix; a
-    nonpositive value certifies discrete dissipativity.
+    The scalar weight cancels from the quotient, so this is the top
+    eigenvalue of the Hermitian part (A + A^H) / 2; a nonpositive value
+    certifies discrete dissipativity.
     """
-    root = np.sqrt(g.ip_weights)
-    similar = (root[:, None] * g.entries) / root[None, :]
-    sym = 0.5 * (similar + similar.conj().T)
+    sym = 0.5 * (g.entries + g.entries.conj().T)
     return float(np.max(np.linalg.eigvalsh(sym)))
 
 
@@ -395,14 +388,13 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
     n = g.dim
     shifted = lam * np.eye(n) - g.entries
     inverse = np.linalg.inv(shifted)
-    norm_excess = lam * g.w_operator_norm(inverse) - 1.0
+    norm_excess = lam * float(np.linalg.norm(inverse, 2)) - 1.0
     # per probe: n normals for the real part, then n for the imaginary part
     draws = np.random.default_rng(seed).standard_normal(
         (_RESOLVENT_PROBES, 2, n))
     probes = (draws[:, 0] + 1j * draws[:, 1]).T
-    weights = g.ip_weights[:, None]
-    lhs = np.sqrt(np.sum(weights * np.abs(shifted @ probes) ** 2, axis=0))
-    rhs_val = lam * np.sqrt(np.sum(weights * np.abs(probes) ** 2, axis=0))
+    lhs = np.sqrt(np.sum(g.weight * np.abs(shifted @ probes) ** 2, axis=0))
+    rhs_val = lam * np.sqrt(np.sum(g.weight * np.abs(probes) ** 2, axis=0))
     lower_excess = float(np.max((rhs_val - lhs) / rhs_val, initial=-np.inf))
     return max(norm_excess, lower_excess), {
         "lambda": lam, "n": n, "norm_excess": norm_excess,
@@ -424,11 +416,11 @@ def contraction_check(cs: ConformableSemigroup, t_grid) -> tuple:
     worst = -np.inf
     norms = {}
     for t in t_grid:
-        flow = _flow(cs.clock.psi(t) * g.entries)
-        norm = g.w_operator_norm(flow)
+        flow = _flow(cs.order.psi(t) * g.entries)
+        norm = float(np.linalg.norm(flow, 2))
         norms[f"t={t}"] = norm
         worst = max(worst, norm - 1.0)
-    return worst, {"delta": cs.clock.delta, "margin": margin, **norms}
+    return worst, {"delta": cs.order.delta, "margin": margin, **norms}
 
 
 def dirichlet_second_difference(n: int) -> GeneratorMatrix:
@@ -440,7 +432,7 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
     main = -2.0 * np.ones(n)
     off = np.ones(n - 1)
     entries = (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) / h ** 2
-    return GeneratorMatrix(entries=entries, ip_weights=h * np.ones(n),
+    return GeneratorMatrix(entries=entries, weight=h,
                            label=f"dirichlet_laplacian[n={n}]")
 
 
@@ -457,14 +449,14 @@ def strong_continuity_check(cs: ConformableSemigroup, x: np.ndarray) -> tuple:
     x = np.asarray(x, dtype=complex)
     ts = [2.0 ** -k for k in range(4, 21)]
     gaps = np.array([g.w_norm(cs.evolve(t, x) - x) for t in ts])
-    psis = np.array([cs.clock.psi(t) for t in ts])
+    psis = np.array([cs.order.psi(t) for t in ts])
     slope = float(np.max(gaps / psis))
     generator_norm = g.w_norm(g.entries @ x)
     decreasing = bool(np.all(np.diff(gaps) < 0.0))
     rel_dev = abs(slope - generator_norm) / generator_norm
     return rel_dev + (0.0 if decreasing else 1.0), {
         "generator": g.label,
-        "delta": cs.clock.delta,
+        "delta": cs.order.delta,
         "slope": slope,
         "generator_norm": generator_norm,
         "decreasing": decreasing,

@@ -3,8 +3,9 @@
 Functions on (0,T) are measured against the weight t**(delta-1) dt.  A
 norm takes the exponent p and a `WeightedQuadrature` built on (0, T): the
 rule carries the order delta and the interval, so nothing else restates
-them.  The time isometry turns the weighted norm into a plain Lebesgue norm
-on (0, psi(T)) by the clock substitution s = psi(t); the spatial unitary
+them.  The time isometry, `pullback`, turns the weighted norm into a plain
+Lebesgue norm on (0, psi(T)) by the clock substitution s = psi(t); the
+transport model reuses it as its straightening map.  The spatial unitary
 does the same on (0,1) with the stretch xi = x**delta plus the amplitude
 factor delta**(-1/2).
 """
@@ -16,12 +17,12 @@ from typing import Literal
 import numpy as np
 
 from .calculus import FunctionHandle, WeightedQuadrature
-from .clock import Clock, Order, pow_arr
+from .clock import Order, pow_arr
 
 __all__ = [
     "lp_delta_norm",
     "inner_product_2delta",
-    "time_isometry_apply",
+    "pullback",
     "spatial_unitary_apply",
     "sobolev_norm",
 ]
@@ -60,16 +61,10 @@ def inner_product_2delta(f: FunctionHandle, g: FunctionHandle,
     return total
 
 
-def time_isometry_apply(clock: Clock, horizon: float,
-                        f: FunctionHandle) -> FunctionHandle:
-    """Return s -> f(psi_inv(s)) on (0, psi(horizon))."""
-    end = clock.psi(horizon)
-
+def pullback(order: Order, f: FunctionHandle) -> FunctionHandle:
+    """Return s -> f(psi_inv(s)), f read in the clock's time s = psi(t)."""
     def ev(s):
-        arr = np.asarray(s, dtype=float)
-        if np.any(arr > end * (1 + 1e-12) + 1e-15):
-            raise ValueError(f"evaluation outside (0, {end})")
-        return f.evaluator(clock.psi_inv(arr))
+        return f.evaluator(order.psi_inv(np.asarray(s, dtype=float)))
 
     return FunctionHandle(evaluator=ev)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .calculus import (FunctionHandle, WeightedQuadrature, conf_derivative,
                        conf_derivative_iterated, conf_derivative_limit,
                        conf_integral)
-from .clock import Clock, Order, pow_arr, pow_pos
+from .clock import Order, pow_arr, pow_pos
 from .config import SUITE_NAMES, RunConfig
 from .drift_diffusion import (DriftDiffusionParams, EigenfunctionFamily,
                               GridPair, build_classical_operator,
@@ -41,8 +41,8 @@ from .semigroup import (ConformableSemigroup, GeneratorMatrix,
                         generator_delta_quotient, resolvent_bound_check,
                         solve_conformable_ode, strong_continuity_check,
                         taylor_matrix_exp)
-from .spaces import (inner_product_2delta, lp_delta_norm, sobolev_norm,
-                     spatial_unitary_apply, time_isometry_apply)
+from .spaces import (inner_product_2delta, lp_delta_norm, pullback,
+                     sobolev_norm, spatial_unitary_apply)
 from .transport import (apply_S_alpha, transport_conjugacy_residual,
                         transport_pde_residual, weight_criterion_probe)
 
@@ -57,22 +57,22 @@ SWEEP_COLUMNS = ("delta", "n", "a", "b", "c", "conjugacy_residual",
 
 def _nilpotent2() -> GeneratorMatrix:
     return GeneratorMatrix(entries=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                           ip_weights=np.ones(2), label="nilpotent2")
+                           weight=1.0, label="nilpotent2")
 
 
 def _diag_decay() -> GeneratorMatrix:
     return GeneratorMatrix(entries=np.diag([-1.0, -2.0]),
-                           ip_weights=np.ones(2), label="diag_decay")
+                           weight=1.0, label="diag_decay")
 
 
 def _diag_complex() -> GeneratorMatrix:
     return GeneratorMatrix(entries=np.diag([-0.3 + 2.0j, -1.0 + 0.0j]),
-                           ip_weights=np.ones(2), label="diag_complex")
+                           weight=1.0, label="diag_complex")
 
 
 def _cascade3() -> GeneratorMatrix:
     entries = np.array([[-1.0, 2.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -2.0]])
-    return GeneratorMatrix(entries=entries, ip_weights=np.ones(3),
+    return GeneratorMatrix(entries=entries, weight=1.0,
                            label="cascade3")
 
 
@@ -81,7 +81,7 @@ def _nonnormal4() -> GeneratorMatrix:
                         [0.0, -0.5, 3.0, 0.0],
                         [0.0, 0.0, -2.0, 1.0],
                         [0.0, 0.0, 0.0, 0.3]])
-    return GeneratorMatrix(entries=entries, ip_weights=np.ones(4),
+    return GeneratorMatrix(entries=entries, weight=1.0,
                            label="nonnormal4")
 
 
@@ -105,21 +105,21 @@ def make_weight(weight_id: str) -> FunctionHandle:
 def suite_clock(cfg: RunConfig) -> Iterator:
     t_grid = np.linspace(1e-6, 10.0, 400)
     for d in cfg.delta_list:
-        clock = Clock(Order(d))
+        order = Order(d)
         worst = 0.0
         for t in t_grid:
-            worst = max(worst, abs(clock.psi_inv(clock.psi(t)) - t) / (1.0 + t))
+            worst = max(worst, abs(order.psi_inv(order.psi(t)) - t) / (1.0 + t))
         # below psi(tiny) the inverse underflows to a subnormal or 0, which
         # would measure the float format rather than the clock
-        s_lo = max(1e-6, clock.psi(np.finfo(float).tiny))
-        for s in np.linspace(s_lo, clock.psi(10.0), 400):
-            worst = max(worst, abs(clock.psi(clock.psi_inv(s)) - s) / (1.0 + s))
+        s_lo = max(1e-6, order.psi(np.finfo(float).tiny))
+        for s in np.linspace(s_lo, order.psi(10.0), 400):
+            worst = max(worst, abs(order.psi(order.psi_inv(s)) - s) / (1.0 + s))
         yield (f"clock.roundtrip[delta={d}]", {"delta": d},
                worst, cfg.tol("clock_roundtrip"))
 
-        vals = [clock.psi(t) for t in t_grid]
+        vals = [order.psi(t) for t in t_grid]
         min_gap = min(b - a for a, b in zip(vals, vals[1:]))
-        zero_gap = abs(clock.psi(0.0))
+        zero_gap = abs(order.psi(0.0))
         yield (f"clock.monotone[delta={d}]", {"delta": d, "min_gap": min_gap},
                max(zero_gap, -min(min_gap, 0.0)), 0.0)
 
@@ -127,13 +127,13 @@ def suite_clock(cfg: RunConfig) -> Iterator:
         worst = 0.0
         for t1, t2 in rng.uniform(0.05, 3.0, size=(200, 2)):
             merged = pow_pos(pow_pos(t1, d) + pow_pos(t2, d), 1.0 / d)
-            lhs = clock.psi(merged)
-            rhs = clock.psi(t1) + clock.psi(t2)
+            lhs = order.psi(merged)
+            rhs = order.psi(t1) + order.psi(t2)
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
         yield (f"clock.additivity[delta={d}]", {"delta": d, "pairs": 200},
                worst, cfg.tol("clock_additivity"))
 
-    unit = Clock(Order(1.0))
+    unit = Order(1.0)
     worst = max(abs(unit.psi(t) - t) for t in t_grid)
     worst = max(worst, max(abs(unit.psi_inv(t) - t) for t in t_grid))
     yield ("clock.linear_reduction[delta=1.0]", {"delta": 1.0},
@@ -249,9 +249,8 @@ def suite_calculus(cfg: RunConfig) -> Iterator:
            worst, cfg.tol("classical_reduction"))
 
     order = Order(0.5)
-    half = Clock(order)
     osc = FunctionHandle(
-        evaluator=lambda t: np.exp(np.sin(half.psi(np.asarray(t, dtype=float)))))
+        evaluator=lambda t: np.exp(np.sin(order.psi(np.asarray(t, dtype=float)))))
     fine = WeightedQuadrature.build(order, 0.0, 2.0, panels=64,
                                     points_per_panel=16)
     exact = complex(conf_integral(osc, fine)).real
@@ -301,8 +300,7 @@ def suite_spaces(cfg: RunConfig) -> Iterator:
     horizon = 1.0
     for d in cfg.delta_list:
         order = Order(d)
-        clock = Clock(order)
-        end = clock.psi(horizon)
+        end = order.psi(horizon)
         quad2 = WeightedQuadrature.build(order, 0.0, horizon)
 
         worst = 0.0
@@ -310,7 +308,7 @@ def suite_spaces(cfg: RunConfig) -> Iterator:
         for p in (1.0, 2.0):
             for name, f in _space_corpus():
                 left = lp_delta_norm(f, p, quad2)
-                g = time_isometry_apply(clock, horizon, f)
+                g = pullback(order, f)
                 right = float(np.sum(
                     s_weights * np.abs(np.asarray(g.evaluator(s_nodes))) ** p)
                 ) ** (1.0 / p)
@@ -356,8 +354,8 @@ def suite_spaces(cfg: RunConfig) -> Iterator:
         yield (f"spaces.cauchy_schwarz[delta={d}]", {"delta": d, "pairs": 40},
                worst, cfg.tol("cauchy_schwarz"))
 
-        def leg(k, t, clock=clock, end=end):
-            u = 2.0 * clock.psi(np.asarray(t, dtype=float)) / end - 1.0
+        def leg(k, t, order=order, end=end):
+            u = 2.0 * order.psi(np.asarray(t, dtype=float)) / end - 1.0
             return u if k == 1 else 1.5 * u ** 2 - 0.5
 
         f1 = FunctionHandle(evaluator=lambda t: leg(1, t))
@@ -387,11 +385,11 @@ def _orbit_gap(delta: float, **solver) -> float:
     generator and its exact flow exp(psi(t) A) x0 on (0, 2]."""
     probe = _nonnormal4()
     x0 = np.array([1.0, -1.0, 0.5, 1.0])
-    clock = Clock(Order(delta))
-    orbit = solve_conformable_ode(probe, Order(delta), x0, 2.0, **solver)
+    order = Order(delta)
+    orbit = solve_conformable_ode(probe, order, x0, 2.0, **solver)
     worst = 0.0
     for t, state in zip(orbit.times[1:], orbit.states[1:]):
-        exact = evolve_classical(probe, clock.psi(float(t)), x0.astype(complex))
+        exact = evolve_classical(probe, order.psi(float(t)), x0.astype(complex))
         worst = max(worst, probe.w_norm(state - exact)
                     / max(probe.w_norm(exact), 1e-30))
     return worst
@@ -417,7 +415,7 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
     for gi, g in enumerate(law_gens):
         x = np.ones(g.dim, dtype=complex)
         for d in cfg.delta_list:
-            cs = ConformableSemigroup(g, Clock(Order(d)))
+            cs = ConformableSemigroup(g, Order(d))
             rng = np.random.default_rng([cfg.seed, 31, gi,
                                          int(round(1000 * d))])
             worst = 0.0
@@ -437,9 +435,8 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
         per_delta = {}
         worst = 0.0
         for d in cfg.delta_list:
-            clock = Clock(Order(d))
-            cs = ConformableSemigroup(g, clock)
-            t_seq = [clock.psi_inv(0.5 * 2.0 ** (-k)) for k in range(8)]
+            cs = ConformableSemigroup(g, Order(d))
+            t_seq = [cs.order.psi_inv(0.5 * 2.0 ** (-k)) for k in range(8)]
             quot = generator_delta_quotient(cs, x.astype(complex), t_seq)
             err = g.w_norm(quot - ax) / scale
             per_delta[str(d)] = err
@@ -470,7 +467,7 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
     # route runs at rtol 1e-9, so the orbit tolerance gates it
     sample = solve_conformable_ode(_diag_decay(), Order(0.6),
                                    np.array([1.0, 1.0]), 1.5, n_out=9)
-    psi = np.array([Clock(Order(0.6)).psi(t) for t in sample.times])
+    psi = np.array([Order(0.6).psi(t) for t in sample.times])
     closed = np.sqrt(np.exp(-2.0 * psi) + np.exp(-4.0 * psi))
     yield ("semigroup.orbit_norm_consistency",
            {"generator": "diag_decay", "delta": 0.6},
@@ -482,7 +479,7 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
     for g, y in continuity_cases:
         x = g.entries @ y.astype(complex)  # x in the generator's range
         for d in (0.4, 0.8):
-            cs = ConformableSemigroup(g, Clock(Order(d)))
+            cs = ConformableSemigroup(g, Order(d))
             residual, params = strong_continuity_check(cs, x)
             yield (f"semigroup.strong_continuity[{g.label}][delta={d}]", params,
                    residual, cfg.tol("strong_continuity"))
@@ -497,7 +494,7 @@ def suite_semigroup(cfg: RunConfig) -> Iterator:
         yield (f"resolvent_bound[{lap.label}][lam={lam}]", params,
                residual, cfg.tol("resolvent_slack"))
     for d in (0.5, 1.0):
-        cs = ConformableSemigroup(lap, Clock(Order(d)))
+        cs = ConformableSemigroup(lap, Order(d))
         residual, params = contraction_check(cs, (0.1, 1.0, 5.0))
         yield (f"contraction[{lap.label}][delta={d}]", params,
                residual, cfg.tol("contraction_slack"))
@@ -609,14 +606,14 @@ def suite_transport(cfg: RunConfig) -> Iterator:
         for _, f in _calc_corpus()]
     x_grid = np.linspace(0.1, 2.5, 60)
     for a in sorted({0.3, 0.5, 1.0, cfg.transport_alpha}):
-        clock = Clock(Order(a))
+        order = Order(a)
         rng = np.random.default_rng([cfg.seed, 53, int(round(1000 * a))])
         xi_samples = rng.uniform(0.05, 3.0, size=100)
 
         worst = 0.0
         for f, scale in corpus:
             for t in (0.3, 1.0):
-                res = transport_conjugacy_residual(clock, f, t, xi_samples)
+                res = transport_conjugacy_residual(order, f, t, xi_samples)
                 worst = max(worst, res / scale)
         yield (f"transport.conjugacy[alpha={a}]",
                {"alpha": a, "times": [0.3, 1.0], "samples": 100},
@@ -625,15 +622,15 @@ def suite_transport(cfg: RunConfig) -> Iterator:
         x_samples = np.linspace(0.2, 2.0, 40)
         worst = 0.0
         for f, _ in corpus:
-            worst = max(worst, transport_pde_residual(clock, f, 0.7, x_samples))
+            worst = max(worst, transport_pde_residual(order, f, 0.7, x_samples))
         yield (f"transport.pde_residual[alpha={a}]", {"alpha": a, "t": 0.7},
                worst, cfg.tol("transport_pde"))
 
         worst = 0.0
         for f, scale in corpus:
             for r, q in ((0.4, 0.9), (0.7, 0.7)):
-                once = apply_S_alpha(clock, apply_S_alpha(clock, f, q), r)
-                joint = apply_S_alpha(clock, f, r + q)
+                once = apply_S_alpha(order, apply_S_alpha(order, f, q), r)
+                joint = apply_S_alpha(order, f, r + q)
                 gap = float(np.max(np.abs(
                     np.asarray(once.evaluator(x_grid))
                     - np.asarray(joint.evaluator(x_grid)))))
@@ -643,20 +640,20 @@ def suite_transport(cfg: RunConfig) -> Iterator:
 
     worst = 0.0
     for f, _ in corpus:
-        flowed = apply_S_alpha(Clock(Order(1.0)), f, 0.8)
+        flowed = apply_S_alpha(Order(1.0), f, 0.8)
         shifted = np.asarray(f.evaluator(x_grid + 0.8))
         worst = max(worst, float(np.max(np.abs(
             np.asarray(flowed.evaluator(x_grid)) - shifted))))
     yield ("transport.shift_reduction[alpha=1.0]", {"alpha": 1.0, "t": 0.8},
            worst, cfg.tol("transport_pointwise"))
 
-    clock = Clock(Order(cfg.transport_alpha))
+    order = Order(cfg.transport_alpha)
     windows = (0.5, 1.0, 2.0, 4.0, 8.0)
     contrast = "unit" if cfg.transport_weight != "unit" else "exp_decay"
     for weight in (cfg.transport_weight, contrast):
-        params = weight_criterion_probe(clock, make_weight(weight), windows)
+        params = weight_criterion_probe(order, make_weight(weight), windows)
         # heuristic: recorded for its status, never fails a run
-        yield (f"weight_window_probe[{weight}][alpha={clock.delta}]",
+        yield (f"weight_window_probe[{weight}][alpha={order.delta}]",
                dict(params, weight=weight), 0.0, 0.0)
 
 
@@ -672,7 +669,14 @@ def suite_dynamics(cfg: RunConfig) -> Iterator:
 
     fam = EigenfunctionFamily.from_params(DriftDiffusionParams(
         a=cfg.dd_a, b=cfg.dd_b, c=cfg.dd_c, delta=Order(1.0)))
-    rect = LambdaRectangle(center=0.0 + 0.0j, re_half=2.0, im_half=12.0)
+    # the rectangle grows with a diffusion above 1: on a fixed one the corner
+    # eigenfunctions turn nearly collinear as the diffusion grows, and the
+    # Gram determinant drops below gram_min.  It never shrinks below the
+    # unit one: with a small diffusion the drift sets the corner roots, and
+    # a shrunk rectangle pulls them together instead
+    scale = max(1.0, fam.diffusion)
+    rect = LambdaRectangle(center=0.0 + 0.0j, re_half=2.0 * scale,
+                           im_half=12.0 * scale)
 
     probe = dsw_hypotheses_probe(fam, rect, n=cfg.n_eigen,
                                  residual_factor=cfg.tol("eigen_factor"))
@@ -701,7 +705,7 @@ def suite_dynamics(cfg: RunConfig) -> Iterator:
            threshold / det if det > 0.0 else float("inf"), 1.0)
 
     for d in (0.4, 0.8):
-        cs = ConformableSemigroup(_diag_decay(), Clock(Order(d)))
+        cs = ConformableSemigroup(_diag_decay(), Order(d))
         residual, params = clock_invariance_check(
             cs, np.array([1.0, -1.0]), (0.3, 0.9, 1.7))
         yield (f"clock_invariance[diag_decay][delta={d}]", params,
@@ -769,7 +773,7 @@ def run_sweep(cfg: RunConfig) -> list:
             # has spurious fast-growing boundary modes whose exponential
             # overflows at sweep horizons, and the law holds for any generator
             g = build_classical_operator(p, grid, clamp_right=True)
-            cs = ConformableSemigroup(g, Clock(Order(d)))
+            cs = ConformableSemigroup(g, Order(d))
             x = grid.xi_nodes * (1.0 - grid.xi_nodes)
             law = max(delta_law_residual(cs, r, q, x.astype(complex))
                       for r, q in ((0.5, 1.2), (0.3, 0.7), (1.0, 1.0)))

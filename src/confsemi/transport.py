@@ -1,10 +1,10 @@
 """Closed-form transport model on the half-line.
 
-An order-alpha `Clock`, applied to space, is the stretch
+An `Order` alpha, its clock applied to space, is the stretch
 psi(x) = x**alpha / alpha.  It turns the flow x -> f(psi_inv(psi(x) + t))
-into a plain shift: substituting xi = psi(x) (`apply_Q`) conjugates the
-stretched flow to translation, and the same map carries a weight on the
-half-line into the stretched variable.  The clock is all that a function
+into a plain shift: substituting xi = psi(x) (`spaces.pullback`) conjugates
+the stretched flow to translation, and the same map carries a weight on the
+half-line into the stretched variable.  The order is all that a function
 here reads of the model.  All operators are symbolic compositions of
 closed forms; nothing is discretized, so identities hold to rounding.
 """
@@ -14,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import FunctionHandle
-from .clock import Clock, pow_arr
+from .clock import Order, pow_arr
+from .spaces import pullback
 
 __all__ = [
     "apply_S_alpha",
-    "apply_Q",
     "apply_W",
     "transport_conjugacy_residual",
     "transport_pde_residual",
@@ -26,32 +26,24 @@ __all__ = [
 ]
 
 
-def apply_S_alpha(clock: Clock, f: FunctionHandle, t: float) -> FunctionHandle:
+def apply_S_alpha(order: Order, f: FunctionHandle, t: float) -> FunctionHandle:
     """Flow along the stretched shift: x -> f(psi_inv(psi(x) + t))."""
     if t < 0.0:
         raise ValueError(f"flow time must be nonnegative, got {t}")
-    a = clock.delta
+    a = order.delta
 
     def ev(x):
-        return f.evaluator(clock.psi_inv(clock.psi(np.asarray(x, dtype=float)) + t))
+        return f.evaluator(order.psi_inv(order.psi(np.asarray(x, dtype=float)) + t))
 
     deriv = None
     if f.classical_derivative is not None:
         def deriv(x):  # chain rule through psi_inv(psi(x) + t)
             arr = np.asarray(x, dtype=float)
-            xi = clock.psi(arr) + t
+            xi = order.psi(arr) + t
             inner = pow_arr(a * xi, 1.0 / a - 1.0) * pow_arr(arr, a - 1.0)
-            return f.classical_derivative(clock.psi_inv(xi)) * inner
+            return f.classical_derivative(order.psi_inv(xi)) * inner
 
     return FunctionHandle(evaluator=ev, classical_derivative=deriv)
-
-
-def apply_Q(clock: Clock, f: FunctionHandle) -> FunctionHandle:
-    """Straightening map xi -> f(psi_inv(xi))."""
-    def ev(xi):
-        return f.evaluator(clock.psi_inv(np.asarray(xi, dtype=float)))
-
-    return FunctionHandle(evaluator=ev)
 
 
 def apply_W(g: FunctionHandle, t: float) -> FunctionHandle:
@@ -65,7 +57,7 @@ def apply_W(g: FunctionHandle, t: float) -> FunctionHandle:
     return FunctionHandle(evaluator=ev)
 
 
-def transport_conjugacy_residual(clock: Clock, f: FunctionHandle, t: float,
+def transport_conjugacy_residual(order: Order, f: FunctionHandle, t: float,
                                  xi_samples) -> float:
     """Pointwise defect of (stretch then flow) versus (shift then stretch).
 
@@ -73,12 +65,12 @@ def transport_conjugacy_residual(clock: Clock, f: FunctionHandle, t: float,
     so the residual is pure rounding.
     """
     xi = np.asarray(xi_samples, dtype=float)
-    left = apply_Q(clock, apply_S_alpha(clock, f, t)).evaluator(xi)
-    right = apply_W(apply_Q(clock, f), t).evaluator(xi)
+    left = pullback(order, apply_S_alpha(order, f, t)).evaluator(xi)
+    right = apply_W(pullback(order, f), t).evaluator(xi)
     return float(np.max(np.abs(np.asarray(left) - np.asarray(right))))
 
 
-def transport_pde_residual(clock: Clock, f: FunctionHandle, t: float,
+def transport_pde_residual(order: Order, f: FunctionHandle, t: float,
                            x_samples) -> float:
     """Defect of the evolution equation along the closed-form flow.
 
@@ -91,12 +83,12 @@ def transport_pde_residual(clock: Clock, f: FunctionHandle, t: float,
     dt = 1e-5
     if t <= dt:
         raise ValueError(f"need t > dt, got t={t}")
-    a = clock.delta
+    a = order.delta
     x = np.asarray(x_samples, dtype=float)
-    ahead = apply_S_alpha(clock, f, t + dt).evaluator(x)
-    behind = apply_S_alpha(clock, f, t - dt).evaluator(x)
+    ahead = apply_S_alpha(order, f, t + dt).evaluator(x)
+    behind = apply_S_alpha(order, f, t - dt).evaluator(x)
     time_side = (np.asarray(ahead) - np.asarray(behind)) / (2.0 * dt)
-    flowed = apply_S_alpha(clock, f, t)
+    flowed = apply_S_alpha(order, f, t)
     space_side = pow_arr(x, 1.0 - a) * np.asarray(flowed.classical_derivative(x))
     return float(np.max(np.abs(time_side - space_side)))
 
@@ -106,7 +98,7 @@ _DECAY_THRESHOLD = 1e-2
 _SAMPLES_PER_WINDOW = 200
 
 
-def weight_criterion_probe(clock: Clock, rho: FunctionHandle,
+def weight_criterion_probe(order: Order, rho: FunctionHandle,
                            window_ends) -> dict:
     """Window-infimum probe of the weight rho carried by the clock (HEURISTIC).
 
@@ -120,7 +112,7 @@ def weight_criterion_probe(clock: Clock, rho: FunctionHandle,
         raise ValueError("need at least 3 windows")
     if any(e2 <= e1 for e1, e2 in zip(ends, ends[1:])):
         raise ValueError("window ends must be increasing")
-    rho_t = apply_Q(clock, rho)
+    rho_t = pullback(order, rho)
     infima = []
     for end in ends:
         grid = np.linspace(end, 2.0 * end, _SAMPLES_PER_WINDOW)
@@ -130,7 +122,7 @@ def weight_criterion_probe(clock: Clock, rho: FunctionHandle,
     return {
         "label": "HEURISTIC",
         "status": "criterion_satisfied" if satisfied else "criterion_not_satisfied",
-        "alpha": clock.delta,
+        "alpha": order.delta,
         "window_ends": [float(e) for e in ends],
         "infima": infima,
         "decay_threshold": _DECAY_THRESHOLD,

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from confsemi import (Clock, ConformableSemigroup, DriftDiffusionParams, EigenfunctionFamily,
+from confsemi import (ConformableSemigroup, DriftDiffusionParams, EigenfunctionFamily,
                       FunctionHandle, GeneratorMatrix, LambdaRectangle, Order,
                       WeightedQuadrature,
                       clock_invariance_check, conf_derivative_limit,
@@ -21,9 +21,9 @@ from confsemi import (Clock, ConformableSemigroup, DriftDiffusionParams, Eigenfu
                       dsw_condition_check, dsw_hypotheses_probe,
                       empirical_orders, evolve_classical,
                       generator_delta_quotient, lp_delta_norm,
-                      parameter_transfer, periodic_orbit_check,
+                      parameter_transfer, periodic_orbit_check, pullback,
                       resolvent_bound_check, solve_conformable_ode,
-                      spatial_unitary_apply, time_isometry_apply,
+                      spatial_unitary_apply,
                       transport_conjugacy_residual, transport_pde_residual,
                       x0_probe, xinf_probe)
 from confsemi.cli import main as cli_main
@@ -51,16 +51,16 @@ def plain_graded_gauss(end, fn, depth=14, pts=24):
 
 
 def nilpotent2():
-    return GeneratorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2),
+    return GeneratorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0,
                            "nilpotent2")
 
 
 def diag_decay():
-    return GeneratorMatrix(np.diag([-1.0, -2.0]), np.ones(2), "diag_decay")
+    return GeneratorMatrix(np.diag([-1.0, -2.0]), 1.0, "diag_decay")
 
 
 def diag_complex():
-    return GeneratorMatrix(np.diag([-0.3 + 2.0j, -1.0 + 0.0j]), np.ones(2),
+    return GeneratorMatrix(np.diag([-0.3 + 2.0j, -1.0 + 0.0j]), 1.0,
                            "diag_complex")
 
 
@@ -69,11 +69,11 @@ def nonnormal4():
                         [0.0, -0.5, 3.0, 0.0],
                         [0.0, 0.0, -2.0, 1.0],
                         [0.0, 0.0, 0.0, 0.3]])
-    return GeneratorMatrix(entries, np.ones(4), "nonnormal4")
+    return GeneratorMatrix(entries, 1.0, "nonnormal4")
 
 
 def conformable(g, delta):
-    return ConformableSemigroup(g, Clock(Order(delta)))
+    return ConformableSemigroup(g, Order(delta))
 
 
 def report(k, name, worst, tol, elapsed):
@@ -86,11 +86,11 @@ def test_criterion_01_time_isometry():
     worst = 0.0
     for delta in (0.3, 0.5, 0.9):
         quad = WeightedQuadrature.build(Order(delta), 0.0, 1.0)
-        s_end = Clock(Order(delta)).psi(1.0)
+        s_end = Order(delta).psi(1.0)
         for p in (1.0, 2.0):
             for f in corpus():
                 left = lp_delta_norm(f, p, quad)
-                g = time_isometry_apply(Clock(Order(delta)), 1.0, f)
+                g = pullback(Order(delta), f)
                 right = plain_graded_gauss(
                     s_end, lambda s: np.abs(g(s)) ** p) ** (1.0 / p)
                 worst = max(worst, abs(left - right) / left)
@@ -174,8 +174,8 @@ def test_criterion_05_generator_coincidence():
         want = g.entries @ x
         scale = max(1.0, float(np.linalg.norm(want)))
         for delta in (0.3, 0.5, 0.7):
-            clock = Clock(Order(delta))
-            t_seq = [clock.psi_inv(0.5 * 2.0**-k) for k in range(8)]
+            order = Order(delta)
+            t_seq = [order.psi_inv(0.5 * 2.0**-k) for k in range(8)]
             got = generator_delta_quotient(conformable(g, delta), x, t_seq)
             worst = max(worst, float(np.linalg.norm(got - want)) / scale)
     elapsed = time.process_time() - start
@@ -190,10 +190,10 @@ def test_criterion_06_clock_correspondence():
     x0 = np.array([1.0, -1.0, 0.5, 1.0], dtype=complex)
     worst = 0.0
     for delta in (0.4, 0.7):
-        clock = Clock(Order(delta))
+        order = Order(delta)
         orbit = solve_conformable_ode(g, Order(delta), x0, 2.0, n_out=9)
         for t, state in zip(orbit.times, orbit.states):
-            want = evolve_classical(g, clock.psi(float(t)), x0)
+            want = evolve_classical(g, order.psi(float(t)), x0)
             err = np.linalg.norm(state - want) / max(np.linalg.norm(want), 1e-30)
             worst = max(worst, float(err))
     elapsed = time.process_time() - start
@@ -258,13 +258,13 @@ def test_criterion_10_transport_conjugacy_and_pde():
     worst_conj = 0.0
     worst_pde = 0.0
     for alpha in (0.3, 0.5, 1.0):
-        clock = Clock(Order(alpha))
+        order = Order(alpha)
         xi = 0.05 + 2.95 * rng.random(50)
         for t in (0.3, 1.0):
-            res = transport_conjugacy_residual(clock, f, t, xi) / 2.0  # 1+max|sin|
+            res = transport_conjugacy_residual(order, f, t, xi) / 2.0  # 1+max|sin|
             worst_conj = max(worst_conj, res)
         worst_pde = max(worst_pde, transport_pde_residual(
-            clock, f, 0.7, np.linspace(0.2, 2.0, 40)))
+            order, f, 0.7, np.linspace(0.2, 2.0, 40)))
     elapsed = time.process_time() - start
     assert worst_conj <= 1e-12
     assert worst_pde <= 1e-6
@@ -303,11 +303,11 @@ def test_criterion_12_dynamical_witnesses():
     assert landing <= 1e-12
     orbit, params = periodic_orbit_check(2.0 * np.pi)
     assert params["t_return"] == pytest.approx(
-        Clock(Order(0.5)).psi_inv(1.0), rel=1e-14)
+        Order(0.5).psi_inv(1.0), rel=1e-14)
     assert orbit <= 1e-9
-    rotation = GeneratorMatrix(np.diag([2j * np.pi, -2j * np.pi]), np.ones(2))
+    rotation = GeneratorMatrix(np.diag([2j * np.pi, -2j * np.pi]), 1.0)
     transfer, _ = clock_invariance_check(
-        ConformableSemigroup(rotation, Clock(Order(0.5))),
+        ConformableSemigroup(rotation, Order(0.5)),
         np.array([1.0, 1.0], dtype=complex), [params["tau"]])
     assert transfer <= 1e-12
     elapsed = time.process_time() - start

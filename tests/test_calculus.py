@@ -46,7 +46,9 @@ def test_quadrature_exponential_oracle(delta, p):
 def test_quadrature_interval_and_panels():
     quad = WeightedQuadrature.build(Order(0.5), 0.0, 1.0, panels=4)
     assert quad.interval == (0.0, 1.0)
-    assert quad.panels == 4
+    # the first of the 4 panels splits into GRADE_DEPTH + 1 graded ones
+    n_panels = 4 + WeightedQuadrature.GRADE_DEPTH
+    assert quad.nodes.shape == quad.weights.shape == (n_panels * 16,)
     assert np.all(np.diff(quad.nodes) > 0)
     assert np.all(quad.weights > 0)
 

@@ -299,6 +299,27 @@ def test_order_one_mild_bounds_are_zero(tmp_path, capsys):
                     for n in (64, 128, 256)}
 
 
+@pytest.mark.parametrize("a, b, c", [(2.0, 1.0, 1.0), (4.0, 1.0, 0.4),
+                                     (0.05, 1.0, 0.4), (0.2, 5.0, 0.4)])
+def test_dynamics_suite_passes_off_the_default_diffusion(tmp_path, capsys,
+                                                         a, b, c):
+    """the spectral rectangle grows with a diffusion above 1 and never
+    shrinks below the unit one, so the corner eigenfunctions stay apart and
+    the Gram determinant clears gram_min both when the diffusion dominates
+    and when the drift does"""
+    cfg = write(tmp_path, f"[drift_diffusion]\na = {a}\nb = {b}\nc = {c}\n",
+                name="diffusive.ini")
+    out = tmp_path / "dyn"
+    code = main(["run", "--suite", "dynamics", "--config", cfg,
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    gram = {r["check_id"]: r for r in json.loads(
+        (out / "report.json").read_text())}["dynamics.gram_separation"]
+    assert gram["passed"]
+    assert gram["params"]["threshold"] == TOLERANCE_DEFAULTS["gram_min"] == 1e-10
+
+
 def test_bad_suite_name_rejected_by_parser(tmp_path, capsys):
     cfg = write(tmp_path, "[run]\nsuite = all\n")
     with pytest.raises(SystemExit):

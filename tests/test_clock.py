@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from confsemi import Clock, Order
+from confsemi import Order
 from confsemi.clock import pow_arr, pow_pos
 
 DELTAS = st.floats(min_value=0.05, max_value=1.0, exclude_min=True)
@@ -37,13 +37,13 @@ def test_pow_pos_unit_exponent_is_bitwise():
 
 
 def test_negative_dust_is_clamped():
-    c = Clock(Order(0.4))
+    c = Order(0.4)
     assert c.psi(-5e-16) == 0.0
     assert c.psi_inv(-5e-16) == 0.0
 
 
 def test_genuinely_negative_time_raises():
-    c = Clock(Order(0.4))
+    c = Order(0.4)
     with pytest.raises(ValueError):
         c.psi(-1e-3)
     with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ def test_genuinely_negative_time_raises():
 @settings(deadline=None, max_examples=200)
 @given(delta=DELTAS, t=TIMES)
 def test_roundtrip_bijection(delta, t):
-    c = Clock(Order(delta))
+    c = Order(delta)
     back = c.psi_inv(c.psi(t))
     assert back == pytest.approx(t, rel=1e-12)
 
@@ -61,7 +61,7 @@ def test_roundtrip_bijection(delta, t):
 @settings(deadline=None, max_examples=200)
 @given(delta=DELTAS, t=TIMES)
 def test_forward_value(delta, t):
-    c = Clock(Order(delta))
+    c = Order(delta)
     assert c.psi(t) == pytest.approx(t**delta / delta, rel=1e-13)
 
 
@@ -69,7 +69,7 @@ def test_forward_value(delta, t):
 @given(delta=DELTAS, r=TIMES, q=TIMES)
 def test_additive_composition(delta, r, q):
     """psi_inv(psi(r) + psi(q)) equals the order-delta sum of r and q."""
-    c = Clock(Order(delta))
+    c = Order(delta)
     combined = c.psi_inv(c.psi(r) + c.psi(q))
     expect = (r**delta + q**delta) ** (1.0 / delta)
     assert combined == pytest.approx(expect, rel=1e-11)
@@ -82,7 +82,7 @@ def test_strictly_monotone(delta, t1, t2):
     """psi never decreases, and increases strictly once the gap is above
     rounding: psi shrinks relative spacing by delta < 1, so two adjacent
     floats can map to one value."""
-    c = Clock(Order(delta))
+    c = Order(delta)
     lo, hi = sorted((t1, t2))
     assert c.psi(lo) <= c.psi(hi)
     if hi - lo > 1e-12 * hi:
@@ -90,7 +90,7 @@ def test_strictly_monotone(delta, t1, t2):
 
 
 def test_order_one_is_identity_clock():
-    c = Clock(Order(1.0))
+    c = Order(1.0)
     for t in (0.0, 0.3, 1.0, 7.25):
         assert c.psi(t) == t
         assert c.psi_inv(t) == t
@@ -98,7 +98,7 @@ def test_order_one_is_identity_clock():
 
 def test_half_order_example():
     # delta = 1/2 sends t to 2 sqrt(t)
-    c = Clock(Order(0.5))
+    c = Order(0.5)
     assert c.psi(4.0) == pytest.approx(4.0, rel=1e-15)
     assert c.psi(0.25) == pytest.approx(1.0, rel=1e-15)
     assert c.psi_inv(1.0) == pytest.approx(0.25, rel=1e-15)
@@ -135,7 +135,7 @@ ARRAY_INPUTS = np.array([0.0, 5e-324, 1e-310, TINY / 2.0, TINY, 1e-300, 1e-12,
 @pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 1.0])
 def test_array_clock_matches_the_inline_formulas(delta):
     """the array maps keep the bits of the formulas they replace"""
-    c = Clock(Order(delta))
+    c = Order(delta)
     x = ARRAY_INPUTS.copy()
     assert np.array_equal(c.psi(x), pow_arr(x, delta) / delta)
     assert np.array_equal(c.psi_inv(x), pow_arr(delta * x, 1.0 / delta))
@@ -146,7 +146,7 @@ def test_array_clock_matches_the_inline_formulas(delta):
 
 @pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 1.0])
 def test_array_clock_agrees_with_the_scalar_clock(delta):
-    c = Clock(Order(delta))
+    c = Order(delta)
     x = np.array([0.0, 1e-6, 0.3, 1.0, 1.7, 10.0])
     assert np.allclose(c.psi(x), [c.psi(v) for v in x], rtol=1e-14, atol=0.0)
     assert np.allclose(c.psi_inv(x), [c.psi_inv(v) for v in x],
@@ -154,7 +154,7 @@ def test_array_clock_agrees_with_the_scalar_clock(delta):
 
 
 def test_array_negative_time_raises_and_dust_is_clamped():
-    c = Clock(Order(0.4))
+    c = Order(0.4)
     bad = np.array([0.5, -1e-3])
     with pytest.raises(ValueError):
         c.psi(bad)

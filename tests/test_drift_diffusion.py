@@ -76,8 +76,8 @@ def test_discrete_unitary_preserves_pairing():
     for _ in range(5):
         f = rng.standard_normal(48)
         g = rng.standard_normal(48)
-        left = np.sum(g_graded.ip_weights * f * g)
-        right = np.sum(g_uniform.ip_weights * (u * f) * (u * g))
+        left = np.sum(g_graded.weight * f * g)
+        right = np.sum(g_uniform.weight * (u * f) * (u * g))
         assert left == pytest.approx(right, rel=1e-13)
 
 
@@ -157,6 +157,20 @@ def test_operators_coincide_at_order_one():
     a = build_conformable_operator(p, grid)
     b = build_classical_operator(p, grid)
     assert np.array_equal(a.entries, b.entries)
+
+
+@pytest.mark.parametrize("n", [16, 257])
+@pytest.mark.parametrize("delta", [0.02, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("clamp_right", [False, True])
+def test_twin_is_the_constant_coefficient_stencil_bitwise(n, delta, clamp_right):
+    """the order-1 graded routine on the uniform nodes is a" D2 + b" D1 + c I"""
+    p = DriftDiffusionParams(1.3, 0.7, 0.4, Order(delta))
+    grid = GridPair.build(n, Order(delta))
+    a_t, b_t, c = parameter_transfer(p)
+    d1, d2 = dd._difference_matrices(grid.xi_nodes, 1.0 if clamp_right else None)
+    want = a_t * d2 + b_t * d1 + c * np.eye(n)
+    got = build_classical_operator(p, grid, clamp_right).entries
+    assert got.tobytes() == want.tobytes()
 
 
 def test_builders_reject_mismatched_grid():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from confsemi import (Clock, ConformableSemigroup, DriftDiffusionParams, EigenfunctionFamily,
+from confsemi import (ConformableSemigroup, DriftDiffusionParams, EigenfunctionFamily,
                       GeneratorMatrix, LambdaRectangle, Order,
                       clock_invariance_check, dsw_condition_check,
                       dsw_hypotheses_probe, periodic_orbit_check, x0_probe,
@@ -91,8 +91,8 @@ def test_probe_gram_separation(probe_report):
 
 @pytest.mark.parametrize("delta", [0.4, 0.8])
 def test_clock_invariance(delta):
-    g = GeneratorMatrix(np.diag([-1.0, -2.0]), np.ones(2), "diag_decay")
-    cs = ConformableSemigroup(g, Clock(Order(delta)))
+    g = GeneratorMatrix(np.diag([-1.0, -2.0]), 1.0, "diag_decay")
+    cs = ConformableSemigroup(g, Order(delta))
     residual, params = clock_invariance_check(
         cs, np.array([1.0, -1.0], dtype=complex), (0.3, 0.9, 1.7))
     assert residual <= TOLERANCE_DEFAULTS["invariance"]
@@ -105,8 +105,8 @@ def test_clock_invariance(delta):
 def test_clock_invariance_on_the_rotation_pair(omega):
     """the transfer term of the periodic witness, at its order 1/2 and its
     period tau = 2 pi / omega"""
-    g = GeneratorMatrix(np.diag([1j * omega, -1j * omega]), np.ones(2))
-    cs = ConformableSemigroup(g, Clock(Order(0.5)))
+    g = GeneratorMatrix(np.diag([1j * omega, -1j * omega]), 1.0)
+    cs = ConformableSemigroup(g, Order(0.5))
     residual, _ = clock_invariance_check(
         cs, np.array([1.0, 1.0], dtype=complex), [2.0 * np.pi / omega])
     assert residual <= 1e-12

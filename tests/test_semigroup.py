@@ -1,12 +1,14 @@
 """Matrix evolution, the composed-clock family, and its generator."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from confsemi import (Clock, ConformableSemigroup, GeneratorMatrix, Order,
+from confsemi import (ConformableSemigroup, GeneratorMatrix, Order,
                       contraction_check, delta_law_residual,
                       dirichlet_second_difference, dissipativity_margin,
                       evolve_classical, generator_delta_quotient,
@@ -16,16 +18,16 @@ from confsemi.config import TOLERANCE_DEFAULTS
 
 
 def nilpotent2():
-    return GeneratorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2),
+    return GeneratorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0,
                            "nilpotent2")
 
 
 def diag_decay():
-    return GeneratorMatrix(np.diag([-1.0, -2.0]), np.ones(2), "diag_decay")
+    return GeneratorMatrix(np.diag([-1.0, -2.0]), 1.0, "diag_decay")
 
 
 def diag_complex():
-    return GeneratorMatrix(np.diag([-0.3 + 2.0j, -1.0 + 0.0j]), np.ones(2),
+    return GeneratorMatrix(np.diag([-0.3 + 2.0j, -1.0 + 0.0j]), 1.0,
                            "diag_complex")
 
 
@@ -34,11 +36,11 @@ def nonnormal4():
                         [0.0, -0.5, 3.0, 0.0],
                         [0.0, 0.0, -2.0, 1.0],
                         [0.0, 0.0, 0.0, 0.3]])
-    return GeneratorMatrix(entries, np.ones(4), "nonnormal4")
+    return GeneratorMatrix(entries, 1.0, "nonnormal4")
 
 
 def conformable(g, delta):
-    return ConformableSemigroup(g, Clock(Order(delta)))
+    return ConformableSemigroup(g, Order(delta))
 
 
 # classical evolution ---------------------------------------------------------
@@ -89,7 +91,7 @@ def test_half_order_square_root_flow():
     (np.diag([-1.0, -2.0]).astype(complex), np.complex128),
 ])
 def test_entries_dtype_follows_input(entries, dtype):
-    assert GeneratorMatrix(entries, np.ones(2)).entries.dtype == dtype
+    assert GeneratorMatrix(entries, 1.0).entries.dtype == dtype
 
 
 @pytest.mark.parametrize("g", [nonnormal4(), dirichlet_second_difference(48)],
@@ -139,8 +141,8 @@ def test_order_one_law_is_classical():
 def test_generator_quotient_recovers_matrix(g, delta):
     """extrapolated order-delta difference quotient equals A x."""
     cs = conformable(g, delta)
-    clock = Clock(Order(delta))
-    t_seq = [clock.psi_inv(0.5 * 2.0**-k) for k in range(8)]
+    order = Order(delta)
+    t_seq = [order.psi_inv(0.5 * 2.0**-k) for k in range(8)]
     x = np.array([1.0, -1.0], dtype=complex)
     got = generator_delta_quotient(cs, x, t_seq)
     want = g.entries @ x
@@ -154,10 +156,10 @@ def test_adaptive_orbit_matches_exponential(delta):
     """the rescaled-coefficient ODE orbit equals the clock-composed flow."""
     g = nonnormal4()
     x0 = np.array([1.0, -1.0, 0.5, 1.0], dtype=complex)
-    clock = Clock(Order(delta))
+    order = Order(delta)
     orbit = solve_conformable_ode(g, Order(delta), x0, 2.0, n_out=9)
     for t, state in zip(orbit.times, orbit.states):
-        want = evolve_classical(g, clock.psi(float(t)), x0)
+        want = evolve_classical(g, order.psi(float(t)), x0)
         err = np.linalg.norm(state - want) / max(np.linalg.norm(want), 1e-30)
         assert err <= 1e-6
 
@@ -197,6 +199,29 @@ def test_strong_continuity_check(delta):
 def test_dissipativity_margin_dirichlet():
     g = dirichlet_second_difference(128)
     assert dissipativity_margin(g) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_dirichlet_margin_and_flow_norms_match_closed_forms(n):
+    """the top eigenvalue of the clamped second difference is
+    -(4/h^2) sin^2(pi h/2); its flow is normal, so the norm at time t is
+    exp(psi(t) times that eigenvalue)"""
+    g = dirichlet_second_difference(n)
+    h = 1.0 / (n + 1)
+    top = -(4.0 / h ** 2) * math.sin(math.pi * h / 2.0) ** 2
+    assert dissipativity_margin(g) == pytest.approx(top, rel=1e-12)
+    order = Order(0.5)
+    t_grid = (0.1, 1.0, 5.0)
+    _, params = contraction_check(ConformableSemigroup(g, order), t_grid)
+    for t in t_grid:
+        assert params[f"t={t}"] == pytest.approx(
+            math.exp(order.psi(t) * top), rel=1e-9)
+
+
+@pytest.mark.parametrize("weight", [0.0, -0.5, math.inf, math.nan])
+def test_weight_must_be_finite_and_positive(weight):
+    with pytest.raises(ValueError):
+        GeneratorMatrix(np.eye(2), weight)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0])

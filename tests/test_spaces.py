@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsemi import (Clock, FunctionHandle, Order, WeightedQuadrature,
-                      apply_Q, inner_product_2delta,
-                      lp_delta_norm, make_weight, sobolev_norm,
-                      spatial_unitary_apply, time_isometry_apply)
+from confsemi import (FunctionHandle, Order, WeightedQuadrature,
+                      inner_product_2delta, lp_delta_norm, make_weight,
+                      pullback, sobolev_norm, spatial_unitary_apply)
 
 HORIZON = 1.0
 
@@ -98,7 +97,7 @@ def test_sobolev_layers_monotone(delta):
 
 def test_transported_weight_worked_value():
     """exponential weight under the order-1/2 substitution becomes a Gaussian."""
-    moved = apply_Q(Clock(Order(0.5)), make_weight("exp_decay"))
+    moved = pullback(Order(0.5), make_weight("exp_decay"))
     xi = np.linspace(0.0, 3.0, 13)
     assert np.allclose(moved(xi), np.exp(-(xi**2) / 4.0), rtol=1e-13)
 
@@ -109,11 +108,11 @@ def test_transported_weight_worked_value():
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_time_isometry(delta, p):
     quad = quad_for(delta)
-    clock = Clock(Order(delta))
-    s_end = clock.psi(HORIZON)
+    order = Order(delta)
+    s_end = order.psi(HORIZON)
     for _, f in corpus():
         left = lp_delta_norm(f, p, quad)
-        g = time_isometry_apply(clock, HORIZON, f)
+        g = pullback(order, f)
         right = plain_graded_gauss(s_end, lambda s: np.abs(g(s)) ** p) ** (1.0 / p)
         assert abs(left - right) <= 1e-10 * max(left, 1e-30)
 
