@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clock import Order
+from .clock import Order, pow_arr
 
 __all__ = [
     "FunctionHandle",
@@ -90,14 +90,30 @@ class WeightedQuadrature:
         return self.delta.psi_inv(self.nodes)
 
 
-def conf_derivative(f: FunctionHandle, delta: Order, t: float):
-    """t**(1-delta) * f'(t) from the declared analytic derivative."""
+def _time(t, what: str):
+    """An array t >= 0 as it is (`_pow` takes it through `pow_arr`, where
+    t = 0 gives 0), else float(t) > 0 (taken through `**`).  The routes
+    differ in the last bit on some inputs, so each caller keeps its own."""
+    if isinstance(t, np.ndarray):
+        if t.min(initial=0.0) < 0.0:
+            raise ValueError(f"{what} needs t >= 0, got {t.min()}")
+        return t
     if t <= 0.0:
-        raise ValueError(f"derivative of order {delta.delta} needs t > 0, got {t}")
+        raise ValueError(f"{what} needs t > 0, got {t}")
+    return float(t)
+
+
+def _pow(t, exponent: float):
+    return pow_arr(t, exponent) if isinstance(t, np.ndarray) else t ** exponent
+
+
+def conf_derivative(f: FunctionHandle, delta: Order, t):
+    """t**(1-delta) * f'(t) from the declared analytic derivative, at a
+    float t > 0 or elementwise on an array t >= 0."""
+    t = _time(t, f"derivative of order {delta.delta}")
     if f.classical_derivative is None:
         raise ValueError("handle declares no classical_derivative")
-    d = delta.delta
-    return float(t) ** (1.0 - d) * f.classical_derivative(t)
+    return _pow(t, 1.0 - delta.delta) * f.classical_derivative(t)
 
 
 # smallest step of the limit quotient's halving sequence
@@ -153,8 +169,9 @@ def conf_integral(f: FunctionHandle, quad: WeightedQuadrature):
     return complex(np.sum(quad.weights * np.asarray(f.evaluator(quad.t_nodes()))))
 
 
-def conf_derivative_iterated(f: FunctionHandle, delta: Order, k: int, t: float):
-    """k-fold application of the order-delta derivative, k in {1, 2}.
+def conf_derivative_iterated(f: FunctionHandle, delta: Order, k: int, t):
+    """k-fold application of the order-delta derivative, k in {1, 2}, at a
+    float t > 0 or elementwise on an array t >= 0.
 
     The k=2 case is expanded analytically by the product rule,
     (1-delta) t**(1-2 delta) f'(t) + t**(2-2 delta) f''(t),
@@ -162,13 +179,11 @@ def conf_derivative_iterated(f: FunctionHandle, delta: Order, k: int, t: float):
     """
     if k not in (1, 2):
         raise ValueError(f"iterated derivative supports k in {{1, 2}}, got {k}")
-    if t <= 0.0:
-        raise ValueError(f"iterated derivative needs t > 0, got {t}")
+    t = _time(t, "iterated derivative")
     if k == 1:
         return conf_derivative(f, delta, t)
     if f.classical_derivative is None or f.second_derivative is None:
         raise ValueError("k=2 needs classical_derivative and second_derivative")
     d = delta.delta
-    t = float(t)
-    return ((1.0 - d) * t ** (1.0 - 2.0 * d) * f.classical_derivative(t)
-            + t ** (2.0 - 2.0 * d) * f.second_derivative(t))
+    return ((1.0 - d) * _pow(t, 1.0 - 2.0 * d) * f.classical_derivative(t)
+            + _pow(t, 2.0 - 2.0 * d) * f.second_derivative(t))

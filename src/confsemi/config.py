@@ -18,7 +18,8 @@ from typing import Mapping
 from .clock import Order
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config",
-           "SUITE_NAMES", "WEIGHT_IDS", "TOLERANCE_DEFAULTS", "ORDER_FLOOR"]
+           "SUITE_NAMES", "WEIGHT_IDS", "TOLERANCE_DEFAULTS", "ORDER_FLOOR",
+           "COEFFICIENT_RANGE"]
 
 SUITE_NAMES = ("calculus", "spaces", "clock", "semigroup", "drift-diffusion",
                "transport", "dynamics", "all")
@@ -29,6 +30,11 @@ WEIGHT_IDS = ("unit", "exp_decay", "gaussian")
 # times, the orbit start (1e-3 delta)**(1/delta) and the graded nodes
 # xi**(1/delta) underflow, and runs end in tracebacks instead of verdicts
 ORDER_FLOOR = 0.02
+
+# closed range of each [drift_diffusion] coefficient: the eigenfunctions'
+# characteristic roots grow like sqrt(12/a) and b/a, and outside it their
+# exponentials and powers leave double range and runs end in tracebacks
+COEFFICIENT_RANGE = (1e-4, 1e6)
 
 TOLERANCE_DEFAULTS = {
     "clock_roundtrip": 1e-13,
@@ -139,10 +145,11 @@ class RunConfig:
                                   f"nonnegative, got {self.tolerances[key]}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        lo, hi = COEFFICIENT_RANGE
         for name, value in (("a", self.dd_a), ("b", self.dd_b), ("c", self.dd_c)):
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"[drift_diffusion] {name} must be finite and "
-                                  f"positive, got {value}")
+            if not lo <= value <= hi:
+                raise ConfigError(f"[drift_diffusion] {name} must lie in "
+                                  f"[{lo:g}, {hi:g}], got {value}")
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]

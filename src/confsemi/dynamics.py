@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clock import Order
 from .drift_diffusion import (DriftDiffusionParams, EigenfunctionFamily,
-                              GridPair, _assemble_conformable)
+                              GridPair, build_classical_operator)
 from .semigroup import ConformableSemigroup, GeneratorMatrix, evolve_classical
 
 __all__ = [
     "LambdaRectangle",
-    "DSWReport",
     "dsw_condition_check",
     "dsw_hypotheses_probe",
     "clock_invariance_check",
@@ -31,12 +30,10 @@ __all__ = [
     "periodic_orbit_check",
 ]
 
-# fixed test profiles for the contour-analyticity functionals
-_FUNCTIONALS = (
-    ("sine", lambda xi: np.sin(np.pi * xi)),
-    ("parabola", lambda xi: xi * (1.0 - xi)),
-    ("exp_decay", lambda xi: np.exp(-xi)),
-)
+# fixed test profiles for the contour-analyticity functionals: sine,
+# parabola and exponential decay
+_FUNCTIONALS = (lambda xi: np.sin(np.pi * xi), lambda xi: xi * (1.0 - xi),
+                lambda xi: np.exp(-xi))
 # radius of the contour means; each is also taken at half this radius
 _CONTOUR_RADIUS = 0.1
 # trapezoid nodes on each circle: exact mean for trig polynomials up to
@@ -75,24 +72,6 @@ class LambdaRectangle:
                 for sr in (-1.0, 1.0) for si in (-1.0, 1.0)]
 
 
-@dataclass
-class DSWReport:
-    """Everything the hypothesis probe measured, kept raw for reporting."""
-
-    n: int
-    h: float
-    eigen_records: list = field(default_factory=list)
-    imag_axis_records: list = field(default_factory=list)
-    analyticity_records: list = field(default_factory=list)
-    gram: dict = field(default_factory=dict)
-
-    def worst_eigen_ratio(self) -> float:
-        return max(rec["ratio"] for rec in self.eigen_records)
-
-    def worst_analyticity(self) -> float:
-        return max(rec["rel_residual"] for rec in self.analyticity_records)
-
-
 def dsw_condition_check(p: DriftDiffusionParams) -> dict:
     """Coefficient inequality gating the dichotomy: c < b^2/(2a) < 1.
 
@@ -125,7 +104,7 @@ def _contour_mean(fam: EigenfunctionFamily, test_vals: np.ndarray,
 
 def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
                          n: int = 256,
-                         residual_factor: float = 10.0) -> DSWReport:
+                         residual_factor: float = 10.0) -> dict:
     """Probe the three checkable hypotheses on one spectral rectangle.
 
     For every sample the discrete eigen-residual on centered-stencil rows
@@ -134,26 +113,30 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
     the Gram determinant of the normalized corner eigenfunctions is
     recorded for the caller to hold against its separation threshold.  A
     degenerate Gram (duplicated spectral values) is recorded, not raised.
+
+    Returns the worst (residual, params) of each measure under
+    "eigen_residual", "eigen_residual_imag_axis", "analyticity" and
+    "analyticity_shrink" (the change on halving the radius), and the params
+    {det, duplicate_values} under "gram".
     """
     grid = GridPair.build(n, Order(1.0))
-    matrix = _assemble_conformable(fam.diffusion, fam.drift, fam.reaction,
-                                   1.0, grid.xi_nodes, clamp_right=False)
-    xi = grid.xi_nodes
-    h = grid.h
+    twin = DriftDiffusionParams(fam.diffusion, fam.drift, fam.reaction,
+                                Order(1.0))
+    matrix = build_classical_operator(twin, grid).entries
+    xi, h = grid.xi_nodes, grid.h
     centered = slice(0, n - 1)  # last row is one-sided, excluded from the bound
-    report = DSWReport(n=n, h=h)
 
+    ratios, axis_ratios = [], []
     for lam in rect.samples():
         vec = fam.evaluate(lam, xi)
         residual = float(np.max(np.abs((matrix @ vec - lam * vec)[centered])))
         bound = residual_factor * h * h * fam.fourth_derivative_sup(lam)
-        rec = {"lam": lam, "residual": residual, "bound": bound,
-               "ratio": residual / bound}
-        report.eigen_records.append(rec)
+        ratios.append(residual / bound)
         if abs(lam.real) <= 1e-12:
-            report.imag_axis_records.append(rec)
+            axis_ratios.append(ratios[-1])
 
-    for name, func in _FUNCTIONALS:
+    defects, shrink_changes = [], []
+    for func in _FUNCTIONALS:
         test_vals = func(xi)
         for lam in rect.samples():
             center_val = complex(h * np.sum(test_vals * fam.evaluate(lam, xi)))
@@ -161,12 +144,8 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
             mean_half = _contour_mean(fam, test_vals, xi, h, lam,
                                       _CONTOUR_RADIUS / 2.0)
             scale = max(abs(center_val), 1e-12)
-            report.analyticity_records.append({
-                "lam": lam, "functional": name,
-                "radius": _CONTOUR_RADIUS,
-                "rel_residual": abs(mean - center_val) / scale,
-                "shrink_change": abs(mean - mean_half) / scale,
-            })
+            defects.append(abs(mean - center_val) / scale)
+            shrink_changes.append(abs(mean - mean_half) / scale)
 
     corners = rect.corners()
     duplicates = len({(round(l.real, 14), round(l.imag, 14)) for l in corners}) \
@@ -180,12 +159,17 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
         vectors.append(vec / norm)
     stacked = np.array(vectors)
     gram = h * (np.conj(stacked) @ stacked.T)
-    report.gram = {
-        "lambdas": corners,
-        "det": float(abs(np.linalg.det(gram))),
-        "duplicate_values": duplicates,
+    worst = max(ratios)
+    return {
+        "eigen_residual": (worst, {"points": len(ratios), "worst_ratio": worst}),
+        "eigen_residual_imag_axis": (max(axis_ratios),
+                                     {"points": len(axis_ratios)}),
+        "analyticity": (max(defects), {"radius": _CONTOUR_RADIUS}),
+        "analyticity_shrink": (max(shrink_changes), {
+            "radii": [_CONTOUR_RADIUS, _CONTOUR_RADIUS / 2.0]}),
+        "gram": {"det": float(abs(np.linalg.det(gram))),
+                 "duplicate_values": duplicates},
     }
-    return report
 
 
 def clock_invariance_check(cs: ConformableSemigroup, x: np.ndarray,

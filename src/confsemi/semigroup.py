@@ -329,23 +329,22 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
         raise ValueError(f"t_end must be positive, got {t_end}")
     d = delta.delta
     x0 = np.asarray(x0, dtype=complex)
-    matrix = g.entries
     # psi_inv(1e-3) in this route's own rounding; the clock's exp/log
     # differs in the last bit at most orders and would move orbit residuals
     t0 = min(1e-3, (1e-3 * d) ** (1.0 / d))
 
     def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        return t ** (d - 1.0) * (matrix @ x)
+        return t ** (d - 1.0) * (g.entries @ x)
 
     times = np.linspace(0.0, t_end, n_out)
     states = []
     t_cur = t0
-    x_cur = expm(delta.psi(t0) * matrix) @ x0
+    x_cur = evolve_classical(g, delta.psi(t0), x0)
     for t in times:
         if t == 0.0:
             states.append(x0.copy())
         elif t <= t0:
-            states.append(expm(delta.psi(t) * matrix) @ x0)
+            states.append(evolve_classical(g, delta.psi(t), x0))
         else:
             x_cur = _rk45_advance(rhs, t_cur, x_cur, t, rtol, atol)
             t_cur = t

@@ -16,7 +16,8 @@ from typing import Literal
 
 import numpy as np
 
-from .calculus import FunctionHandle, WeightedQuadrature
+from .calculus import (FunctionHandle, WeightedQuadrature,
+                       conf_derivative_iterated)
 from .clock import Order, pow_arr
 
 __all__ = [
@@ -100,21 +101,11 @@ def sobolev_norm(f: FunctionHandle, m: int, p: float,
     derivative)**(1/p), for m in {0, 1, 2}."""
     if m not in (0, 1, 2):
         raise ValueError(f"m must be 0, 1 or 2, got {m}")
-    if m >= 1 and f.classical_derivative is None:
-        raise ValueError("m >= 1 needs classical_derivative")
-    if m >= 2 and f.second_derivative is None:
-        raise ValueError("m = 2 needs second_derivative")
     _check_rule(p, quad)
-    d = quad.delta.delta
     t = quad.t_nodes()
     layers = [np.asarray(f.evaluator(t))]
-    if m >= 1:
-        layers.append(pow_arr(t, 1.0 - d) * np.asarray(f.classical_derivative(t)))
-    if m >= 2:
-        layers.append((1.0 - d) * pow_arr(t, 1.0 - 2.0 * d)
-                      * np.asarray(f.classical_derivative(t))
-                      + pow_arr(t, 2.0 - 2.0 * d)
-                      * np.asarray(f.second_derivative(t)))
+    layers += [conf_derivative_iterated(f, quad.delta, k, t)
+               for k in range(1, m + 1)]
     total = 0.0
     for vals in layers:
         total += float(np.sum(quad.weights * np.abs(vals) ** p))

@@ -103,6 +103,28 @@ def test_iterated_second_derivative(delta):
         assert got == pytest.approx(want, rel=1e-11)
 
 
+@pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_array_route_matches_float_route(delta, k):
+    """on an array t the derivative runs elementwise through pow_arr and
+    agrees with the float route to the last bits; t = 0 gives 0 (the
+    limit for delta < 1, where the weight vanishes there) and a negative
+    entry raises."""
+    order = Order(delta)
+    t = np.linspace(1e-3, 3.0, 301)
+    for f in (SIN, EXPD, monomial(3)):
+        got = conf_derivative_iterated(f, order, k, t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        for value, ti in zip(got, t):
+            want = conf_derivative_iterated(f, order, k, float(ti))
+            assert abs(value - want) <= 1e-15 * max(1.0, abs(want))
+        if delta < 1.0:
+            at_zero = conf_derivative_iterated(f, order, k, np.array([0.0, 1.0]))
+            assert at_zero[0] == 0.0
+        with pytest.raises(ValueError):
+            conf_derivative_iterated(f, order, k, np.array([1.0, -0.5]))
+
+
 @pytest.mark.parametrize("delta", [0.4, 0.8])
 def test_integral_then_derivative(delta):
     """differentiating the running weighted integral recovers the integrand."""

@@ -12,8 +12,8 @@ import pytest
 
 from confsemi import ConfigError, default_config, parse_config
 from confsemi.cli import main
-from confsemi.config import (ORDER_FLOOR, SUITE_NAMES, TOLERANCE_DEFAULTS,
-                             RunConfig)
+from confsemi.config import (COEFFICIENT_RANGE, ORDER_FLOOR, SUITE_NAMES,
+                             TOLERANCE_DEFAULTS, RunConfig)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -188,6 +188,8 @@ def test_shipped_sweep_config_sets_only_the_sweep_lists():
     "[drift_diffusion]\na = nan\n",
     "[drift_diffusion]\nb = inf\n",
     "[drift_diffusion]\nc = 0\n",
+    "[drift_diffusion]\na = 1e-5\n",
+    "[drift_diffusion]\nb = 1e80\n",
     "[orders]\ndelta_list = 0.5, 0.5\n",
     "[grids]\nn_list = 64, 64\n",
     "[sweep]\ndelta_list = 0.4, 0.4\n",
@@ -356,6 +358,58 @@ def test_sweep_at_small_orders(tmp_path):
         assert all(np.isfinite(float(cell)) for cell in row.values())
         assert (float(row["correspondence_residual"])
                 <= TOLERANCE_DEFAULTS["orbit_oracle"])
+
+
+def test_sweep_overflow_is_a_non_finite_cell(tmp_path, capsys):
+    """at c = 8 and delta = 0.02 the clamped twin's flow overflows on the
+    way to classical time 100: those law cells are written as inf and the
+    sweep exits 1 instead of ending in a traceback"""
+    cfg = write(tmp_path, "[drift_diffusion]\nc = 8\n"
+                "[sweep]\ndelta_list = 0.02, 0.4\nn_list = 16, 32\n",
+                name="sweep.ini")
+    out = tmp_path / "sw"
+    # the overflowing flow then meets inf - inf: "invalid value" follows
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    with (out / "sweep.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    law = {(float(r["delta"]), int(r["n"])): float(r["law_residual"])
+           for r in rows}
+    assert sorted(law) == [(0.02, 16), (0.02, 32), (0.4, 16), (0.4, 32)]
+    assert law[0.02, 16] == law[0.02, 32] == math.inf
+    assert np.isfinite(law[0.4, 16]) and np.isfinite(law[0.4, 32])
+    assert "2 non-finite residual cells" in capsys.readouterr().err
+
+
+def _run_ids(tmp_path, suite, text, name):
+    cfg = write(tmp_path, text, name=f"{name}.ini")
+    out = tmp_path / name
+    assert main(["run", "--suite", suite, "--config", cfg,
+                 "--out", str(out)]) in (0, 1)
+    ids = [r["check_id"] for r in json.loads((out / "report.json").read_text())]
+    assert len(ids) == len(set(ids))
+    return set(ids)
+
+
+@pytest.mark.parametrize("suite", ["dynamics", "drift-diffusion"])
+@pytest.mark.parametrize("coefficient", [1e-4, 1e6])
+def test_coefficient_range_ends_in_verdicts(tmp_path, capsys, suite,
+                                            coefficient):
+    """a = b = c at either end of COEFFICIENT_RANGE: a complete report with
+    the default run's check ids, no traceback; one step outside is rejected"""
+    lo, hi = COEFFICIENT_RANGE
+    assert coefficient in (lo, hi)
+    full = _run_ids(tmp_path, suite, "", "default")
+    text = "[drift_diffusion]\n" + "".join(
+        f"{key} = {coefficient!r}\n" for key in "abc")
+    assert _run_ids(tmp_path, suite, text, "corner") == full
+    away = 0.0 if coefficient == lo else math.inf
+    outside = float(np.nextafter(coefficient, away))
+    for key in "abc":
+        text = f"[drift_diffusion]\n{key} = {outside!r}\n"
+        with pytest.raises(ConfigError, match="must lie in"):
+            parse_config(write(tmp_path, text))
+    capsys.readouterr()
 
 
 ORDER_KEYS = [("orders", "delta_list"), ("drift_diffusion", "delta"),

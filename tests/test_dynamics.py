@@ -55,36 +55,38 @@ def test_rectangle_off_axis_rejected():
 # hypotheses probe ----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def probe_report():
+def probe():
     return dsw_hypotheses_probe(family(), rectangle(), n=256)
 
 
-def test_probe_eigen_residuals(probe_report):
-    assert probe_report.n == 256
-    assert len(probe_report.eigen_records) == 9
-    assert probe_report.worst_eigen_ratio() <= 1.0
-    for rec in probe_report.eigen_records:
-        assert rec["residual"] <= rec["bound"]
+def test_probe_eigen_residuals(probe):
+    residual, params = probe["eigen_residual"]
+    assert params == {"points": 9, "worst_ratio": residual}
+    assert residual <= 1.0
 
 
-def test_probe_imag_axis_rows(probe_report):
-    assert len(probe_report.imag_axis_records) == 3
-    for rec in probe_report.imag_axis_records:
-        assert abs(rec["lam"].real) <= 1e-12
-        assert rec["ratio"] <= 1.0
+def test_probe_imag_axis_rows(probe):
+    # the rectangle's middle column: exactly 3 samples on the imaginary axis
+    assert sum(abs(lam.real) <= 1e-12 for lam in rectangle().samples()) == 3
+    residual, params = probe["eigen_residual_imag_axis"]
+    assert params == {"points": 3}
+    assert residual <= 1.0
 
 
-def test_probe_analyticity(probe_report):
-    assert probe_report.worst_analyticity() <= 1e-8
-    shrink = [rec["shrink_change"] for rec in probe_report.analyticity_records]
-    assert max(shrink) <= 1e-8
+def test_probe_analyticity(probe):
+    residual, params = probe["analyticity"]
+    assert params == {"radius": 0.1}
+    assert residual <= 1e-8
+    shrink, params = probe["analyticity_shrink"]
+    assert params == {"radii": [0.1, 0.05]}
+    assert shrink <= 1e-8
 
 
-def test_probe_gram_separation(probe_report):
-    gram = probe_report.gram
+def test_probe_gram_separation(probe):
+    gram = probe["gram"]
     assert gram["det"] > 1e-10
     assert gram["duplicate_values"] is False
-    assert len(gram["lambdas"]) == 4
+    assert len(rectangle().corners()) == 4
 
 
 # clock invariance ------------------------------------------------------------------
