@@ -8,12 +8,21 @@ difference-quotient reconstructions of the generator, an independent
 adaptive Runge-Kutta orbit for the singular ODE x'(t) = t**(delta-1) A x(t),
 and the dissipativity / resolvent / contraction battery for negative
 generators.
+
+The flows, the composition law and the quotients are dense (scaling and
+squaring on the entries).  The resolvent and contraction bounds run in a
+generator's closed-form eigenbasis instead: S(t) = exp(psi(t) A) is the
+classical flow on a new clock, so for a symmetric A its norm is
+max_k exp(psi(t) lam_k) and the resolvent norm is max_k 1/(lam - lam_k).
+The eigenpairs are checked against the entries once, when the generator is
+built, and only the eigenvalues are kept; the dense Hermitian-part margin
+stays as the independent route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg import bandwidth, expm
@@ -47,15 +56,26 @@ class GeneratorMatrix:
     all vector norms alike, so an operator norm in it is the Euclidean one.
 
     Real entries are stored as float64 and complex entries as complex128, so
-    real generators run expm, SVD and inversion in real arithmetic.  State
-    vectors stay complex; a real matrix applied to one gives the same flow.
+    real generators run expm in real arithmetic.  State vectors stay
+    complex; a real matrix applied to one gives the same flow.
+
+    eigenpairs, when given, is (lam, V): the real eigenvalues of a symmetric
+    generator and an orthogonal V whose columns are their eigenvectors.
+    They are held against entries once, here, and only lam is kept, as
+    spectrum; spectral_defect is the larger of
+    ||A V - V diag(lam)||_max / max|lam| and ||V^T V - I||_max.  Both are
+    None without eigenpairs.
     """
 
     entries: np.ndarray
     weight: float
     label: str = ""
+    eigenpairs: InitVar[tuple | None] = None
+    spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
+    spectral_defect: float | None = field(init=False, repr=False,
+                                          compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, eigenpairs) -> None:
         entries = np.asarray(self.entries)
         entries = entries.astype(
             complex if np.iscomplexobj(entries) else float, copy=False)
@@ -70,6 +90,21 @@ class GeneratorMatrix:
             raise FloatingPointError("generator has non-finite entries")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "weight", weight)
+        spectrum = defect = None
+        if eigenpairs is not None:
+            spectrum, vecs = (np.asarray(a) for a in eigenpairs)
+            n = entries.shape[0]
+            if (spectrum.shape != (n,) or vecs.shape != (n, n)
+                    or np.iscomplexobj(spectrum) or np.iscomplexobj(vecs)):
+                raise ValueError(
+                    f"eigenpairs need real arrays of shapes ({n},) and "
+                    f"({n}, {n}), got {spectrum.dtype} {spectrum.shape} and "
+                    f"{vecs.dtype} {vecs.shape}")
+            if not (np.all(np.isfinite(spectrum)) and np.all(np.isfinite(vecs))):
+                raise FloatingPointError("eigenpairs have non-finite entries")
+            defect = _spectral_defect(entries, spectrum, vecs)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "spectral_defect", defect)
 
     @property
     def dim(self) -> int:
@@ -78,6 +113,17 @@ class GeneratorMatrix:
     def w_norm(self, x: np.ndarray) -> float:
         x = np.asarray(x)
         return float(np.sqrt(np.sum(self.weight * np.abs(x) ** 2).real))
+
+
+def _spectral_defect(entries: np.ndarray, spectrum: np.ndarray,
+                     vecs: np.ndarray) -> float:
+    """max(||A V - V diag(lam)||_max / max|lam|, ||V^T V - I||_max); a zero
+    spectrum is measured absolutely."""
+    scale = float(np.max(np.abs(spectrum))) or 1.0
+    gram = vecs.T @ vecs
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return max(float(np.max(np.abs(entries @ vecs - vecs * spectrum))) / scale,
+               float(np.max(np.abs(gram))))
 
 
 # series length of the expm oracle: at norm <= 1/2 the tail is far below
@@ -366,65 +412,90 @@ def dissipativity_margin(g: GeneratorMatrix) -> float:
 
 # seeded random vectors probing the pointwise resolvent lower bound
 _RESOLVENT_PROBES = 100
+# eigenpairs farther than this many eps (n + 1) from their entries certify
+# nothing; the closed-form Laplacian pairs sit below 0.3 eps (n + 1)
+_DEFECT_ULPS = 8.0
+
+
+def _closed_form_margin(g: GeneratorMatrix, void: str) -> float:
+    """Largest eigenvalue of g's closed-form spectrum.
+
+    Raises ValueError when g carries no eigenpairs or the spectrum is not
+    dissipative (margin above 1e-12), naming what is then void.
+    """
+    if g.spectrum is None:
+        raise ValueError(f"generator {g.label!r} carries no eigenpairs; "
+                         "the bound is measured in its eigenbasis")
+    margin = float(np.max(g.spectrum))
+    if margin > 1e-12:
+        raise ValueError(
+            f"generator is not dissipative (margin {margin:.3e}); {void}")
+    return margin
+
+
+def _certified(excess: float, g: GeneratorMatrix) -> float:
+    """excess, or inf when g's spectral defect exceeds rounding:
+    eigenpairs that do not match the entries certify nothing."""
+    if g.spectral_defect > _DEFECT_ULPS * np.finfo(float).eps * (g.dim + 1):
+        return math.inf
+    return excess
 
 
 def resolvent_bound_check(g: GeneratorMatrix, lam: float,
                           seed: int = 0) -> tuple:
-    """Shifted-inverse norm bound for a dissipative generator.
+    """Shifted-inverse norm bound for a symmetric dissipative generator.
 
     Measures by how much lam times the weighted operator norm of
-    (lam I - A)^-1 exceeds one, and by how much the pointwise lower bound
-    ||(lam I - A) x|| >= lam ||x|| is violated on seeded random vectors.
-    Returns (residual, params); both excesses are relative, at most 0 when
-    the bound holds.
+    (lam I - A)^-1, max_k lam / (lam - lam_k) in g's eigenbasis, exceeds
+    one, and by how much the pointwise lower bound
+    ||(lam I - A) x|| >= lam ||x|| is violated on seeded random vectors
+    multiplied by the entries.  Returns (residual, params); the residual is
+    the larger relative excess (inf for mismatched eigenpairs, see
+    _certified), at most 0 when the bound holds.
     """
     if lam <= 0.0:
         raise ValueError(f"shift must be positive, got {lam}")
-    margin = dissipativity_margin(g)
-    if margin > 1e-12:
-        raise ValueError(
-            f"generator is not dissipative (margin {margin:.3e}); bound is void")
+    margin = _closed_form_margin(g, "bound is void")
     n = g.dim
-    shifted = lam * np.eye(n) - g.entries
-    inverse = np.linalg.inv(shifted)
-    norm_excess = lam * float(np.linalg.norm(inverse, 2)) - 1.0
+    norm_excess = lam * float(np.max(1.0 / (lam - g.spectrum))) - 1.0
     # per probe: n normals for the real part, then n for the imaginary part
     draws = np.random.default_rng(seed).standard_normal(
         (_RESOLVENT_PROBES, 2, n))
     probes = (draws[:, 0] + 1j * draws[:, 1]).T
+    shifted = lam * np.eye(n) - g.entries
     lhs = np.sqrt(np.sum(g.weight * np.abs(shifted @ probes) ** 2, axis=0))
     rhs_val = lam * np.sqrt(np.sum(g.weight * np.abs(probes) ** 2, axis=0))
     lower_excess = float(np.max((rhs_val - lhs) / rhs_val, initial=-np.inf))
-    return max(norm_excess, lower_excess), {
+    return _certified(max(norm_excess, lower_excess), g), {
         "lambda": lam, "n": n, "norm_excess": norm_excess,
-        "lower_excess": lower_excess, "margin": margin}
+        "lower_excess": lower_excess, "margin": margin,
+        "spectral_defect": g.spectral_defect}
 
 
 def contraction_check(cs: ConformableSemigroup, t_grid) -> tuple:
-    """Operator norms of the rescaled flow stay at or below one.
+    """Operator norms of the rescaled flow of a symmetric dissipative
+    generator stay at or below one.
 
-    Returns (residual, params), the residual being the worst excess of a
-    weighted operator norm over one on t_grid.
+    In the eigenbasis the norm at time t is max_k exp(psi(t) lam_k) =
+    exp(psi(t) margin).  Returns (residual, params), the residual being the
+    worst excess of a norm over one on t_grid (inf for mismatched
+    eigenpairs, see _certified).
     """
     g = cs.generator
-    margin = dissipativity_margin(g)
-    if margin > 1e-12:
-        raise ValueError(
-            f"generator is not dissipative (margin {margin:.3e}); "
-            "contraction is not implied")
-    worst = -np.inf
-    norms = {}
-    for t in t_grid:
-        flow = _flow(cs.order.psi(t) * g.entries)
-        norm = float(np.linalg.norm(flow, 2))
-        norms[f"t={t}"] = norm
-        worst = max(worst, norm - 1.0)
-    return worst, {"delta": cs.order.delta, "margin": margin, **norms}
+    margin = _closed_form_margin(g, "contraction is not implied")
+    norms = {f"t={t}": math.exp(cs.order.psi(t) * margin) for t in t_grid}
+    worst = max(norms.values()) - 1.0
+    return _certified(worst, g), {
+        "delta": cs.order.delta, "margin": margin,
+        "spectral_defect": g.spectral_defect, **norms}
 
 
 def dirichlet_second_difference(n: int) -> GeneratorMatrix:
     """Second-difference matrix on n interior nodes, both ends clamped,
-    with the uniform-mesh inner product (weight h per node)."""
+    with the uniform-mesh inner product (weight h per node).
+
+    Its eigenpairs are closed-form (see _sine_eigenpairs).
+    """
     if n < 2:
         raise ValueError("need n >= 2 interior nodes")
     h = 1.0 / (n + 1)
@@ -432,7 +503,21 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
     off = np.ones(n - 1)
     entries = (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) / h ** 2
     return GeneratorMatrix(entries=entries, weight=h,
-                           label=f"dirichlet_laplacian[n={n}]")
+                           label=f"dirichlet_laplacian[n={n}]",
+                           eigenpairs=_sine_eigenpairs(n))
+
+
+def _sine_eigenpairs(n: int) -> tuple:
+    """(lam, V) of the clamped second difference on n interior nodes:
+    lam_k = -(4/h^2) sin^2(k pi h/2) with the orthonormal sine vectors
+    V_jk = sqrt(2h) sin(j k pi h), j, k = 1..n (the discrete sine transform).
+    """
+    h = 1.0 / (n + 1)
+    k = np.arange(1, n + 1)
+    spectrum = -(4.0 / h ** 2) * np.sin(0.5 * np.pi * h * k) ** 2
+    # j k reduced mod 2(n + 1) keeps every sine argument in [0, 2 pi)
+    vecs = np.sqrt(2.0 * h) * np.sin(np.pi * h * (np.outer(k, k) % (2 * (n + 1))))
+    return spectrum, vecs
 
 
 def strong_continuity_check(cs: ConformableSemigroup, x: np.ndarray) -> tuple:

@@ -525,10 +525,14 @@ def suite_drift_diffusion(cfg: RunConfig) -> Iterator:
                    max(res for _, res in pairs), cfg.tol("delta_one_exact"))
         else:
             orders = empirical_orders(pairs)
+            # a non-positive or NaN order is no convergence at all; an exact
+            # finer residual gives order +inf and the residual 0
+            slowest = float(np.min(orders))
             yield (f"drift_diffusion.conjugacy_order[delta={d}]",
                    dict(params, residuals=[res for _, res in pairs],
                         orders=orders),
-                   cfg.tol("conjugacy_order") / min(orders), 1.0)
+                   cfg.tol("conjugacy_order") / slowest if slowest > 0.0
+                   else math.inf, 1.0)
 
     worst = 0.0
     for d in cfg.delta_list:

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from confsemi import drift_diffusion as dd
-from confsemi import (ConformableSemigroup, DriftDiffusionParams,
-                      Order, contraction_check,
+from confsemi import (DriftDiffusionParams, Order,
                       dirichlet_second_difference, evolve_classical,
                       mild_solution_residuals, taylor_matrix_exp)
 from confsemi.semigroup import _scale_for_squaring, _square_flushed
@@ -114,20 +113,6 @@ def test_evolution_uses_the_flushed_flow():
     want = expm(0.05 * g.entries) @ x
     got = evolve_classical(g, 0.05, x)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize("delta", [0.5, 1.0])
-def test_contraction_check_matches_plain_expm(n, delta):
-    g = dirichlet_second_difference(n)
-    order = Order(delta)
-    t_grid = (0.1, 1.0, 5.0)
-    residual, params = contraction_check(ConformableSemigroup(g, order), t_grid)
-    want = {f"t={t}": np.linalg.norm(expm(order.psi(t) * g.entries), 2)
-            for t in t_grid}
-    for key, norm in want.items():
-        assert params[key] == pytest.approx(norm, rel=1e-13)
-    assert residual == pytest.approx(max(want.values()) - 1.0, rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [64, 256])

@@ -1,11 +1,12 @@
 """The check runner: suite composition, record stamping, and pairing gate."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
-from confsemi import default_config, run_suite
-from confsemi import suites
+from confsemi import CheckReport, default_config, run_suite
+from confsemi import drift_diffusion, suites
 from confsemi.config import SUITE_NAMES
 from confsemi.drift_diffusion import discrete_unitary
 
@@ -66,7 +67,7 @@ def test_library_check_records(all_reports):
     assert all(by_id[cid].passed for cid in expected)
     assert set(by_id["resolvent_bound[dirichlet_laplacian[n=32]][lam=0.1]"]
                .params) == {"lambda", "n", "norm_excess", "lower_excess",
-                            "margin"}
+                            "margin", "spectral_defect"}
     # the heuristic probe records, never gates
     for cid in ("weight_window_probe[exp_decay][alpha=0.5]",
                 "weight_window_probe[unit][alpha=0.5]"):
@@ -74,6 +75,57 @@ def test_library_check_records(all_reports):
     gram = by_id["dynamics.gram_separation"]
     assert gram.params["threshold"] == SMALL.tol("gram_min")
     assert gram.residual == SMALL.tol("gram_min") / gram.params["det"]
+
+
+# drift_diffusion.conjugacy_order ---------------------------------------------
+
+def conjugacy_orders(cfg):
+    """{delta: report} of the conjugacy-order checks, without the later
+    checks of the suite."""
+    out = {}
+    for item in suites.suite_drift_diffusion(cfg):
+        if item[0].startswith("drift_diffusion.conjugacy_order"):
+            out[item[1]["delta"]] = CheckReport.from_residual(*item, 0.0, 0)
+        elif out:
+            return out
+    raise AssertionError("suite has no conjugacy_order check")
+
+
+def test_conjugacy_order_fails_a_wrong_graded_operator(monkeypatch):
+    """0.3 times the (1 - delta) x^(1 - 2 delta) D1 term added at delta < 1
+    stops the conjugacy converging: its orders turn negative, and a negative
+    order must FAIL rather than give a negative residual"""
+    assemble = drift_diffusion._assemble_conformable
+
+    def mutant(a, b, c, delta, x, clamp_right):
+        out = assemble(a, b, c, delta, x, clamp_right)
+        if delta < 1.0:
+            d1, _ = drift_diffusion._difference_matrices(
+                x, 1.0 if clamp_right else None)
+            out = out + 0.3 * a * ((1.0 - delta)
+                                   * x ** (1.0 - 2.0 * delta))[:, None] * d1
+        return out
+
+    cfg = replace(default_config(), delta_list=(0.5, 0.7))
+    assert all(rep.passed for rep in conjugacy_orders(cfg).values())
+    monkeypatch.setattr(drift_diffusion, "_assemble_conformable", mutant)
+    reports = conjugacy_orders(cfg)
+    for delta in (0.5, 0.7):
+        assert min(reports[delta].params["orders"]) < 0.0
+        assert reports[delta].residual == math.inf
+        assert not reports[delta].passed
+
+
+@pytest.mark.parametrize("finer, residual", [
+    (0.0, 0.0),             # exact finer residual: order +inf
+    (1.0, math.inf),        # no decrease: order 0
+    (math.nan, math.inf),   # NaN order
+])
+def test_conjugacy_order_gate_at_the_edges(monkeypatch, finer, residual):
+    monkeypatch.setattr(suites, "conjugacy_residual",
+                        lambda p, n_list: [(n_list[0], 1.0), (n_list[1], finer)])
+    cfg = replace(SMALL, delta_list=(0.5,))
+    assert conjugacy_orders(cfg)[0.5].residual == residual
 
 
 # drift_diffusion.unitary_pairing ---------------------------------------------
