@@ -10,6 +10,7 @@ singularity at 0 exactly and leaves a plain integral in s.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -48,6 +49,15 @@ class FunctionHandle:
         return self.evaluator(t)
 
 
+@functools.cache
+def _gauss_legendre(points: int) -> tuple:
+    """leggauss(points) as read-only arrays, built once per point count."""
+    rule = np.polynomial.legendre.leggauss(points)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 @dataclass(frozen=True)
 class WeightedQuadrature:
     """Composite Gauss-Legendre rule in the substituted variable s.
@@ -74,7 +84,7 @@ class WeightedQuadrature:
         if panels < 1 or points_per_panel < 2:
             raise ValueError("panels >= 1 and points_per_panel >= 2 required")
         lo, hi = delta.psi(a), delta.psi(b)
-        ref_x, ref_w = np.polynomial.legendre.leggauss(points_per_panel)
+        ref_x, ref_w = _gauss_legendre(points_per_panel)
         edges = np.linspace(lo, hi, panels + 1)
         if lo == 0.0:
             graded = edges[1] * 2.0 ** (-np.arange(cls.GRADE_DEPTH, -1, -1.0))
@@ -90,30 +100,22 @@ class WeightedQuadrature:
         return self.delta.psi_inv(self.nodes)
 
 
-def _time(t, what: str):
-    """An array t >= 0 as it is (`_pow` takes it through `pow_arr`, where
-    t = 0 gives 0), else float(t) > 0 (taken through `**`).  The routes
-    differ in the last bit on some inputs, so each caller keeps its own."""
-    if isinstance(t, np.ndarray):
-        if t.min(initial=0.0) < 0.0:
-            raise ValueError(f"{what} needs t >= 0, got {t.min()}")
-        return t
-    if t <= 0.0:
-        raise ValueError(f"{what} needs t > 0, got {t}")
-    return float(t)
-
-
-def _pow(t, exponent: float):
-    return pow_arr(t, exponent) if isinstance(t, np.ndarray) else t ** exponent
+def _weight(t, exponent: float, what: str):
+    """t**exponent through pow_arr, for a float or an array t >= 0; a float
+    gives a 0-d array, which the caller's product turns into a scalar."""
+    t = np.asarray(t, dtype=float)
+    if t.min(initial=0.0) < 0.0:
+        raise ValueError(f"{what} needs t >= 0, got {t.min()}")
+    return pow_arr(t, exponent)
 
 
 def conf_derivative(f: FunctionHandle, delta: Order, t):
     """t**(1-delta) * f'(t) from the declared analytic derivative, at a
-    float t > 0 or elementwise on an array t >= 0."""
-    t = _time(t, f"derivative of order {delta.delta}")
+    float or elementwise on an array t >= 0."""
     if f.classical_derivative is None:
         raise ValueError("handle declares no classical_derivative")
-    return _pow(t, 1.0 - delta.delta) * f.classical_derivative(t)
+    return (_weight(t, 1.0 - delta.delta, f"derivative of order {delta.delta}")
+            * f.classical_derivative(t))
 
 
 # smallest step of the limit quotient's halving sequence
@@ -131,7 +133,7 @@ def conf_derivative_limit(f: FunctionHandle, delta: Order, t: float):
     if t <= 0.0:
         raise ValueError(f"limit quotient needs t > 0, got {t}")
     d = delta.delta
-    stretch = float(t) ** (1.0 - d)
+    stretch = float(pow_arr(t, 1.0 - d))
     f_t = f.evaluator(t)
 
     def quotient(h: float):
@@ -171,7 +173,7 @@ def conf_integral(f: FunctionHandle, quad: WeightedQuadrature):
 
 def conf_derivative_iterated(f: FunctionHandle, delta: Order, k: int, t):
     """k-fold application of the order-delta derivative, k in {1, 2}, at a
-    float t > 0 or elementwise on an array t >= 0.
+    float or elementwise on an array t >= 0.
 
     The k=2 case is expanded analytically by the product rule,
     (1-delta) t**(1-2 delta) f'(t) + t**(2-2 delta) f''(t),
@@ -179,11 +181,13 @@ def conf_derivative_iterated(f: FunctionHandle, delta: Order, k: int, t):
     """
     if k not in (1, 2):
         raise ValueError(f"iterated derivative supports k in {{1, 2}}, got {k}")
-    t = _time(t, "iterated derivative")
     if k == 1:
         return conf_derivative(f, delta, t)
     if f.classical_derivative is None or f.second_derivative is None:
         raise ValueError("k=2 needs classical_derivative and second_derivative")
     d = delta.delta
-    return ((1.0 - d) * _pow(t, 1.0 - 2.0 * d) * f.classical_derivative(t)
-            + _pow(t, 2.0 - 2.0 * d) * f.second_derivative(t))
+    second = _weight(t, 2.0 - 2.0 * d, "iterated derivative") * f.second_derivative(t)
+    if d == 1.0:  # the first term's factor 1 - delta is 0, so t = 0 gives f''(0)
+        return second
+    return ((1.0 - d) * _weight(t, 1.0 - 2.0 * d, "iterated derivative")
+            * f.classical_derivative(t) + second)

@@ -31,8 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one named check suite")
-    run_p.add_argument("--suite", required=True, choices=SUITE_NAMES,
-                       help="which checks to run")
+    run_p.add_argument("--suite", choices=SUITE_NAMES,
+                       help="which checks to run (overrides the config)")
     run_p.add_argument("--config", required=True, help="configuration file")
     run_p.add_argument("--out", default=None,
                        help="output directory (overrides the config)")
@@ -53,9 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    cfg = replace(cfg, suite=args.suite).with_overrides(
+    cfg = parse_config(args.config).with_overrides(
         out_dir=args.out, seed=args.seed)
+    if args.suite is not None:
+        cfg = replace(cfg, suite=args.suite)
     reports = run_suite(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "report.json")

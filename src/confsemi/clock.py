@@ -15,20 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Order", "pow_pos", "pow_arr"]
+__all__ = ["Order", "pow_arr"]
 
 # inputs more negative than this are rejected; anything in [-NEG_DUST, 0)
 # is treated as floating-point dust from upstream subtraction and clamped to 0
 NEG_DUST = 1e-15
 
 
-def pow_pos(base: float, exponent: float) -> float:
-    """base**exponent for base >= 0, via exp(exponent * log(base)).
-
-    An explicit base == 0 branch returns 0, which avoids the pow-of-zero
-    corner cases (0**negative, signed zeros) for small fractional exponents.
-    Exponent 1 returns the base bitwise, so order-1 reductions are exact.
-    """
+def _pow_pos(base: float, exponent: float) -> float:
+    """The clock's float path: base**exponent for a float base >= 0 and an
+    exponent > 0 (delta or 1/delta), with pow_arr's arithmetic.  A float
+    through pow_arr, as a 0-d array, costs about twenty times as much."""
     if base == 0.0:
         return 0.0
     if exponent == 1.0:
@@ -36,15 +33,20 @@ def pow_pos(base: float, exponent: float) -> float:
     return math.exp(exponent * math.log(base))
 
 
-def pow_arr(base: np.ndarray, exponent: float) -> np.ndarray:
-    """Elementwise base**exponent for base >= 0 with an explicit 0 branch.
+def pow_arr(base, exponent: float) -> np.ndarray:
+    """Elementwise base**exponent for base >= 0, via exp(exponent * log(base)).
 
-    Exponent 1 returns the base values bitwise (order-1 reductions exact)."""
+    A zero base gives 1 at exponent 0 and 0 above it, and raises ValueError
+    below it.  Exponent 1 returns the base values bitwise (order-1
+    reductions exact).  A float base gives a 0-d array.
+    """
     base = np.asarray(base, dtype=float)
     if exponent == 1.0:
         return base.copy()
-    out = np.zeros_like(base)
     pos = base > 0.0
+    if exponent < 0.0 and not pos.all():
+        raise ValueError(f"a zero base has no power {exponent}")
+    out = np.full_like(base, 1.0 if exponent == 0.0 else 0.0)
     out[pos] = np.exp(exponent * np.log(base[pos]))
     return out
 
@@ -71,7 +73,7 @@ class Order:
     """Rescaling order delta in (0, 1], with its clock map and inverse.
 
     A numpy array is mapped elementwise with `pow_arr`; anything else is
-    taken as one float and mapped with `pow_pos`.
+    taken as one float and mapped with the float path `_pow_pos`.
     """
 
     delta: float
@@ -85,7 +87,7 @@ class Order:
         if isinstance(t, np.ndarray):
             return pow_arr(_clean_nonneg_arr(t, "time"), self.delta) / self.delta
         t = _clean_nonneg(float(t), "time")
-        return pow_pos(t, self.delta) / self.delta
+        return _pow_pos(t, self.delta) / self.delta
 
     def psi_inv(self, s):
         """Inverse map s -> (delta * s)**(1/delta)."""
@@ -93,4 +95,4 @@ class Order:
             s = _clean_nonneg_arr(s, "rescaled time")
             return pow_arr(self.delta * s, 1.0 / self.delta)
         s = _clean_nonneg(float(s), "rescaled time")
-        return pow_pos(self.delta * s, 1.0 / self.delta)
+        return _pow_pos(self.delta * s, 1.0 / self.delta)

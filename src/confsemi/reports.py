@@ -4,7 +4,8 @@ report.json must be byte-identical across runs with equal config and seed, so
 the volatile wall_time field stays on the in-memory record (and in console
 output) but is excluded from both serialized forms.  report.json is strict
 JSON: a non-finite residual is written as null with its kind ("nan", "inf")
-in params["residual_kind"], and non-finite param floats as strings.
+in params["residual_kind"], and non-finite param floats as strings; a dict
+param is written as an object, and as one compact JSON cell in summary.csv.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class CheckReport:
 
 
 def _plain(value):
-    """Coerce params to strict-JSON primitives (repr for complex numbers and
-    non-finite floats)."""
+    """Coerce params to strict-JSON values (repr for complex numbers and
+    non-finite floats; a dict becomes an object with string keys)."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, float) and not math.isfinite(value):
@@ -74,6 +75,8 @@ def _plain(value):
         return f"{value.real:+.12g}{value.imag:+.12g}j"
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
     return str(value)
 
 
@@ -128,4 +131,6 @@ def _csv_cell(value) -> str:
     plain = _plain(value)
     if isinstance(plain, list):
         return ";".join(str(v) for v in plain)
+    if isinstance(plain, dict):
+        return json.dumps(plain, separators=(",", ":"), allow_nan=False)
     return str(plain)

@@ -103,13 +103,41 @@ def test_iterated_second_derivative(delta):
         assert got == pytest.approx(want, rel=1e-11)
 
 
+def test_reference_rule_is_cached_read_only(monkeypatch):
+    """each point count's Gauss-Legendre rule is built once, read-only, and
+    a quadrature built from it equals one built from a fresh leggauss"""
+    from confsemi import calculus
+    cached = calculus._gauss_legendre(16)
+    assert cached is calculus._gauss_legendre(16)
+    assert not any(arr.flags.writeable for arr in cached)
+    built = WeightedQuadrature.build(Order(0.4), 0.0, 2.0)
+    monkeypatch.setattr(calculus, "_gauss_legendre",
+                        np.polynomial.legendre.leggauss)
+    fresh = WeightedQuadrature.build(Order(0.4), 0.0, 2.0)
+    assert np.array_equal(built.nodes, fresh.nodes)
+    assert np.array_equal(built.weights, fresh.weights)
+
+
+def _at_zero(f, delta, k):
+    """D^k f(0) from the weights: t**(1-delta) is 1 at delta = 1 and 0
+    below; for k = 2, t**(1-2 delta) is 1 at delta = 1/2 and unbounded
+    above it (None), and the f' term drops at delta = 1."""
+    if k == 1:
+        return f.classical_derivative(0.0) if delta == 1.0 else 0.0
+    if delta == 1.0:
+        return f.second_derivative(0.0)
+    if delta == 0.5:
+        return 0.5 * f.classical_derivative(0.0)
+    return 0.0 if delta < 0.5 else None
+
+
 @pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("k", [1, 2])
 def test_array_route_matches_float_route(delta, k):
-    """on an array t the derivative runs elementwise through pow_arr and
-    agrees with the float route to the last bits; t = 0 gives 0 (the
-    limit for delta < 1, where the weight vanishes there) and a negative
-    entry raises."""
+    """a float t and an array t both take the weight through pow_arr, so
+    they agree bitwise and a float gives a scalar; t = 0 gives the limit
+    of the weights (see _at_zero) or raises where a weight is unbounded,
+    and a negative entry raises."""
     order = Order(delta)
     t = np.linspace(1e-3, 3.0, 301)
     for f in (SIN, EXPD, monomial(3)):
@@ -117,10 +145,17 @@ def test_array_route_matches_float_route(delta, k):
         assert isinstance(got, np.ndarray) and got.shape == t.shape
         for value, ti in zip(got, t):
             want = conf_derivative_iterated(f, order, k, float(ti))
-            assert abs(value - want) <= 1e-15 * max(1.0, abs(want))
-        if delta < 1.0:
+            assert np.ndim(want) == 0 and value == want
+        want = _at_zero(f, delta, k)
+        if want is None:
+            with pytest.raises(ValueError):
+                conf_derivative_iterated(f, order, k, np.array([0.0, 1.0]))
+            with pytest.raises(ValueError):
+                conf_derivative_iterated(f, order, k, 0.0)
+        else:
             at_zero = conf_derivative_iterated(f, order, k, np.array([0.0, 1.0]))
-            assert at_zero[0] == 0.0
+            assert at_zero[0] == want
+            assert conf_derivative_iterated(f, order, k, 0.0) == want
         with pytest.raises(ValueError):
             conf_derivative_iterated(f, order, k, np.array([1.0, -0.5]))
 

@@ -322,6 +322,19 @@ def test_dynamics_suite_passes_off_the_default_diffusion(tmp_path, capsys,
     assert gram["params"]["threshold"] == TOLERANCE_DEFAULTS["gram_min"] == 1e-10
 
 
+def test_config_suite_runs_unless_the_flag_overrides_it(tmp_path, capsys):
+    cfg = write(tmp_path, "[run]\nsuite = clock\n")
+    for flag, suite in (([], "clock"), (["--suite", "transport"], "transport")):
+        out = tmp_path / suite
+        assert main(["run", "--config", cfg, "--out", str(out), *flag]) == 0
+        ids = [r["check_id"] for r in json.loads(
+            (out / "report.json").read_text())]
+        assert ids and any(i.startswith(f"{suite}.") for i in ids)
+        assert not any(i.startswith("clock." if flag else "transport.")
+                       for i in ids)
+        assert f"(suite={suite}, seed=0)" in capsys.readouterr().out
+
+
 def test_bad_suite_name_rejected_by_parser(tmp_path, capsys):
     cfg = write(tmp_path, "[run]\nsuite = all\n")
     with pytest.raises(SystemExit):
@@ -493,6 +506,26 @@ def test_non_finite_params_are_strings(tmp_path):
                              "residual_kind": "inf"}
     back = read_report_json(tmp_path / "report.json")["x"]
     assert back["residual"] == float("inf")
+
+
+def test_dict_params_are_json_objects(tmp_path):
+    """a dict param is an object with string keys whose values get the
+    strict coding, and one compact JSON cell in summary.csv"""
+    from confsemi.reports import (CheckReport, read_report_json,
+                                  write_report_json, write_summary_csv)
+    rep = CheckReport.from_residual(
+        "x", {"per_delta": {0.5: 2e-14, "1.0": float("inf")}}, 0.0, 1.0,
+        wall_time=0.0, seed=0)
+    want = {"0.5": 2e-14, "1.0": "inf"}
+    write_report_json([rep], tmp_path / "report.json")
+    (rec,) = _strict_json((tmp_path / "report.json").read_text())
+    assert rec["params"]["per_delta"] == want
+    back = read_report_json(tmp_path / "report.json")["x"]
+    assert back["params"]["per_delta"] == want
+    write_summary_csv([rep], tmp_path / "summary.csv")
+    with (tmp_path / "summary.csv").open() as fh:
+        header, row = csv.reader(fh)
+    assert json.loads(row[header.index("per_delta")]) == want
 
 
 # compare -------------------------------------------------------------------

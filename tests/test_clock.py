@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confsemi import Order
-from confsemi.clock import pow_arr, pow_pos
+from confsemi.clock import _pow_pos, pow_arr
 
 DELTAS = st.floats(min_value=0.05, max_value=1.0, exclude_min=True)
 TIMES = st.floats(min_value=1e-6, max_value=50.0)
@@ -26,14 +26,14 @@ def test_order_accepts_unit_interval(good):
 
 
 def test_pow_pos_zero_base():
-    assert pow_pos(0.0, 0.5) == 0.0
-    assert pow_pos(0.0, 2.5) == 0.0
+    assert _pow_pos(0.0, 0.5) == 0.0
+    assert _pow_pos(0.0, 2.5) == 0.0
 
 
 def test_pow_pos_unit_exponent_is_bitwise():
     # order-1 reductions must not pick up the ~1 ulp exp/log round trip
     for v in (0.7300000001, 1.0, 3.141592653589793, 1e-12):
-        assert pow_pos(v, 1.0) == v
+        assert _pow_pos(v, 1.0) == v
 
 
 def test_negative_dust_is_clamped():
@@ -116,6 +116,10 @@ def test_pow_arr_zero_and_unit_branches():
     assert np.array_equal(unit, base)
     unit[0] = 99.0  # exponent-1 branch must copy, not alias
     assert base[0] == 0.0
+    assert np.array_equal(pow_arr(base, 0.0), np.ones(4))
+    with pytest.raises(ValueError):
+        pow_arr(base, -0.4)
+    assert pow_arr(base[1:], -0.5)[0] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_pow_arr_matches_scalar_power():

@@ -341,18 +341,27 @@ def test_resolvent_bound(lam):
 
 
 def test_resolvent_probes_match_one_by_one_products():
-    """the block of probes gives the lower excess of one product per probe."""
+    """the block of probes gives the lower excess of one real product per
+    probe, and bounds the excess of the complex probes u + iv that
+    consecutive draws form: for a real A, ||(lam - A)(u + iv)||^2 is
+    ||(lam - A)u||^2 + ||(lam - A)v||^2."""
     g = dirichlet_second_difference(32)
     lam = 0.5
     shifted = lam * np.eye(g.dim) - g.entries
     rng = np.random.default_rng(4)
-    want = -np.inf
+    want = complex_excess = -np.inf
     for _ in range(100):
-        x = rng.standard_normal(g.dim) + 1j * rng.standard_normal(g.dim)
-        rhs = lam * g.w_norm(x)
-        want = max(want, (rhs - g.w_norm(shifted @ x)) / rhs)
+        u, v = rng.standard_normal(g.dim), rng.standard_normal(g.dim)
+        for x in (u, v, u + 1j * v):
+            rhs = lam * g.w_norm(x)
+            excess = (rhs - g.w_norm(shifted @ x)) / rhs
+            if np.iscomplexobj(x):
+                complex_excess = max(complex_excess, excess)
+            else:
+                want = max(want, excess)
     got = resolvent_bound_check(g, lam, seed=4)[1]["lower_excess"]
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert complex_excess <= got
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0])
