@@ -36,7 +36,8 @@ __all__ = [
     "derivative_identity_residuals",
 ]
 
-from .semigroup import GeneratorMatrix, _scale_for_squaring, _square_flushed
+from .semigroup import (GeneratorMatrix, _scale_for_squaring, _sine_basis,
+                        _square_flushed, evolve_classical)
 
 # fixed smooth probe functions on the uniform-variable interval (0,1)
 SMOOTH_CORPUS = (
@@ -176,13 +177,45 @@ def _assemble_conformable(a: float, b: float, c: float, delta: float,
 
 def build_classical_operator(p: DriftDiffusionParams, grid: GridPair,
                              clamp_right: bool = False) -> GeneratorMatrix:
-    """Constant-coefficient twin on the uniform grid, plain mesh weight h."""
+    """Constant-coefficient twin on the uniform grid, plain mesh weight h.
+
+    Clamped at both ends the twin carries closed-form eigenpairs (see
+    _twin_eigenpairs) when they exist.
+    """
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
     a_t, b_t, c = parameter_transfer(p)
     entries = _assemble_conformable(a_t, b_t, c, 1.0, grid.xi_nodes, clamp_right)
-    return GeneratorMatrix(entries=entries, weight=grid.h,
-                           label=f"classical[n={grid.n}]")
+    return GeneratorMatrix(
+        entries=entries, weight=grid.h, label=f"classical[n={grid.n}]",
+        eigenpairs=_twin_eigenpairs(a_t, b_t, c, grid) if clamp_right else None)
+
+
+def _twin_eigenpairs(a: float, b: float, c: float, grid: GridPair):
+    """(lam, V, d) of the clamped twin a D2 + b D1 + c on grid, or None.
+
+    The twin is tridiagonal Toeplitz with off-diagonals sub = a/h^2 - b/(2h)
+    and sup = a/h^2 + b/(2h).  When both are positive (cell Peclet number
+    b h / (2a) below 1), d_j = rho**j with rho = sqrt(sub/sup) makes it
+    symmetric, with the sine basis as eigenvectors and the eigenvalues
+    lam_k = c - 2a/h^2 + 2 sqrt(sub sup) cos(k pi h), written here as
+    c - (b/h)^2 / (2(a/h^2 + sqrt(sub sup))) - 4 sqrt(sub sup) sin^2(k pi h/2)
+    so that the top of the spectrum suffers no cancellation.  None when
+    sub <= 0 or rho**(n-1) underflows to 0.
+    """
+    n, h = grid.n, grid.h
+    diffusion, drift = a / h ** 2, b / (2.0 * h)
+    sub, sup = diffusion - drift, diffusion + drift
+    if not (sub > 0.0 and sup > 0.0):
+        return None
+    scale = np.sqrt(sub / sup) ** np.arange(n)
+    if scale[-1] == 0.0:
+        return None
+    root = np.sqrt(sub * sup)
+    k = np.arange(1, n + 1)
+    spectrum = (c - 2.0 * drift ** 2 / (diffusion + root)
+                - 4.0 * root * np.sin(0.5 * np.pi * h * k) ** 2)
+    return spectrum, _sine_basis(n)[0], scale
 
 
 def build_conformable_operator(p: DriftDiffusionParams, grid: GridPair,
@@ -218,16 +251,16 @@ def _window_rows(grid: GridPair) -> np.ndarray:
 
 def _mapped_pair(p: DriftDiffusionParams, n: int, clamp_right: bool,
                  corpus) -> tuple:
-    """The unitarily mapped graded operator, its classical twin, the corpus
-    sampled on the uniform grid as the columns of one block, and the window
-    rows."""
+    """The unitarily mapped graded operator (entries), its classical twin
+    (a GeneratorMatrix), the corpus sampled on the uniform grid as the
+    columns of one block, and the window rows."""
     grid = GridPair.build(n, p.delta)
     graded = build_conformable_operator(p, grid, clamp_right)
-    classical = build_classical_operator(p, grid, clamp_right)
+    twin = build_classical_operator(p, grid, clamp_right)
     fwd, inv = discrete_unitary(grid)
     mapped = (fwd * graded.entries) * inv
     block = np.column_stack([func(grid.xi_nodes) for _, func in corpus])
-    return mapped, classical.entries, block, _window_rows(grid)
+    return mapped, twin, block, _window_rows(grid)
 
 
 def _window_sup(block: np.ndarray, rows: np.ndarray) -> float:
@@ -247,9 +280,8 @@ def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
         raise ValueError("conjugacy study needs n >= 16")
     out = []
     for n in n_list:
-        mapped, classical, block, rows = _mapped_pair(
-            p, int(n), False, SMOOTH_CORPUS)
-        out.append((int(n), _window_sup((mapped - classical) @ block, rows)))
+        mapped, twin, block, rows = _mapped_pair(p, int(n), False, SMOOTH_CORPUS)
+        out.append((int(n), _window_sup((mapped - twin.entries) @ block, rows)))
     return out
 
 
@@ -334,24 +366,31 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     window error must stay below 5 * (window stencil residual) * t.
 
     Both flows advance the corpus block through t_list, which must be
-    nondecreasing and nonnegative, with one exponential per distinct step.
+    nondecreasing and nonnegative, by two independent routes: the graded
+    flow is dense, with one exponential per distinct step, and the twin
+    flows by evolve_classical, in its closed-form eigenbasis when that is
+    certified.  At delta = 1 the mapped operator is the twin bit for bit,
+    so the twin's flow serves both and every error is 0.
     """
     times = [float(t) for t in t_list]
     steps = np.diff([0.0, *times])
     if np.any(steps < 0.0):
         raise ValueError(f"t_list must be nonnegative and nondecreasing, got {t_list}")
-    mapped, classical, block, rows = _mapped_pair(p, n, True, _CLAMPED_CORPUS)
-    stencil_residual = _window_sup((mapped - classical) @ block, rows)
+    mapped, twin, block, rows = _mapped_pair(p, n, True, _CLAMPED_CORPUS)
+    stencil_residual = _window_sup((mapped - twin.entries) @ block, rows)
+    same = np.array_equal(mapped, twin.entries)
     flows = {}
-    graded_state, classical_state = block, block
+    graded_state, twin_state = block, block
     records = []
     for t, step in zip(times, steps):
-        if step not in flows:
-            flows[step] = (_flow(step * mapped), _flow(step * classical))
-        graded_flow, classical_flow = flows[step]
-        graded_state = graded_flow @ graded_state
-        classical_state = classical_flow @ classical_state
-        err = _window_sup(graded_state - classical_state, rows)
+        twin_state = evolve_classical(twin, step, twin_state)
+        if same:
+            graded_state = twin_state
+        else:
+            if step not in flows:
+                flows[step] = _flow(step * mapped)
+            graded_state = flows[step] @ graded_state
+        err = _window_sup(graded_state - twin_state, rows)
         records.append({"t": t, "error": err, "bound": 5.0 * stencil_residual * t})
     return {"n": n, "stencil_residual": stencil_residual, "records": records}
 

@@ -9,18 +9,24 @@ adaptive Runge-Kutta orbit for the singular ODE x'(t) = t**(delta-1) A x(t),
 and the dissipativity / resolvent / contraction battery for negative
 generators.
 
-The flows, the composition law and the quotients are dense (scaling and
-squaring on the entries).  The resolvent and contraction bounds run in a
-generator's closed-form eigenbasis instead: S(t) = exp(psi(t) A) is the
-classical flow on a new clock, so for a symmetric A its norm is
-max_k exp(psi(t) lam_k) and the resolvent norm is max_k 1/(lam - lam_k).
-The eigenpairs are checked against the entries once, when the generator is
-built, and only the eigenvalues are kept; the dense Hermitian-part margin
-stays as the independent route.
+A generator may carry closed-form eigenpairs in one representation,
+A = D V diag(lam) V^T D^-1 with D = diag(d), d > 0 and V orthogonal; a
+symmetric A is the case d = 1.  They are checked against the entries once,
+when the generator is built, and certified when the defect, scaled by the
+condition d_max / d_min of D, stays at rounding.  A certified generator
+flows in its eigenbasis, exp(sA) x = d * V (exp(s lam) * V^T (x / d));
+every other one (the fixtures, the graded drift-diffusion operator, a twin
+whose similarity is too ill-conditioned) flows by dense scaling and
+squaring on the entries.  The resolvent and contraction bounds need d = 1: S(t) =
+exp(psi(t) A) is the classical flow on a new clock, so for a symmetric A
+its norm is max_k exp(psi(t) lam_k) and the resolvent norm is
+max_k 1/(lam - lam_k).  The dense Hermitian-part margin stays as the
+independent route.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -59,12 +65,16 @@ class GeneratorMatrix:
     real generators run expm in real arithmetic.  State vectors stay
     complex; a real matrix applied to one gives the same flow.
 
-    eigenpairs, when given, is (lam, V): the real eigenvalues of a symmetric
-    generator and an orthogonal V whose columns are their eigenvectors.
-    They are held against entries once, here, and only lam is kept, as
-    spectrum; spectral_defect is the larger of
-    ||A V - V diag(lam)||_max / max|lam| and ||V^T V - I||_max.  Both are
-    None without eigenpairs.
+    eigenpairs, when given, is (lam, V) or (lam, V, d): real eigenvalues, an
+    orthogonal V and a positive diagonal similarity d (all ones when left
+    out) with A = D V diag(lam) V^T D^-1.  They are held against entries
+    once, here, and kept as spectrum, eigvecs and similarity;
+    spectral_defect is the larger of ||D^-1 A D V - V diag(lam)||_max /
+    max|lam| and ||V^T V - I||_max.  The pairs are certified when
+    condition(d) * spectral_defect <= _DEFECT_ULPS eps (n + 1), with
+    condition(d) = max d / min d: eigenvector error grows with the
+    conditioning of the basis (Bauer-Fike).  Without eigenpairs the four
+    are None and certified is False.
     """
 
     entries: np.ndarray
@@ -72,8 +82,12 @@ class GeneratorMatrix:
     label: str = ""
     eigenpairs: InitVar[tuple | None] = None
     spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
+    eigvecs: np.ndarray | None = field(init=False, repr=False, compare=False)
+    similarity: np.ndarray | None = field(init=False, repr=False,
+                                          compare=False)
     spectral_defect: float | None = field(init=False, repr=False,
                                           compare=False)
+    certified: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, eigenpairs) -> None:
         entries = np.asarray(self.entries)
@@ -90,21 +104,33 @@ class GeneratorMatrix:
             raise FloatingPointError("generator has non-finite entries")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "weight", weight)
-        spectrum = defect = None
+        spectrum = vecs = scale = defect = None
+        certified = False
         if eigenpairs is not None:
-            spectrum, vecs = (np.asarray(a) for a in eigenpairs)
             n = entries.shape[0]
-            if (spectrum.shape != (n,) or vecs.shape != (n, n)
-                    or np.iscomplexobj(spectrum) or np.iscomplexobj(vecs)):
+            spectrum, vecs, *rest = (np.asarray(a) for a in eigenpairs)
+            scale = rest[0] if rest else np.ones(n)
+            if (len(rest) > 1 or spectrum.shape != (n,) or scale.shape != (n,)
+                    or vecs.shape != (n, n)
+                    or any(np.iscomplexobj(a) for a in (spectrum, vecs, scale))):
                 raise ValueError(
-                    f"eigenpairs need real arrays of shapes ({n},) and "
-                    f"({n}, {n}), got {spectrum.dtype} {spectrum.shape} and "
-                    f"{vecs.dtype} {vecs.shape}")
-            if not (np.all(np.isfinite(spectrum)) and np.all(np.isfinite(vecs))):
+                    f"eigenpairs need real arrays of shapes ({n},), ({n}, {n}) "
+                    f"and optionally ({n},), got "
+                    + ", ".join(f"{a.dtype} {a.shape}"
+                                for a in (spectrum, vecs, *rest)))
+            if not all(np.all(np.isfinite(a)) for a in (spectrum, vecs, scale)):
                 raise FloatingPointError("eigenpairs have non-finite entries")
-            defect = _spectral_defect(entries, spectrum, vecs)
+            if not np.all(scale > 0.0):
+                raise ValueError("the similarity d must be positive")
+            defect = _spectral_defect(entries, spectrum, vecs, scale)
+            condition = float(np.max(scale) / np.min(scale))
+            certified = (condition * defect
+                         <= _DEFECT_ULPS * np.finfo(float).eps * (n + 1))
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "eigvecs", vecs)
+        object.__setattr__(self, "similarity", scale)
         object.__setattr__(self, "spectral_defect", defect)
+        object.__setattr__(self, "certified", certified)
 
     @property
     def dim(self) -> int:
@@ -115,15 +141,56 @@ class GeneratorMatrix:
         return float(np.sqrt(np.sum(self.weight * np.abs(x) ** 2).real))
 
 
+# eigenpairs farther than this many eps (n + 1) from their entries, after
+# scaling by the condition of the similarity, certify nothing; the
+# closed-form Laplacian pairs sit below 0.3 eps (n + 1)
+_DEFECT_ULPS = 8.0
+
+
+# columns of V per pass of the banded defect check: an n x 128 block stays
+# in cache, where whole n x n temporaries at n = 1024 do not
+_DEFECT_BLOCK = 128
+
+
 def _spectral_defect(entries: np.ndarray, spectrum: np.ndarray,
-                     vecs: np.ndarray) -> float:
-    """max(||A V - V diag(lam)||_max / max|lam|, ||V^T V - I||_max); a zero
-    spectrum is measured absolutely."""
-    scale = float(np.max(np.abs(spectrum))) or 1.0
+                     vecs: np.ndarray, scale: np.ndarray) -> float:
+    """max(||D^-1 A D V - V diag(lam)||_max / max|lam|, ||V^T V - I||_max)
+    with D = diag(scale); a zero spectrum is measured absolutely.
+
+    A tridiagonal A is applied from its three diagonals, in O(n^2).
+    """
+    top = float(np.max(np.abs(spectrum))) or 1.0
+    if bandwidth(entries) == (1, 1):
+        # D^-1 A D keeps the diagonal and scales the off-diagonals by the
+        # ratios of neighbouring d
+        ratio = scale[1:] / scale[:-1]
+        main = np.diagonal(entries)[:, None]
+        upper = (np.diagonal(entries, 1) * ratio)[:, None]
+        lower = (np.diagonal(entries, -1) / ratio)[:, None]
+        worst = 0.0
+        for j in range(0, len(spectrum), _DEFECT_BLOCK):
+            cols = vecs[:, j:j + _DEFECT_BLOCK]
+            residual = (main - spectrum[j:j + _DEFECT_BLOCK]) * cols
+            residual[:-1] += upper * cols[1:]
+            residual[1:] += lower * cols[:-1]
+            worst = max(worst, float(np.max(np.abs(residual))))
+    else:
+        column = scale[:, None]
+        residual = (entries @ (column * vecs)) / column - vecs * spectrum
+        worst = float(np.max(np.abs(residual)))
+    return max(worst / top, _orthogonality_defect(vecs))
+
+
+def _orthogonality_defect(vecs: np.ndarray) -> float:
+    """||V^T V - I||_max; the cached sine basis of V's size reuses the
+    defect measured when it was built."""
+    if not vecs.flags.writeable:
+        basis, defect = _sine_basis(len(vecs))
+        if vecs is basis:
+            return defect
     gram = vecs.T @ vecs
     gram[np.diag_indices_from(gram)] -= 1.0
-    return max(float(np.max(np.abs(entries @ vecs - vecs * spectrum))) / scale,
-               float(np.max(np.abs(gram))))
+    return float(np.max(np.abs(gram)))
 
 
 # series length of the expm oracle: at norm <= 1/2 the tail is far below
@@ -215,14 +282,42 @@ def _flow(matrix: np.ndarray) -> np.ndarray:
     return _square_flushed(expm(scaled), k)
 
 
+# largest exponent whose exp is a finite double
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _eigenbasis_flow(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
+    """d * V (exp(s lam) * V^T (x / d)) for a vector or a block of columns x.
+
+    V acts on the real and imaginary parts side by side as one real block,
+    so the real basis is never cast to complex.  Raises FloatingPointError
+    before exp(s lam) leaves double range.
+    """
+    top = s * float(np.max(g.spectrum))
+    if top > _LOG_MAX:
+        raise FloatingPointError(
+            f"exp(s lam) overflows at s={s}: s max(lam) = {top:.6g}")
+    scale = g.similarity[:, None]
+    cols = x.reshape(len(x), -1) / scale
+    m = cols.shape[1]
+    real = np.hstack((cols.real, cols.imag))
+    real = g.eigvecs @ (np.exp(s * g.spectrum)[:, None] * (g.eigvecs.T @ real))
+    return ((real[:, :m] + 1j * real[:, m:]) * scale).reshape(x.shape)
+
+
 def evolve_classical(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
-    """exp(sA) x by scaling-and-squaring (dense, any square A)."""
+    """exp(sA) x for a vector or a block of columns x: in g's eigenbasis
+    when its eigenpairs are certified, else by scaling-and-squaring (dense,
+    any square A)."""
     if s < 0.0:
         raise ValueError(f"classical time must be nonnegative, got {s}")
     x = np.asarray(x, dtype=complex)
     if s == 0.0:
         return x.copy()
-    out = _flow(s * g.entries) @ x
+    if g.certified:
+        out = _eigenbasis_flow(g, s, x)
+    else:
+        out = _flow(s * g.entries) @ x
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(f"evolution produced non-finite state at s={s}")
     return out
@@ -407,20 +502,25 @@ def dissipativity_margin(g: GeneratorMatrix) -> float:
 
 # seeded random vectors probing the pointwise resolvent lower bound
 _RESOLVENT_PROBES = 200
-# eigenpairs farther than this many eps (n + 1) from their entries certify
-# nothing; the closed-form Laplacian pairs sit below 0.3 eps (n + 1)
-_DEFECT_ULPS = 8.0
+# eigenvectors of the top of the spectrum added to the probes: the bound is
+# tight there, while random vectors sit on the high modes
+_MODE_PROBES = 4
 
 
 def _closed_form_margin(g: GeneratorMatrix, void: str) -> float:
     """Largest eigenvalue of g's closed-form spectrum.
 
-    Raises ValueError when g carries no eigenpairs or the spectrum is not
-    dissipative (margin above 1e-12), naming what is then void.
+    Raises ValueError when g carries no eigenpairs, when its eigenbasis is
+    not orthogonal (a similarity d other than 1: the norms below are those
+    of a symmetric A), or when the spectrum is not dissipative (margin
+    above 1e-12), naming what is then void.
     """
     if g.spectrum is None:
         raise ValueError(f"generator {g.label!r} carries no eigenpairs; "
                          "the bound is measured in its eigenbasis")
+    if np.any(g.similarity != 1.0):
+        raise ValueError(f"generator {g.label!r} has a similarity d other "
+                         "than 1; the bound needs an orthogonal eigenbasis")
     margin = float(np.max(g.spectrum))
     if margin > 1e-12:
         raise ValueError(
@@ -429,11 +529,9 @@ def _closed_form_margin(g: GeneratorMatrix, void: str) -> float:
 
 
 def _certified(excess: float, g: GeneratorMatrix) -> float:
-    """excess, or inf when g's spectral defect exceeds rounding:
-    eigenpairs that do not match the entries certify nothing."""
-    if g.spectral_defect > _DEFECT_ULPS * np.finfo(float).eps * (g.dim + 1):
-        return math.inf
-    return excess
+    """excess, or inf when g's eigenpairs are not certified: eigenpairs
+    that do not match the entries certify nothing."""
+    return excess if g.certified else math.inf
 
 
 def resolvent_bound_check(g: GeneratorMatrix, lam: float,
@@ -443,8 +541,9 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
     Measures by how much lam times the weighted operator norm of
     (lam I - A)^-1, max_k lam / (lam - lam_k) in g's eigenbasis, exceeds
     one, and by how much the pointwise lower bound
-    ||(lam I - A) x|| >= lam ||x|| is violated on seeded random vectors
-    multiplied by the entries.  Returns (residual, params); the residual is
+    ||(lam I - A) x|| >= lam ||x|| is violated on seeded random vectors and
+    on the eigenvectors of the _MODE_PROBES largest eigenvalues, multiplied
+    by the entries.  Returns (residual, params); the residual is
     the larger relative excess (inf for mismatched eigenpairs, see
     _certified), at most 0 when the bound holds.
     """
@@ -456,8 +555,9 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
     # real probes suffice: for a real A, ||(lam - A)(u + iv)||^2 is
     # ||(lam - A)u||^2 + ||(lam - A)v||^2, so a complex probe u + iv never
     # violates the bound by more than the worse of u and v
-    probes = np.random.default_rng(seed).standard_normal(
-        (_RESOLVENT_PROBES, n)).T
+    probes = np.hstack((
+        np.random.default_rng(seed).standard_normal((_RESOLVENT_PROBES, n)).T,
+        g.eigvecs[:, np.argsort(g.spectrum)[-_MODE_PROBES:]]))
     shifted = lam * np.eye(n) - g.entries
     lhs = np.sqrt(np.sum(g.weight * np.abs(shifted @ probes) ** 2, axis=0))
     rhs_val = lam * np.sqrt(np.sum(g.weight * np.abs(probes) ** 2, axis=0))
@@ -490,7 +590,7 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
     """Second-difference matrix on n interior nodes, both ends clamped,
     with the uniform-mesh inner product (weight h per node).
 
-    Its eigenpairs are closed-form (see _sine_eigenpairs).
+    Its eigenpairs are closed-form (see _sine_eigenpairs), with d = 1.
     """
     if n < 2:
         raise ValueError("need n >= 2 interior nodes")
@@ -505,15 +605,26 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
 
 def _sine_eigenpairs(n: int) -> tuple:
     """(lam, V) of the clamped second difference on n interior nodes:
-    lam_k = -(4/h^2) sin^2(k pi h/2) with the orthonormal sine vectors
-    V_jk = sqrt(2h) sin(j k pi h), j, k = 1..n (the discrete sine transform).
-    """
+    lam_k = -(4/h^2) sin^2(k pi h/2) with the cached sine basis V."""
     h = 1.0 / (n + 1)
     k = np.arange(1, n + 1)
     spectrum = -(4.0 / h ** 2) * np.sin(0.5 * np.pi * h * k) ** 2
+    return spectrum, _sine_basis(n)[0]
+
+
+@functools.cache
+def _sine_basis(n: int) -> tuple:
+    """(V, ||V^T V - I||_max) for the orthonormal sine vectors
+    V_jk = sqrt(2h) sin(j k pi h), j, k = 1..n (the discrete sine transform),
+    built and checked once per n; V is read-only and shared by every
+    generator of that size that carries it."""
+    h = 1.0 / (n + 1)
+    k = np.arange(1, n + 1)
     # j k reduced mod 2(n + 1) keeps every sine argument in [0, 2 pi)
     vecs = np.sqrt(2.0 * h) * np.sin(np.pi * h * (np.outer(k, k) % (2 * (n + 1))))
-    return spectrum, vecs
+    defect = _orthogonality_defect(vecs)
+    vecs.flags.writeable = False
+    return vecs, defect
 
 
 def strong_continuity_check(cs: ConformableSemigroup, x: np.ndarray) -> tuple:

@@ -136,11 +136,11 @@ def test_stepped_mild_errors_match_dense_expm(n):
     """advancing the corpus block step by step reproduces the per-time
     difference of the two dense exponentials."""
     t_list = (0.25, 0.5, 1.0)
-    mapped, classical, block, rows = dd._mapped_pair(PARAMS, n, True,
-                                                      dd._CLAMPED_CORPUS)
+    mapped, twin, block, rows = dd._mapped_pair(PARAMS, n, True,
+                                                 dd._CLAMPED_CORPUS)
     out = mild_solution_residuals(PARAMS, n, t_list)
     for t, rec in zip(t_list, out["records"]):
-        gap = (expm(t * mapped) - expm(t * classical)) @ block
+        gap = (expm(t * mapped) - expm(t * twin.entries)) @ block
         want = np.max(np.abs(gap[rows]))
         assert rec["t"] == t
         assert rec["error"] == pytest.approx(want, rel=1e-10)

@@ -224,15 +224,19 @@ def test_dirichlet_eigenpairs_are_checked_at_rounding(n):
 @pytest.mark.parametrize("n", ORACLE_NS)
 def test_closed_form_flow_matches_plain_expm(n):
     """V exp(s diag(lam)) V^T is the dense flow entry by entry, within
-    32 eps (n+1)^2, at small steps and at the contraction grid's clocks"""
+    32 eps (n+1)^2, at small steps and at the contraction grid's clocks;
+    so is evolve_classical, which runs the certified pairs in that basis"""
     g = dirichlet_second_difference(n)
+    assert g.certified
     spectrum, vecs = _sine_eigenpairs(n)
     steps = [1e-4, 0.01, 0.5] + [Order(d).psi(t) for d in (0.5, 1.0)
                                  for t in (0.1, 1.0, 5.0)]
     for s in steps:
+        dense = expm(s * g.entries)
         closed = (vecs * np.exp(s * spectrum)) @ vecs.T
-        gap = np.max(np.abs(closed - expm(s * g.entries)))
-        assert gap <= 32.0 * EPS * (n + 1) ** 2, (s, gap)
+        for flow in (closed, evolve_classical(g, s, np.eye(n))):
+            gap = np.max(np.abs(flow - dense))
+            assert gap <= 32.0 * EPS * (n + 1) ** 2, (s, gap)
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)
@@ -278,6 +282,7 @@ def perturbed(g, part):
     1e-6 relative"""
     entries = g.entries.copy()
     spectrum, vecs = _sine_eigenpairs(g.dim)
+    vecs = vecs.copy()  # the cached basis is read-only
     target = {"entries": entries, "eigenvalue": spectrum,
               "eigenvector": vecs}[part]
     index = (3,) * target.ndim
@@ -344,24 +349,40 @@ def test_resolvent_probes_match_one_by_one_products():
     """the block of probes gives the lower excess of one real product per
     probe, and bounds the excess of the complex probes u + iv that
     consecutive draws form: for a real A, ||(lam - A)(u + iv)||^2 is
-    ||(lam - A)u||^2 + ||(lam - A)v||^2."""
+    ||(lam - A)u||^2 + ||(lam - A)v||^2.  The four lowest sine modes join
+    the seeded draws."""
     g = dirichlet_second_difference(32)
     lam = 0.5
     shifted = lam * np.eye(g.dim) - g.entries
+
+    def excess(x):
+        rhs = lam * g.w_norm(x)
+        return (rhs - g.w_norm(shifted @ x)) / rhs
+
     rng = np.random.default_rng(4)
-    want = complex_excess = -np.inf
+    random_excess = complex_excess = -np.inf
     for _ in range(100):
         u, v = rng.standard_normal(g.dim), rng.standard_normal(g.dim)
-        for x in (u, v, u + 1j * v):
-            rhs = lam * g.w_norm(x)
-            excess = (rhs - g.w_norm(shifted @ x)) / rhs
-            if np.iscomplexobj(x):
-                complex_excess = max(complex_excess, excess)
-            else:
-                want = max(want, excess)
+        random_excess = max(random_excess, excess(u), excess(v))
+        complex_excess = max(complex_excess, excess(u + 1j * v))
+    modes = _sine_eigenpairs(g.dim)[1][:, :4]
+    want = max(random_excess, *(excess(x) for x in modes.T))
     got = resolvent_bound_check(g, lam, seed=4)[1]["lower_excess"]
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert complex_excess <= got
+
+
+@pytest.mark.parametrize("n", [32, 128, 512])
+@pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0])
+def test_resolvent_lower_excess_is_tight_at_the_first_mode(n, lam):
+    """the first sine vector gives ||(lam - A) v|| = (lam - lam_1) ||v||, so
+    the pointwise excess reads lam_1 / lam (about -98.7 at lam = 0.1), far
+    above what the seeded draws alone read"""
+    g = dirichlet_second_difference(n)
+    _, params = resolvent_bound_check(g, lam)
+    assert params["lower_excess"] == pytest.approx(top_eigenvalue(n) / lam,
+                                                   rel=1e-9)
+    assert params["lower_excess"] > -100.0
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0])
