@@ -180,15 +180,17 @@ def build_classical_operator(p: DriftDiffusionParams, grid: GridPair,
     """Constant-coefficient twin on the uniform grid, plain mesh weight h.
 
     Clamped at both ends the twin carries closed-form eigenpairs (see
-    _twin_eigenpairs) when they exist.
+    _twin_eigenpairs) when they exist, and flows in that basis while they
+    are certified.
     """
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
     a_t, b_t, c = parameter_transfer(p)
     entries = _assemble_conformable(a_t, b_t, c, 1.0, grid.xi_nodes, clamp_right)
+    pairs = _twin_eigenpairs(a_t, b_t, c, grid) if clamp_right else None
     return GeneratorMatrix(
         entries=entries, weight=grid.h, label=f"classical[n={grid.n}]",
-        eigenpairs=_twin_eigenpairs(a_t, b_t, c, grid) if clamp_right else None)
+        eigenpairs=pairs, eigenbasis_flow=pairs is not None)
 
 
 def _twin_eigenpairs(a: float, b: float, c: float, grid: GridPair):

@@ -13,20 +13,20 @@ A generator may carry closed-form eigenpairs in one representation,
 A = D V diag(lam) V^T D^-1 with D = diag(d), d > 0 and V orthogonal; a
 symmetric A is the case d = 1.  They are checked against the entries once,
 when the generator is built, and certified when the defect, scaled by the
-condition d_max / d_min of D, stays at rounding.  A certified generator
-flows in its eigenbasis, exp(sA) x = d * V (exp(s lam) * V^T (x / d));
-every other one (the fixtures, the graded drift-diffusion operator, a twin
-whose similarity is too ill-conditioned) flows by dense scaling and
-squaring on the entries.  The resolvent and contraction bounds need d = 1: S(t) =
-exp(psi(t) A) is the classical flow on a new clock, so for a symmetric A
-its norm is max_k exp(psi(t) lam_k) and the resolvent norm is
-max_k 1/(lam - lam_k).  The dense Hermitian-part margin stays as the
-independent route.
+condition d_max / d_min of D, stays at rounding.  A generator built with
+eigenbasis_flow (the clamped drift-diffusion twin) flows in its eigenbasis
+when certified, exp(sA) x = d * V (exp(s lam) * V^T (x / d)); every other
+one (the fixtures, the Dirichlet Laplacian among them, the graded
+drift-diffusion operator, a twin whose similarity is too ill-conditioned)
+flows by dense scaling and squaring on the entries.  The resolvent and
+contraction bounds need d = 1: S(t) = exp(psi(t) A) is the classical flow
+on a new clock, so for a symmetric A its norm is max_k exp(psi(t) lam_k)
+and the resolvent norm is max_k 1/(lam - lam_k).  The dense Hermitian-part
+margin and the Laplacian's dense flow stay as the independent routes.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -75,12 +75,18 @@ class GeneratorMatrix:
     condition(d) = max d / min d: eigenvector error grows with the
     conditioning of the basis (Bauer-Fike).  Without eigenpairs the four
     are None and certified is False.
+
+    eigenbasis_flow asks evolve_classical to run this generator in its
+    eigenbasis; it needs eigenpairs and takes effect only while they are
+    certified.  Left False, the pairs serve the norm bounds alone and the
+    flow stays dense.
     """
 
     entries: np.ndarray
     weight: float
     label: str = ""
     eigenpairs: InitVar[tuple | None] = None
+    eigenbasis_flow: bool = field(default=False, repr=False, compare=False)
     spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
     eigvecs: np.ndarray | None = field(init=False, repr=False, compare=False)
     similarity: np.ndarray | None = field(init=False, repr=False,
@@ -106,6 +112,8 @@ class GeneratorMatrix:
         object.__setattr__(self, "weight", weight)
         spectrum = vecs = scale = defect = None
         certified = False
+        if self.eigenbasis_flow and eigenpairs is None:
+            raise ValueError("eigenbasis_flow needs eigenpairs")
         if eigenpairs is not None:
             n = entries.shape[0]
             spectrum, vecs, *rest = (np.asarray(a) for a in eigenpairs)
@@ -147,11 +155,6 @@ class GeneratorMatrix:
 _DEFECT_ULPS = 8.0
 
 
-# columns of V per pass of the banded defect check: an n x 128 block stays
-# in cache, where whole n x n temporaries at n = 1024 do not
-_DEFECT_BLOCK = 128
-
-
 def _spectral_defect(entries: np.ndarray, spectrum: np.ndarray,
                      vecs: np.ndarray, scale: np.ndarray) -> float:
     """max(||D^-1 A D V - V diag(lam)||_max / max|lam|, ||V^T V - I||_max)
@@ -164,30 +167,22 @@ def _spectral_defect(entries: np.ndarray, spectrum: np.ndarray,
         # D^-1 A D keeps the diagonal and scales the off-diagonals by the
         # ratios of neighbouring d
         ratio = scale[1:] / scale[:-1]
-        main = np.diagonal(entries)[:, None]
-        upper = (np.diagonal(entries, 1) * ratio)[:, None]
-        lower = (np.diagonal(entries, -1) / ratio)[:, None]
-        worst = 0.0
-        for j in range(0, len(spectrum), _DEFECT_BLOCK):
-            cols = vecs[:, j:j + _DEFECT_BLOCK]
-            residual = (main - spectrum[j:j + _DEFECT_BLOCK]) * cols
-            residual[:-1] += upper * cols[1:]
-            residual[1:] += lower * cols[:-1]
-            worst = max(worst, float(np.max(np.abs(residual))))
+        residual = (np.diagonal(entries)[:, None] - spectrum) * vecs
+        residual[:-1] += (np.diagonal(entries, 1) * ratio)[:, None] * vecs[1:]
+        residual[1:] += (np.diagonal(entries, -1) / ratio)[:, None] * vecs[:-1]
     else:
         column = scale[:, None]
         residual = (entries @ (column * vecs)) / column - vecs * spectrum
-        worst = float(np.max(np.abs(residual)))
-    return max(worst / top, _orthogonality_defect(vecs))
+    return max(float(np.max(np.abs(residual))) / top,
+               _orthogonality_defect(vecs))
 
 
 def _orthogonality_defect(vecs: np.ndarray) -> float:
-    """||V^T V - I||_max; the cached sine basis of V's size reuses the
-    defect measured when it was built."""
-    if not vecs.flags.writeable:
-        basis, defect = _sine_basis(len(vecs))
-        if vecs is basis:
-            return defect
+    """||V^T V - I||_max; the cached sine basis reuses the defect measured
+    when it was built."""
+    cached = _SINE_BASES.get(len(vecs))
+    if cached is not None and vecs is cached[0]:
+        return cached[1]
     gram = vecs.T @ vecs
     gram[np.diag_indices_from(gram)] -= 1.0
     return float(np.max(np.abs(gram)))
@@ -307,14 +302,14 @@ def _eigenbasis_flow(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
 
 def evolve_classical(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
     """exp(sA) x for a vector or a block of columns x: in g's eigenbasis
-    when its eigenpairs are certified, else by scaling-and-squaring (dense,
-    any square A)."""
+    when g asks for that (eigenbasis_flow) and its eigenpairs are certified,
+    else by scaling-and-squaring (dense, any square A)."""
     if s < 0.0:
         raise ValueError(f"classical time must be nonnegative, got {s}")
     x = np.asarray(x, dtype=complex)
     if s == 0.0:
         return x.copy()
-    if g.certified:
+    if g.eigenbasis_flow and g.certified:
         out = _eigenbasis_flow(g, s, x)
     else:
         out = _flow(s * g.entries) @ x
@@ -590,7 +585,9 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
     """Second-difference matrix on n interior nodes, both ends clamped,
     with the uniform-mesh inner product (weight h per node).
 
-    Its eigenpairs are closed-form (see _sine_eigenpairs), with d = 1.
+    Its eigenpairs are closed-form (see _sine_eigenpairs), with d = 1.  They
+    serve the resolvent and contraction bounds; the flow stays dense, the
+    route those bounds are read against.
     """
     if n < 2:
         raise ValueError("need n >= 2 interior nodes")
@@ -612,19 +609,25 @@ def _sine_eigenpairs(n: int) -> tuple:
     return spectrum, _sine_basis(n)[0]
 
 
-@functools.cache
+# the sine basis of each size n built so far, as (V, ||V^T V - I||_max)
+_SINE_BASES: dict[int, tuple[np.ndarray, float]] = {}
+
+
 def _sine_basis(n: int) -> tuple:
     """(V, ||V^T V - I||_max) for the orthonormal sine vectors
     V_jk = sqrt(2h) sin(j k pi h), j, k = 1..n (the discrete sine transform),
     built and checked once per n; V is read-only and shared by every
     generator of that size that carries it."""
-    h = 1.0 / (n + 1)
-    k = np.arange(1, n + 1)
-    # j k reduced mod 2(n + 1) keeps every sine argument in [0, 2 pi)
-    vecs = np.sqrt(2.0 * h) * np.sin(np.pi * h * (np.outer(k, k) % (2 * (n + 1))))
-    defect = _orthogonality_defect(vecs)
-    vecs.flags.writeable = False
-    return vecs, defect
+    if n not in _SINE_BASES:
+        h = 1.0 / (n + 1)
+        k = np.arange(1, n + 1)
+        # j k reduced mod 2(n + 1) keeps every sine argument in [0, 2 pi)
+        vecs = np.sqrt(2.0 * h) * np.sin(
+            np.pi * h * (np.outer(k, k) % (2 * (n + 1))))
+        defect = _orthogonality_defect(vecs)
+        vecs.flags.writeable = False
+        _SINE_BASES[n] = (vecs, defect)
+    return _SINE_BASES[n]
 
 
 def strong_continuity_check(cs: ConformableSemigroup, x: np.ndarray) -> tuple:

@@ -15,7 +15,7 @@ from confsemi import (ConformableSemigroup, GeneratorMatrix, Order,
                       resolvent_bound_check, solve_conformable_ode,
                       strong_continuity_check, taylor_matrix_exp)
 from confsemi.config import TOLERANCE_DEFAULTS
-from confsemi.semigroup import _sine_eigenpairs
+from confsemi.semigroup import _flow, _sine_eigenpairs
 
 
 def nilpotent2():
@@ -225,18 +225,25 @@ def test_dirichlet_eigenpairs_are_checked_at_rounding(n):
 def test_closed_form_flow_matches_plain_expm(n):
     """V exp(s diag(lam)) V^T is the dense flow entry by entry, within
     32 eps (n+1)^2, at small steps and at the contraction grid's clocks;
-    so is evolve_classical, which runs the certified pairs in that basis"""
+    so is evolve_classical on the same pairs built with eigenbasis_flow.
+    The Laplacian itself keeps the dense flow, the route its closed-form
+    bounds are read against."""
     g = dirichlet_second_difference(n)
-    assert g.certified
+    assert g.certified and not g.eigenbasis_flow
     spectrum, vecs = _sine_eigenpairs(n)
+    flowing = GeneratorMatrix(g.entries, g.weight, g.label, (spectrum, vecs),
+                              eigenbasis_flow=True)
     steps = [1e-4, 0.01, 0.5] + [Order(d).psi(t) for d in (0.5, 1.0)
                                  for t in (0.1, 1.0, 5.0)]
     for s in steps:
         dense = expm(s * g.entries)
         closed = (vecs * np.exp(s * spectrum)) @ vecs.T
-        for flow in (closed, evolve_classical(g, s, np.eye(n))):
+        for flow in (closed, evolve_classical(flowing, s, np.eye(n))):
             gap = np.max(np.abs(flow - dense))
             assert gap <= 32.0 * EPS * (n + 1) ** 2, (s, gap)
+        eye = np.eye(n, dtype=complex)
+        assert np.array_equal(evolve_classical(g, s, eye),
+                              _flow(s * g.entries) @ eye)
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)

@@ -118,11 +118,12 @@ def test_perturbed_entry_fails_certification_and_flows_densely(n):
     """a 1e-6 relative change in one twin entry voids the pairs; the sweep's
     law cell is then bitwise that of the same entries without pairs"""
     g, grid = twin(1.0, 1.0, 0.4, 0.5, n)
-    assert g.certified
+    assert g.certified and g.eigenbasis_flow
     entries = g.entries.copy()
     entries[3, 4] *= 1.0 + 1e-6
     pairs = (g.spectrum, g.eigvecs, g.similarity)
-    bad = GeneratorMatrix(entries, g.weight, g.label, pairs)
+    bad = GeneratorMatrix(entries, g.weight, g.label, pairs,
+                          eigenbasis_flow=True)
     bare = GeneratorMatrix(entries, g.weight, g.label)
     assert not bad.certified and bad.spectral_defect > 1e3 * EPS * (n + 1)
     x = profile(grid)
@@ -209,6 +210,11 @@ def test_similarity_is_validated(scale, error):
     with pytest.raises(error):
         GeneratorMatrix(np.diag([-1.0, -2.0]), 1.0, "",
                         (np.array([-1.0, -2.0]), np.eye(2), scale))
+
+
+def test_eigenbasis_flow_needs_eigenpairs():
+    with pytest.raises(ValueError, match="eigenbasis_flow"):
+        GeneratorMatrix(np.diag([-1.0, -2.0]), 1.0, "", eigenbasis_flow=True)
 
 
 def test_condition_scales_the_certificate():
