@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,8 @@ __all__ = [
 ]
 
 from .semigroup import (GeneratorMatrix, _scale_for_squaring, _sine_basis,
-                        _square_flushed, evolve_classical)
+                        _square_flushed, _tridiagonal_eigenpairs,
+                        evolve_classical)
 
 # fixed smooth probe functions on the uniform-variable interval (0,1)
 SMOOTH_CORPUS = (
@@ -253,9 +255,11 @@ def _window_rows(grid: GridPair) -> np.ndarray:
 
 def _mapped_pair(p: DriftDiffusionParams, n: int, clamp_right: bool,
                  corpus) -> tuple:
-    """The unitarily mapped graded operator (entries), its classical twin
-    (a GeneratorMatrix), the corpus sampled on the uniform grid as the
-    columns of one block, and the window rows."""
+    """The unitarily mapped graded operator (entries: the matrix whose flow
+    mild_solution_residuals takes, in the eigenbasis certified against
+    these entries or densely), its classical twin (a GeneratorMatrix), the
+    corpus sampled on the uniform grid as the columns of one block, and the
+    window rows."""
     grid = GridPair.build(n, p.delta)
     graded = build_conformable_operator(p, grid, clamp_right)
     twin = build_classical_operator(p, grid, clamp_right)
@@ -359,6 +363,31 @@ def _flow(matrix: np.ndarray) -> np.ndarray:
     return _square_flushed(expm(scaled), k)
 
 
+def _advance(g: GeneratorMatrix, steps, block: np.ndarray) -> list:
+    """The block after each step in turn under exp(step A), A = g.entries.
+
+    A generator that asks for its eigenbasis (eigenbasis_flow) flows there
+    by evolve_classical while its pairs are certified.  Every other one,
+    and one whose eigenbasis flow leaves double range, flows by this
+    module's dense _flow, one exponential per distinct step, which writes
+    an overflow as inf and nan for the check to fail on.
+    """
+    if g.eigenbasis_flow and g.certified:
+        try:
+            return list(accumulate(
+                steps, lambda x, step: evolve_classical(g, step, x),
+                initial=block))[1:]
+        except FloatingPointError:
+            pass
+    flows = {}
+    states = [block]
+    for step in steps:
+        if step not in flows:
+            flows[step] = _flow(step * g.entries)
+        states.append(flows[step] @ states[-1])
+    return states[1:]
+
+
 def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     """Evolution agreement of the operator pair, both ends clamped.
 
@@ -368,11 +397,12 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     window error must stay below 5 * (window stencil residual) * t.
 
     Both flows advance the corpus block through t_list, which must be
-    nondecreasing and nonnegative, by two independent routes: the graded
-    flow is dense, with one exponential per distinct step, and the twin
-    flows by evolve_classical, in its closed-form eigenbasis when that is
-    certified.  At delta = 1 the mapped operator is the twin bit for bit,
-    so the twin's flow serves both and every error is 0.
+    nondecreasing and nonnegative (see _advance).  The twin flows in its
+    closed-form eigenbasis and the mapped graded operator in the eigenbasis
+    of _tridiagonal_eigenpairs, each while certified against the entries
+    it flows; otherwise each flows densely.  At delta = 1 the mapped
+    operator is the twin bit for bit, so the twin's flow serves both and
+    every error is 0.
     """
     times = [float(t) for t in t_list]
     steps = np.diff([0.0, *times])
@@ -380,20 +410,18 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
         raise ValueError(f"t_list must be nonnegative and nondecreasing, got {t_list}")
     mapped, twin, block, rows = _mapped_pair(p, n, True, _CLAMPED_CORPUS)
     stencil_residual = _window_sup((mapped - twin.entries) @ block, rows)
-    same = np.array_equal(mapped, twin.entries)
-    flows = {}
-    graded_state, twin_state = block, block
-    records = []
-    for t, step in zip(times, steps):
-        twin_state = evolve_classical(twin, step, twin_state)
-        if same:
-            graded_state = twin_state
-        else:
-            if step not in flows:
-                flows[step] = _flow(step * mapped)
-            graded_state = flows[step] @ graded_state
-        err = _window_sup(graded_state - twin_state, rows)
-        records.append({"t": t, "error": err, "bound": 5.0 * stencil_residual * t})
+    twin_states = _advance(twin, steps, block)
+    if np.array_equal(mapped, twin.entries):
+        graded_states = twin_states
+    else:
+        pairs = _tridiagonal_eigenpairs(mapped)
+        graded = GeneratorMatrix(mapped, twin.weight, f"mapped[n={n}]",
+                                 eigenpairs=pairs,
+                                 eigenbasis_flow=pairs is not None)
+        graded_states = _advance(graded, steps, block)
+    records = [{"t": t, "error": _window_sup(g - c, rows),
+                "bound": 5.0 * stencil_residual * t}
+               for t, g, c in zip(times, graded_states, twin_states)]
     return {"n": n, "stencil_residual": stencil_residual, "records": records}
 
 

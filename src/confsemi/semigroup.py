@@ -9,20 +9,24 @@ adaptive Runge-Kutta orbit for the singular ODE x'(t) = t**(delta-1) A x(t),
 and the dissipativity / resolvent / contraction battery for negative
 generators.
 
-A generator may carry closed-form eigenpairs in one representation,
+A generator may carry eigenpairs in one representation,
 A = D V diag(lam) V^T D^-1 with D = diag(d), d > 0 and V orthogonal; a
-symmetric A is the case d = 1.  They are checked against the entries once,
-when the generator is built, and certified when the defect, scaled by the
-condition d_max / d_min of D, stays at rounding.  A generator built with
-eigenbasis_flow (the clamped drift-diffusion twin) flows in its eigenbasis
-when certified, exp(sA) x = d * V (exp(s lam) * V^T (x / d)); every other
-one (the fixtures, the Dirichlet Laplacian among them, the graded
-drift-diffusion operator, a twin whose similarity is too ill-conditioned)
-flows by dense scaling and squaring on the entries.  The resolvent and
-contraction bounds need d = 1: S(t) = exp(psi(t) A) is the classical flow
-on a new clock, so for a symmetric A its norm is max_k exp(psi(t) lam_k)
-and the resolvent norm is max_k 1/(lam - lam_k).  The dense Hermitian-part
-margin and the Laplacian's dense flow stay as the independent routes.
+symmetric A is the case d = 1.  They come in closed form (the Dirichlet
+Laplacian, the clamped drift-diffusion twin) or, for a tridiagonal A whose
+off-diagonal products are all positive, from the symmetric tridiagonal
+eigensolver (_tridiagonal_eigenpairs; the clamped graded drift-diffusion
+operator).  They are checked against the entries once, when the generator
+is built, and certified when the defect, scaled by the condition
+d_max / d_min of D, stays at rounding.  A generator built with
+eigenbasis_flow (the two clamped drift-diffusion operators) flows in its
+eigenbasis when certified, exp(sA) x = d * V (exp(s lam) * V^T (x / d));
+every other one (the fixtures, the Dirichlet Laplacian among them, an
+operator whose similarity is too ill-conditioned) flows by dense scaling
+and squaring on the entries.  The resolvent and contraction bounds need
+d = 1: S(t) = exp(psi(t) A) is the classical flow on a new clock, so for
+a symmetric A its norm is max_k exp(psi(t) lam_k) and the resolvent norm
+is max_k 1/(lam - lam_k).  The dense Hermitian-part margin and the
+Laplacian's dense flow stay as the independent routes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg import bandwidth, expm
+from scipy.linalg import bandwidth, eigh_tridiagonal, expm
 
 from .clock import Order
 
@@ -286,7 +290,8 @@ def _eigenbasis_flow(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
 
     V acts on the real and imaginary parts side by side as one real block,
     so the real basis is never cast to complex.  Raises FloatingPointError
-    before exp(s lam) leaves double range.
+    before exp(s lam) leaves double range, and when a product does, instead
+    of returning inf or nan.
     """
     top = s * float(np.max(g.spectrum))
     if top > _LOG_MAX:
@@ -296,8 +301,10 @@ def _eigenbasis_flow(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
     cols = x.reshape(len(x), -1) / scale
     m = cols.shape[1]
     real = np.hstack((cols.real, cols.imag))
-    real = g.eigvecs @ (np.exp(s * g.spectrum)[:, None] * (g.eigvecs.T @ real))
-    return ((real[:, :m] + 1j * real[:, m:]) * scale).reshape(x.shape)
+    with np.errstate(over="raise", invalid="raise"):
+        real = g.eigvecs @ (np.exp(s * g.spectrum)[:, None]
+                            * (g.eigvecs.T @ real))
+        return ((real[:, :m] + 1j * real[:, m:]) * scale).reshape(x.shape)
 
 
 def evolve_classical(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
@@ -607,6 +614,27 @@ def _sine_eigenpairs(n: int) -> tuple:
     k = np.arange(1, n + 1)
     spectrum = -(4.0 / h ** 2) * np.sin(0.5 * np.pi * h * k) ** 2
     return spectrum, _sine_basis(n)[0]
+
+
+def _tridiagonal_eigenpairs(entries: np.ndarray):
+    """(lam, V, d) of a real tridiagonal A, or None.
+
+    When every product A[j, j+1] A[j+1, j] is positive, the similarity
+    d_0 = 1, d_{j+1} / d_j = sqrt(A[j+1, j] / A[j, j+1]) makes D^-1 A D
+    symmetric tridiagonal, with A's diagonal and the off-diagonal
+    sqrt(A[j, j+1] A[j+1, j]); eigh_tridiagonal gives its pairs in O(n^2).
+    None when a product is <= 0 or d leaves double range.
+    """
+    sup, sub = np.diagonal(entries, 1), np.diagonal(entries, -1)
+    products = sup * sub
+    if not np.all(products > 0.0):
+        return None
+    with np.errstate(over="ignore"):
+        scale = np.cumprod(np.concatenate(([1.0], np.sqrt(sub / sup))))
+    if not np.all((scale > 0.0) & np.isfinite(scale)):
+        return None
+    spectrum, vecs = eigh_tridiagonal(np.diagonal(entries), np.sqrt(products))
+    return spectrum, vecs, scale
 
 
 # the sine basis of each size n built so far, as (V, ||V^T V - I||_max)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -491,6 +492,53 @@ def test_non_finite_residuals_are_written_as_strict_json(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(out), str(out)]) == 0
     assert "0 verdict flips" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("delta, kinds", [
+    (0.4, {64: None, 128: "inf", 256: "nan"}),
+    (0.45, {64: None, 128: None, 256: None}),
+])
+def test_growing_graded_flows_end_in_verdicts(tmp_path, capsys, delta, kinds):
+    """below delta = 1/2 the graded operator's pairs are certified but its
+    spectrum reaches far above 0: every mild_bound FAILs, and where the
+    eigenbasis flow leaves double range the dense route writes the same
+    null residual, of the kind given (None: finite), as it always did.
+    The report is complete and nothing else fails"""
+    cfg = write(tmp_path, f"[drift_diffusion]\ndelta = {delta}\n")
+    out = tmp_path / "dd"
+    overflows = any(kinds.values())
+    with (pytest.warns(RuntimeWarning, match="overflow|invalid value")
+          if overflows else warnings.catch_warnings()):
+        assert main(["run", "--suite", "drift-diffusion", "--config", cfg,
+                     "--out", str(out)]) == 1
+    records = _strict_json((out / "report.json").read_text())
+    assert len(records) == len({r["check_id"] for r in records}) == 11
+    failed = {r["check_id"]: r for r in records if not r["passed"]}
+    assert sorted(failed) == sorted(f"drift_diffusion.mild_bound[n={n}]"
+                                    for n in kinds)
+    for n, kind in kinds.items():
+        rec = failed[f"drift_diffusion.mild_bound[n={n}]"]
+        assert rec["params"].get("residual_kind") == kind
+        assert (rec["residual"] is None) == (kind is not None)
+    capsys.readouterr()
+
+
+def test_overflowing_twin_flow_ends_in_verdicts(tmp_path, capsys):
+    """at c = 1e6 the twin's exp(s lam) leaves double range in its
+    eigenbasis: the dense route takes over and the three mild_bound
+    records are nan FAILs, beside the confluent_continuity FAIL"""
+    cfg = write(tmp_path, "[drift_diffusion]\nc = 1e6\n")
+    out = tmp_path / "dd"
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        assert main(["run", "--suite", "drift-diffusion", "--config", cfg,
+                     "--out", str(out)]) == 1
+    records = _strict_json((out / "report.json").read_text())
+    failed = {r["check_id"]: r["params"].get("residual_kind")
+              for r in records if not r["passed"]}
+    assert failed == {"drift_diffusion.confluent_continuity": None,
+                      **{f"drift_diffusion.mild_bound[n={n}]": "nan"
+                         for n in (64, 128, 256)}}
+    capsys.readouterr()
 
 
 def test_non_finite_params_are_strings(tmp_path):
