@@ -33,10 +33,6 @@ def rel_gap(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def non_positive_products(mapped):
-    return int(np.sum(np.diagonal(mapped, 1) * np.diagonal(mapped, -1) <= 0.0))
-
-
 # agreement with the dense oracles ---------------------------------------------
 
 COEFFS = ((1.0, 1.0, 0.4), (0.5, 3.0, 0.1), (3.0, 0.3, 2.0), (0.2, 0.2, 1.0))
@@ -122,7 +118,8 @@ def test_non_positive_products_give_no_pairs(delta, rows):
     in the first row at delta = 0.3 and in 7 or more below 0.1; no diagonal
     similarity symmetrizes such an operator"""
     mapped, *_ = mapped_pair(1.0, 1.0, 0.4, delta, 256)
-    assert non_positive_products(mapped) == rows
+    products = np.diagonal(mapped, 1) * np.diagonal(mapped, -1)
+    assert np.sum(products <= 0.0) == rows
     assert _tridiagonal_eigenpairs(mapped) is None
 
 
