@@ -403,56 +403,71 @@ class OrbitSample:
     norms: np.ndarray
 
 
-# Dormand-Prince 5(4) tableau.  scipy.integrate.solve_ivp(method="RK45")
-# steps the same pair to the same accuracy, and its orbits run faster, but
-# importing scipy.integrate costs the command line more start-up time than a
-# default run spends in all its orbit solves; so the stepper is written out.
+# Dormand-Prince 5(4) tableau, stages as the rows of a lower-triangular
+# array.  scipy.integrate.solve_ivp(method="RK45") steps the same pair to the
+# same accuracy, but importing scipy.integrate costs the command line more
+# start-up time than a default run spends in all its orbit solves; so the
+# stepper is written out.  The last row of _DP_A is _DP_B5 (first same as
+# last): the seventh stage is taken at the fifth-order solution, and an
+# accepted step hands it on as the next step's first.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 # accepted and rejected steps one advance may take before it gives up
 _RK45_MAX_STEPS = 500_000
 
 
-def _rk45_advance(rhs, t: float, x: np.ndarray, t_target: float,
+def _rk45_advance(rhs, t: float, x: np.ndarray, t_target: float, h: float,
                   rtol: float, atol: float):
-    """Integrate rhs from (t, x) to t_target with embedded 5(4) steps."""
-    h = max((t_target - t) / 100.0, 1e-12)
+    """Integrate rhs from (t, x) to t_target with embedded 5(4) steps.
+
+    The seven stages of a step are the rows of one (7, n) block, in x's
+    dtype; each stage is one row of _DP_A times the block and one rhs call,
+    and the first stage of a step after an accepted one is the accepted
+    step's last (6 rhs calls a step).  h is the step to try first; returns
+    (x at t_target, the step to try next), where a last step cut short at
+    t_target hands on the step it was cut from.  The error norm is the RMS
+    of |err| / (atol + rtol * max(|x|, |x_new|)); a non-finite error counts
+    as a rejection at the smallest step factor.
+    """
+    k = np.empty((7, x.size), dtype=x.dtype)
+    k[0] = rhs(t, x)
     steps = 0
     while t < t_target:
         if h < 1e-14 * abs(t):
             raise FloatingPointError(f"step size underflow at t={t}")
-        h = min(h, t_target - t)
-        stages = []
-        for i in range(7):
-            xi = x
-            for j, a in enumerate(_DP_A[i]):
-                if a != 0.0:
-                    xi = xi + (h * a) * stages[j]
-            stages.append(rhs(t + _DP_C[i] * h, xi))
-        hi = x + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0)
-        lo = x + h * sum(b * k for b, k in zip(_DP_B4, stages) if b != 0.0)
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(hi))
-        err = float(np.sqrt(np.mean((np.abs(hi - lo) / scale) ** 2)))
+        last = h >= t_target - t
+        step = t_target - t if last else h
+        for i in range(1, 7):
+            xi = x + step * (_DP_A[i, :i] @ k[:i])
+            k[i] = rhs(t + _DP_C[i] * step, xi)
+        # xi is now the fifth-order solution x + step * (_DP_B5 @ k)
+        scale = atol + rtol * np.maximum(np.abs(x), np.abs(xi))
+        err = float(np.sqrt(np.mean((np.abs(step * (_DP_E @ k)) / scale) ** 2)))
+        if math.isnan(err):
+            err = math.inf
+        factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
         if err <= 1.0:
-            t, x = t + h, hi
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+            t, x = (t_target if last else t + step), xi
+            k[0] = k[6]
+        if err > 1.0 or step == h:
+            h = step * factor
         steps += 1
         if steps > _RK45_MAX_STEPS:
             raise FloatingPointError(f"step budget exhausted at t={t}")
-    return x
+    return x, h
 
 
 def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
@@ -462,8 +477,12 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
 
     The right-hand side is singular at t=0 for delta < 1, so the segment
     [0, t0] is advanced exactly via exp(psi(t0) A); from t0 on, integration
-    is a hand-rolled adaptive embedded Runge-Kutta that never consults the
-    clock.  t0 = min(1e-3, psi_inv(1e-3)).
+    is a hand-rolled adaptive Dormand-Prince 5(4) stepper that never
+    consults the clock.  t0 = min(1e-3, psi_inv(1e-3)).  The stepper starts
+    at h = (t1 - t0) / 100, t1 the first output time past t0, and carries
+    its step from one output time to the next.  A real A with a real x0
+    runs in float64 (the exact segment is then real); the states are
+    returned complex either way.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -478,15 +497,20 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
     states = []
     t_cur = t0
     x_cur = evolve_classical(g, delta.psi(t0), x0)
+    if np.isrealobj(g.entries) and not np.any(x0.imag):
+        x_cur = x_cur.real.copy()
+    h = None
     for t in times:
         if t == 0.0:
             states.append(x0.copy())
         elif t <= t0:
             states.append(evolve_classical(g, delta.psi(t), x0))
         else:
-            x_cur = _rk45_advance(rhs, t_cur, x_cur, t, rtol, atol)
+            if h is None:
+                h = (t - t0) / 100.0
+            x_cur, h = _rk45_advance(rhs, t_cur, x_cur, t, h, rtol, atol)
             t_cur = t
-            states.append(x_cur.copy())
+            states.append(x_cur.astype(complex))
     norms = np.array([g.w_norm(s) for s in states])
     return OrbitSample(times=times, states=states, norms=norms)
 

@@ -14,8 +14,11 @@ from confsemi import (ConformableSemigroup, GeneratorMatrix, Order,
                       evolve_classical, generator_delta_quotient,
                       resolvent_bound_check, solve_conformable_ode,
                       strong_continuity_check, taylor_matrix_exp)
+from confsemi import semigroup
 from confsemi.config import TOLERANCE_DEFAULTS
-from confsemi.semigroup import _flow, _sine_eigenpairs
+from confsemi.semigroup import (_DP_A, _DP_B4, _DP_B5, _DP_C, _flow,
+                                _rk45_advance, _sine_eigenpairs)
+from confsemi.suites import _orbit_gap
 
 
 def nilpotent2():
@@ -181,6 +184,90 @@ def test_orbit_norms_recorded_and_decaying():
     orbit = solve_conformable_ode(g, Order(0.6), x0, 2.0, n_out=9)
     assert orbit.norms.shape == (9,)
     assert np.all(np.diff(orbit.norms) < 0)
+
+
+def test_dormand_prince_tableau_transcription():
+    """the (7, 7) tableau is consistent, first-same-as-last and fifth order."""
+    assert np.allclose(_DP_A, np.tril(_DP_A, -1), rtol=0.0, atol=0.0)
+    assert np.allclose(_DP_A.sum(axis=1), _DP_C, rtol=0.0, atol=1e-15)
+    assert abs(_DP_B5.sum() - 1.0) <= 1e-15
+    assert abs(_DP_B4.sum() - 1.0) <= 1e-15
+    assert np.array_equal(_DP_A[6], _DP_B5)
+    for q in (1, 2, 3, 4):
+        assert abs(_DP_B5 @ _DP_C ** q - 1.0 / (q + 1)) <= 1e-15
+
+
+def test_complex_generator_orbit_matches_closed_form():
+    """complex entries take the complex path: exp(psi(t) lam) x0."""
+    g = diag_complex()
+    lam = np.diag(g.entries)
+    x0 = np.array([1.0, -1.0])
+    order = Order(0.5)
+    orbit = solve_conformable_ode(g, order, x0, 2.0, n_out=9)
+    for t, state in zip(orbit.times, orbit.states):
+        want = np.exp(order.psi(float(t)) * lam) * x0
+        assert np.linalg.norm(state - want) / np.linalg.norm(want) <= 1e-8
+
+
+def test_complex_initial_state_takes_complex_path(monkeypatch):
+    """a real generator with a complex x0 steps in complex arithmetic."""
+    dtypes = []
+
+    def spy(rhs, t, x, *args):
+        dtypes.append(x.dtype)
+        return _rk45_advance(rhs, t, x, *args)
+
+    monkeypatch.setattr(semigroup, "_rk45_advance", spy)
+    g = nonnormal4()
+    x0 = np.array([1.0 + 0.5j, -1.0, 0.5 - 1.0j, 1.0j])
+    order = Order(0.4)
+    orbit = solve_conformable_ode(g, order, x0, 2.0, n_out=9)
+    assert dtypes and all(dt == np.complex128 for dt in dtypes)
+    for t, state in zip(orbit.times, orbit.states):
+        want = evolve_classical(g, order.psi(float(t)), x0)
+        assert np.linalg.norm(state - want) / np.linalg.norm(want) <= 1e-6
+
+
+def test_orbit_error_follows_rtol():
+    """a stepper that ignored its error estimate would not gain 100x."""
+    assert _orbit_gap(0.4, rtol=1e-7) >= 100.0 * _orbit_gap(0.4, rtol=1e-10)
+
+
+def test_non_finite_rhs_ends_in_step_underflow():
+    def blow_up(t, x):
+        return np.full_like(x, np.inf)
+
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="step size underflow"):
+        _rk45_advance(blow_up, 0.1, np.ones(4), 1.0, 0.01, 1e-9, 1e-12)
+
+
+def test_step_budget_guard(monkeypatch):
+    monkeypatch.setattr(semigroup, "_RK45_MAX_STEPS", 10)
+    with pytest.raises(FloatingPointError, match="step budget exhausted"):
+        solve_conformable_ode(nonnormal4(), Order(0.4),
+                              np.array([1.0, -1.0, 0.5, 1.0]), 2.0)
+
+
+def test_step_is_carried_across_output_times(monkeypatch):
+    """ten times the output times cost well under ten times the rhs calls:
+    the step carries on instead of restarting at interval / 100."""
+    calls = [0]
+
+    def counting(rhs, *args):
+        def counted(t, x):
+            calls[0] += 1
+            return rhs(t, x)
+        return _rk45_advance(counted, *args)
+
+    monkeypatch.setattr(semigroup, "_rk45_advance", counting)
+    x0 = np.array([1.0, -1.0, 0.5, 1.0])
+    cost = {}
+    for n_out in (21, 201):
+        calls[0] = 0
+        solve_conformable_ode(nonnormal4(), Order(0.4), x0, 2.0, n_out=n_out)
+        cost[n_out] = calls[0]
+    assert cost[201] <= 2.5 * cost[21]
 
 
 # continuity and contraction ----------------------------------------------------
