@@ -188,7 +188,7 @@ def test_orbit_norms_recorded_and_decaying():
 
 def test_dormand_prince_tableau_transcription():
     """the (7, 7) tableau is consistent, first-same-as-last and fifth order."""
-    assert np.allclose(_DP_A, np.tril(_DP_A, -1), rtol=0.0, atol=0.0)
+    assert np.array_equal(_DP_A, np.tril(_DP_A, -1))
     assert np.allclose(_DP_A.sum(axis=1), _DP_C, rtol=0.0, atol=1e-15)
     assert abs(_DP_B5.sum() - 1.0) <= 1e-15
     assert abs(_DP_B4.sum() - 1.0) <= 1e-15
