@@ -13,6 +13,7 @@ in the spectral parameter.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -129,12 +130,15 @@ def _quadratic_weights(nodes: tuple, at: float) -> tuple:
     return w1, w2
 
 
-def _difference_matrices(nodes: np.ndarray, right_ghost: Optional[float]) -> tuple:
-    """Three-point first/second difference matrices on arbitrary nodes.
+def _difference_stencils(nodes: np.ndarray, right_ghost: Optional[float]) -> tuple:
+    """Three-point first/second difference stencils on arbitrary nodes.
 
-    A ghost node at 0 with clamped value closes the left end.  The right end
-    is either closed the same way (right_ghost = endpoint) or left free with
-    a one-sided second-order stencil on the last row.
+    Returns (first, w1, w2): row i takes the weights w1[:, i] (first
+    difference) and w2[:, i] (second) at the columns first[i] + 0, 1, 2.  A
+    ghost node at 0 with clamped value closes the left end, so row 0 reads
+    column -1.  The right end is either closed the same way (right_ghost =
+    endpoint; row n - 1 reads column n) or left free with a one-sided
+    second-order stencil on the last row (first = n - 3).
     """
     n = len(nodes)
     ghost = [] if right_ghost is None else [right_ghost]
@@ -148,33 +152,60 @@ def _difference_matrices(nodes: np.ndarray, right_ghost: Optional[float]) -> tup
                       np.append(x3, nodes[n - 1]))
         at, first = np.append(at, nodes[n - 1]), np.append(first, n - 3)
     w1, w2 = _quadratic_weights((x1, x2, x3), at)
-    d1 = np.zeros((n, n))
-    d2 = np.zeros((n, n))
+    return first, w1, w2
+
+
+def _stencil_dense(first: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The n x n matrix of the stencil (first, w), ghost columns dropped."""
+    n = w.shape[1]
+    dense = np.zeros((n, n))
     rows = np.arange(n)
     for k in range(3):
         cols = first + k
         keep = (cols >= 0) & (cols < n)
-        d1[rows[keep], cols[keep]] += w1[k, keep]
-        d2[rows[keep], cols[keep]] += w2[k, keep]
-    return d1, d2
+        dense[rows[keep], cols[keep]] += w[k, keep]
+    return dense
+
+
+def _stencil_apply(first: np.ndarray, w: np.ndarray,
+                   block: np.ndarray) -> np.ndarray:
+    """The stencil rows (first, w) times the (n, m) block, ghost values 0.
+
+    The rows may be any subset of an operator's rows; the block is always
+    the whole state.
+    """
+    padded = np.zeros((block.shape[0] + 2, block.shape[1]), dtype=block.dtype)
+    padded[1:-1] = block
+    out = w[0][:, None] * padded[first + 1]
+    for k in (1, 2):
+        out += w[k][:, None] * padded[first + 1 + k]
+    return out
 
 
 def _assemble_conformable(a: float, b: float, c: float, delta: float,
-                          x: np.ndarray, clamp_right: bool) -> np.ndarray:
-    """a D(Df) + b Df + c f with the order-delta derivative D on nodes x.
+                          x: np.ndarray, clamp_right: bool) -> tuple:
+    """Stencil (first, w) of a D(Df) + b Df + c f with the order-delta
+    derivative D on nodes x (see _difference_stencils).
 
     At delta = 1 the weights are exactly 0 and 1, so the classical twin is
     this routine at order 1 on the uniform nodes, in identical arithmetic.
+    Weights that leave double range (node gaps whose products underflow at
+    small orders on fine grids) are kept as inf or nan, without a warning:
+    GeneratorMatrix refuses them and _window_gap turns them into a nan
+    residual.
     """
-    ghost = 1.0 if clamp_right else None
-    d1, d2 = _difference_matrices(x, ghost)
-    # two applications of the order-delta derivative, expanded by the
-    # product rule; nesting the difference matrices instead would widen the
-    # stencil and break exact agreement with the classical twin at delta=1
-    second = (((1.0 - delta) * pow_arr(x, 1.0 - 2.0 * delta))[:, None] * d1
-              + pow_arr(x, 2.0 - 2.0 * delta)[:, None] * d2)
-    first = pow_arr(x, 1.0 - delta)[:, None] * d1
-    return a * second + b * first + c * np.eye(len(x))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        first, w1, w2 = _difference_stencils(x, 1.0 if clamp_right else None)
+        # two applications of the order-delta derivative, expanded by the
+        # product rule; nesting the difference stencils instead would widen
+        # the stencil and break exact agreement with the classical twin at
+        # delta=1
+        second = ((1.0 - delta) * pow_arr(x, 1.0 - 2.0 * delta) * w1
+                  + pow_arr(x, 2.0 - 2.0 * delta) * w2)
+        drift = pow_arr(x, 1.0 - delta) * w1
+        # c on each row's own column, as c times the identity
+        diagonal = first + np.arange(3)[:, None] == np.arange(len(x))
+        return first, a * second + b * drift + c * diagonal
 
 
 def build_classical_operator(p: DriftDiffusionParams, grid: GridPair,
@@ -188,7 +219,7 @@ def build_classical_operator(p: DriftDiffusionParams, grid: GridPair,
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
     a_t, b_t, c = parameter_transfer(p)
-    entries = _assemble_conformable(a_t, b_t, c, 1.0, grid.xi_nodes, clamp_right)
+    entries = _stencil_dense(*_twin_stencil(p, grid, clamp_right))
     pairs = _twin_eigenpairs(a_t, b_t, c, grid) if clamp_right else None
     return GeneratorMatrix(
         entries=entries, weight=grid.h, label=f"classical[n={grid.n}]",
@@ -231,10 +262,23 @@ def build_conformable_operator(p: DriftDiffusionParams, grid: GridPair,
     """
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
-    d = p.delta.delta
-    entries = _assemble_conformable(p.a, p.b, p.c, d, grid.x_nodes, clamp_right)
-    return GeneratorMatrix(entries=entries, weight=grid.h / d,
+    entries = _stencil_dense(*_graded_stencil(p, grid, clamp_right))
+    return GeneratorMatrix(entries=entries, weight=grid.h / p.delta.delta,
                            label=f"graded[n={grid.n}]")
+
+
+def _twin_stencil(p: DriftDiffusionParams, grid: GridPair,
+                  clamp_right: bool) -> tuple:
+    """Stencil (first, w) of the classical twin on the uniform nodes."""
+    a_t, b_t, c = parameter_transfer(p)
+    return _assemble_conformable(a_t, b_t, c, 1.0, grid.xi_nodes, clamp_right)
+
+
+def _graded_stencil(p: DriftDiffusionParams, grid: GridPair,
+                    clamp_right: bool) -> tuple:
+    """Stencil (first, w) of the graded operator on the graded nodes."""
+    return _assemble_conformable(p.a, p.b, p.c, p.delta.delta, grid.x_nodes,
+                                 clamp_right)
 
 
 def discrete_unitary(grid: GridPair) -> tuple:
@@ -253,20 +297,20 @@ def _window_rows(grid: GridPair) -> np.ndarray:
     return (grid.xi_nodes >= lo) & (grid.xi_nodes <= hi)
 
 
-def _mapped_pair(p: DriftDiffusionParams, n: int, clamp_right: bool,
-                 corpus) -> tuple:
-    """The unitarily mapped graded operator (entries: the matrix whose flow
-    mild_solution_residuals takes, in the eigenbasis certified against
-    these entries or densely), its classical twin (a GeneratorMatrix), the
-    corpus sampled on the uniform grid as the columns of one block, and the
-    window rows."""
-    grid = GridPair.build(n, p.delta)
-    graded = build_conformable_operator(p, grid, clamp_right)
-    twin = build_classical_operator(p, grid, clamp_right)
+def _mapped_stencils(p: DriftDiffusionParams, grid: GridPair,
+                     clamp_right: bool) -> tuple:
+    """(first, mapped, twin): the stencil columns the two operators share,
+    the graded operator's weights under the scalar unitary, and the
+    classical twin's weights.  At delta = 1 mapped and twin are equal bit
+    for bit."""
+    first, graded = _graded_stencil(p, grid, clamp_right)
     fwd, inv = discrete_unitary(grid)
-    mapped = (fwd * graded.entries) * inv
-    block = np.column_stack([func(grid.xi_nodes) for _, func in corpus])
-    return mapped, twin, block, _window_rows(grid)
+    return first, (fwd * graded) * inv, _twin_stencil(p, grid, clamp_right)[1]
+
+
+def _corpus_block(grid: GridPair, corpus) -> np.ndarray:
+    """The corpus sampled on the uniform grid, one column per function."""
+    return np.column_stack([func(grid.xi_nodes) for _, func in corpus])
 
 
 def _window_sup(block: np.ndarray, rows: np.ndarray) -> float:
@@ -274,20 +318,38 @@ def _window_sup(block: np.ndarray, rows: np.ndarray) -> float:
     return float(np.max(np.abs(block[rows])))
 
 
+def _window_gap(first: np.ndarray, mapped: np.ndarray, twin: np.ndarray,
+                block: np.ndarray, rows: np.ndarray) -> float:
+    """Largest window entry of |(mapped - twin) block| for two stencils on
+    the columns first, taken on the window rows alone; nan when a weight of
+    either is not finite on any row, inside the window or not, so that an
+    operator out of double range never passes."""
+    if not (np.all(np.isfinite(mapped)) and np.all(np.isfinite(twin))):
+        return math.nan
+    gap = mapped[:, rows] - twin[:, rows]
+    return float(np.max(np.abs(_stencil_apply(first[rows], gap, block))))
+
+
 def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
     """Interior disagreement of the unitarily mapped operator pair.
 
     For each grid size, returns the max over the smooth corpus of the
     sup-norm of (U A_graded U^-1 - A_classical) applied to corpus samples,
-    over rows inside the fixed window.  Residuals must shrink as the grid
+    over rows inside the fixed window.  Both operators are applied as
+    three-point stencils, so no n x n array is built.  The residual is nan
+    when a stencil weight leaves double range (see _window_gap), which
+    makes every order it enters nan.  Residuals must shrink as the grid
     refines; the caller turns consecutive entries into empirical orders.
     """
     if any(n < 16 for n in n_list):
         raise ValueError("conjugacy study needs n >= 16")
     out = []
     for n in n_list:
-        mapped, twin, block, rows = _mapped_pair(p, int(n), False, SMOOTH_CORPUS)
-        out.append((int(n), _window_sup((mapped - twin.entries) @ block, rows)))
+        grid = GridPair.build(int(n), p.delta)
+        first, mapped, twin = _mapped_stencils(p, grid, False)
+        out.append((int(n), _window_gap(first, mapped, twin,
+                                        _corpus_block(grid, SMOOTH_CORPUS),
+                                        _window_rows(grid))))
     return out
 
 
@@ -408,14 +470,18 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     steps = np.diff([0.0, *times])
     if np.any(steps < 0.0):
         raise ValueError(f"t_list must be nonnegative and nondecreasing, got {t_list}")
-    mapped, twin, block, rows = _mapped_pair(p, n, True, _CLAMPED_CORPUS)
-    stencil_residual = _window_sup((mapped - twin.entries) @ block, rows)
+    grid = GridPair.build(n, p.delta)
+    first, mapped, twin_stencil = _mapped_stencils(p, grid, True)
+    twin = build_classical_operator(p, grid, clamp_right=True)
+    block, rows = _corpus_block(grid, _CLAMPED_CORPUS), _window_rows(grid)
+    stencil_residual = _window_gap(first, mapped, twin_stencil, block, rows)
     twin_states = _advance(twin, steps, block)
-    if np.array_equal(mapped, twin.entries):
+    if np.array_equal(mapped, twin_stencil):
         graded_states = twin_states
     else:
-        pairs = _tridiagonal_eigenpairs(mapped)
-        graded = GeneratorMatrix(mapped, twin.weight, f"mapped[n={n}]",
+        entries = _stencil_dense(first, mapped)
+        pairs = _tridiagonal_eigenpairs(entries)
+        graded = GeneratorMatrix(entries, twin.weight, f"mapped[n={n}]",
                                  eigenpairs=pairs,
                                  eigenbasis_flow=pairs is not None)
         graded_states = _advance(graded, steps, block)

@@ -1,5 +1,7 @@
 """Graded-grid operator pair, its unitary pairing, and the eigenfamily."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,14 @@ from confsemi import drift_diffusion as dd
 from confsemi import (DriftDiffusionParams, EigenfunctionFamily,
                       FunctionHandle, GridPair, Order,
                       build_classical_operator, build_conformable_operator,
-                      conjugacy_residual, derivative_identity_residuals,
-                      discrete_unitary, empirical_orders,
-                      mild_solution_residuals, parameter_transfer)
+                      conf_derivative_iterated, conjugacy_residual,
+                      derivative_identity_residuals, discrete_unitary,
+                      empirical_orders, mild_solution_residuals,
+                      parameter_transfer)
+from confsemi.clock import pow_arr
 
 PARAMS = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
+EPS = np.finfo(float).eps
 
 
 # parameter transfer -----------------------------------------------------------
@@ -105,13 +110,109 @@ def loop_difference_matrices(nodes, right_ghost):
 @pytest.mark.parametrize("delta", [0.05, 0.3, 1.0])
 @pytest.mark.parametrize("ghost", [None, 1.0])
 def test_difference_matrices_match_loop_bitwise(n, delta, ghost):
+    """the stencils scattered to dense are the loop's matrices"""
     nodes = GridPair.build(n, Order(delta)).x_nodes
-    for got, want in zip(dd._difference_matrices(nodes, ghost),
-                         loop_difference_matrices(nodes, ghost)):
-        assert got.tobytes() == want.tobytes()
+    first, *stencils = dd._difference_stencils(nodes, ghost)
+    for w, want in zip(stencils, loop_difference_matrices(nodes, ghost)):
+        assert dd._stencil_dense(first, w).tobytes() == want.tobytes()
+
+
+# band stencils -----------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [16, 257])
+@pytest.mark.parametrize("delta", [0.02, 0.5, 1.0])
+@pytest.mark.parametrize("clamp_right", [False, True])
+def test_stencil_apply_matches_dense_product(n, delta, clamp_right):
+    """the gather-multiply is the scattered matrix times the block, to the
+    rounding of a three-term sum"""
+    p = DriftDiffusionParams(1.3, 0.7, 0.4, Order(delta))
+    first, w = dd._graded_stencil(p, GridPair.build(n, p.delta), clamp_right)
+    dense = dd._stencil_dense(first, w)
+    block = np.random.default_rng(11).standard_normal((n, 5))
+    gap = np.abs(dd._stencil_apply(first, w, block) - dense @ block)
+    assert np.all(gap <= 4.0 * EPS * (np.abs(dense) @ np.abs(block)))
+
+
+# quadratics the three-point stencil differentiates exactly: x(1 - x)
+# vanishes at both clamped ends, x^2 only at the left one
+QUADRATICS = {
+    True: FunctionHandle(lambda x: x * (1.0 - x), lambda x: 1.0 - 2.0 * x,
+                         lambda x: np.full_like(x, -2.0)),
+    False: FunctionHandle(lambda x: x ** 2, lambda x: 2.0 * x,
+                          lambda x: np.full_like(x, 2.0)),
+}
+
+
+def quadratic_error(n, delta, clamp_right, drift_scale=0.0):
+    """max row error / max|Lf| of the graded stencil on its quadratic, in
+    units of eps (n + 1)^2, against a D(Df) + b Df + c f from the analytic
+    order-delta derivatives; drift_scale perturbs the (1 - delta)
+    x^(1 - 2 delta) D1 term by that relative amount"""
+    p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(delta))
+    grid = GridPair.build(n, p.delta)
+    x, f = grid.x_nodes, QUADRATICS[clamp_right]
+    first, w = dd._graded_stencil(p, grid, clamp_right)
+    _, w1, _ = dd._difference_stencils(x, 1.0 if clamp_right else None)
+    w = w + drift_scale * p.a * ((1.0 - delta) * pow_arr(x, 1.0 - 2.0 * delta)) * w1
+    want = (p.a * conf_derivative_iterated(f, p.delta, 2, x)
+            + p.b * conf_derivative_iterated(f, p.delta, 1, x) + p.c * f(x))
+    got = dd._stencil_apply(first, w, f(x)[:, None])[:, 0]
+    return np.max(np.abs(got - want)) / np.max(np.abs(want)) / (EPS * (n + 1) ** 2)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("clamp_right", [False, True])
+def test_stencil_is_exact_on_quadratics(n, delta, clamp_right):
+    """every row, boundary rows and the one-sided closure included, gives
+    the operator's value to rounding; a 1e-6 relative error in the
+    (1 - delta) x^(1 - 2 delta) D1 term, which every report check passes,
+    reads three orders of magnitude above the gate"""
+    assert quadratic_error(n, delta, clamp_right) <= 2.0
+    if delta < 1.0:
+        assert quadratic_error(n, delta, clamp_right, drift_scale=1e-6) > 1e3
+
+
+def test_conjugacy_residual_is_nan_out_of_double_range():
+    """at delta = 0.02 and n = 2048 the node-gap products near x ~ 1e-166
+    underflow, and the weights of the first rows overflow; those rows lie
+    outside the window, yet the residual must not read finite"""
+    p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.02))
+    grid = GridPair.build(2048, p.delta)
+    _, mapped, _ = dd._mapped_stencils(p, grid, False)
+    assert not np.all(np.isfinite(mapped))
+    assert np.all(np.isfinite(mapped[:, dd._window_rows(grid)]))
+    (n0, coarse), (n1, fine) = conjugacy_residual(p, (1024, 2048))
+    assert (n0, n1) == (1024, 2048)
+    assert np.isfinite(coarse) and np.isnan(fine)
+    assert np.isnan(empirical_orders([(n0, coarse), (n1, fine)])[0])
+
+
+def test_conjugacy_residual_builds_no_dense_matrix():
+    """an n x n array at n = 65,536 would take 34 GB; the residual sits at
+    its rounding floor there, so only its finiteness is asserted"""
+    tracemalloc.start()
+    try:
+        [(_, residual)] = conjugacy_residual(PARAMS, (65536,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(residual)
+    assert peak < 64 * 2 ** 20
 
 
 # operator pair ------------------------------------------------------------------
+
+def mapped_pair(p, n, clamp_right, corpus):
+    """The mapped graded operator as a dense matrix, its classical twin, the
+    corpus block and the window rows, as mild_solution_residuals builds
+    them."""
+    grid = GridPair.build(n, p.delta)
+    first, mapped, _ = dd._mapped_stencils(p, grid, clamp_right)
+    return (dd._stencil_dense(first, mapped),
+            build_classical_operator(p, grid, clamp_right),
+            dd._corpus_block(grid, corpus), dd._window_rows(grid))
+
 
 def test_real_generators_are_stored_real():
     grid = GridPair.build(32, PARAMS.delta)
@@ -127,7 +228,7 @@ def test_scalar_mapping_matches_dense_conjugation():
         graded = build_conformable_operator(PARAMS, grid, clamp_right=True)
         root = np.sqrt(PARAMS.delta.delta)
         dense = (np.eye(n) / root) @ graded.entries @ (np.eye(n) * root)
-        mapped = dd._mapped_pair(PARAMS, n, True, dd._CLAMPED_CORPUS)[0]
+        mapped = mapped_pair(PARAMS, n, True, dd._CLAMPED_CORPUS)[0]
         assert np.max(np.abs(mapped - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
@@ -136,8 +237,8 @@ def test_stepped_mild_errors_match_dense_expm(n):
     """advancing the corpus block step by step reproduces the per-time
     difference of the two dense exponentials."""
     t_list = (0.25, 0.5, 1.0)
-    mapped, twin, block, rows = dd._mapped_pair(PARAMS, n, True,
-                                                 dd._CLAMPED_CORPUS)
+    mapped, twin, block, rows = mapped_pair(PARAMS, n, True,
+                                            dd._CLAMPED_CORPUS)
     out = mild_solution_residuals(PARAMS, n, t_list)
     for t, rec in zip(t_list, out["records"]):
         gap = (expm(t * mapped) - expm(t * twin.entries)) @ block
@@ -167,7 +268,8 @@ def test_twin_is_the_constant_coefficient_stencil_bitwise(n, delta, clamp_right)
     p = DriftDiffusionParams(1.3, 0.7, 0.4, Order(delta))
     grid = GridPair.build(n, Order(delta))
     a_t, b_t, c = parameter_transfer(p)
-    d1, d2 = dd._difference_matrices(grid.xi_nodes, 1.0 if clamp_right else None)
+    d1, d2 = loop_difference_matrices(grid.xi_nodes,
+                                      1.0 if clamp_right else None)
     want = a_t * d2 + b_t * d1 + c * np.eye(n)
     got = build_classical_operator(p, grid, clamp_right).entries
     assert got.tobytes() == want.tobytes()

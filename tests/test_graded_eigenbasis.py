@@ -9,9 +9,9 @@ import pytest
 from scipy.linalg import expm
 
 from confsemi import drift_diffusion as dd
-from confsemi import (DriftDiffusionParams, GeneratorMatrix, Order,
-                      evolve_classical, mild_solution_residuals,
-                      taylor_matrix_exp)
+from confsemi import (DriftDiffusionParams, GeneratorMatrix, GridPair, Order,
+                      build_classical_operator, evolve_classical,
+                      mild_solution_residuals, taylor_matrix_exp)
 from confsemi.semigroup import _DEFECT_ULPS, _tridiagonal_eigenpairs
 
 EPS = np.finfo(float).eps
@@ -19,8 +19,14 @@ STEPS = np.diff([0.0, 0.25, 0.5, 1.0])
 
 
 def mapped_pair(a, b, c, delta, n):
+    """The clamped mapped graded operator as a dense matrix, its classical
+    twin, the corpus block and the window rows."""
     p = DriftDiffusionParams(a, b, c, Order(delta))
-    return dd._mapped_pair(p, n, True, dd._CLAMPED_CORPUS)
+    grid = GridPair.build(n, p.delta)
+    first, mapped, _ = dd._mapped_stencils(p, grid, True)
+    return (dd._stencil_dense(first, mapped),
+            build_classical_operator(p, grid, clamp_right=True),
+            dd._corpus_block(grid, dd._CLAMPED_CORPUS), dd._window_rows(grid))
 
 
 def graded(mapped, twin, pairs):

@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from confsemi import drift_diffusion as dd
-from confsemi import (DriftDiffusionParams, GeneratorMatrix, Order,
-                      dirichlet_second_difference, evolve_classical,
-                      mild_solution_residuals, taylor_matrix_exp)
+from confsemi import (DriftDiffusionParams, GeneratorMatrix, GridPair, Order,
+                      build_classical_operator, dirichlet_second_difference,
+                      evolve_classical, mild_solution_residuals,
+                      taylor_matrix_exp)
 from confsemi.semigroup import _scale_for_squaring, _square_flushed
 
 
@@ -25,6 +26,16 @@ def has_no_subnormal(matrix):
     return bool(np.all((size == 0.0) | (size >= np.finfo(float).tiny)))
 
 
+def mapped_pair(p, n, clamp_right):
+    """The mapped graded operator as a dense matrix, its classical twin, the
+    clamped corpus block and the window rows."""
+    grid = GridPair.build(n, p.delta)
+    first, mapped, _ = dd._mapped_stencils(p, grid, clamp_right)
+    return (dd._stencil_dense(first, mapped),
+            build_classical_operator(p, grid, clamp_right),
+            dd._corpus_block(grid, dd._CLAMPED_CORPUS), dd._window_rows(grid))
+
+
 def drift_diffusion_matrices():
     """The mapped graded operator and its classical twin, both closures."""
     out = []
@@ -32,8 +43,7 @@ def drift_diffusion_matrices():
         for delta in (0.05, 0.3, 1.0):
             p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(delta))
             for clamp_right in (True, False):
-                mapped, twin, _, _ = dd._mapped_pair(
-                    p, n, clamp_right, dd._CLAMPED_CORPUS)
+                mapped, twin, _, _ = mapped_pair(p, n, clamp_right)
                 tag = f"n={n},delta={delta},clamp={clamp_right}"
                 out += [(f"mapped[{tag}]", mapped),
                         (f"classical[{tag}]", twin.entries)]
@@ -122,8 +132,7 @@ def test_mild_residuals_match_plain_expm(n):
     its own route (its closed form) on both sides"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
     t_list = (0.25, 0.5, 1.0)
-    mapped, twin, block, rows = dd._mapped_pair(p, n, True,
-                                                dd._CLAMPED_CORPUS)
+    mapped, twin, block, rows = mapped_pair(p, n, True)
     out = mild_solution_residuals(p, n, t_list)
     graded_state, twin_state = block, block
     for t, step, rec in zip(t_list, np.diff([0.0, *t_list]), out["records"]):

@@ -98,13 +98,12 @@ def test_conjugacy_order_fails_a_wrong_graded_operator(monkeypatch):
     assemble = drift_diffusion._assemble_conformable
 
     def mutant(a, b, c, delta, x, clamp_right):
-        out = assemble(a, b, c, delta, x, clamp_right)
+        first, w = assemble(a, b, c, delta, x, clamp_right)
         if delta < 1.0:
-            d1, _ = drift_diffusion._difference_matrices(
+            _, w1, _ = drift_diffusion._difference_stencils(
                 x, 1.0 if clamp_right else None)
-            out = out + 0.3 * a * ((1.0 - delta)
-                                   * x ** (1.0 - 2.0 * delta))[:, None] * d1
-        return out
+            w = w + 0.3 * a * ((1.0 - delta) * x ** (1.0 - 2.0 * delta)) * w1
+        return first, w
 
     cfg = replace(default_config(), delta_list=(0.5, 0.7))
     assert all(rep.passed for rep in conjugacy_orders(cfg).values())
@@ -114,6 +113,18 @@ def test_conjugacy_order_fails_a_wrong_graded_operator(monkeypatch):
         assert min(reports[delta].params["orders"]) < 0.0
         assert reports[delta].residual == math.inf
         assert not reports[delta].passed
+
+
+def test_conjugacy_order_fails_out_of_double_range():
+    """at delta = 0.02 and n = 2048 the graded weights overflow: the order
+    record FAILs with a null residual of kind inf, without a traceback"""
+    cfg = replace(SMALL, delta_list=(0.02,), n_list=(1024, 2048))
+    report = conjugacy_orders(cfg)[0.02]
+    assert math.isnan(report.params["residuals"][1])
+    assert not report.passed
+    record = report.json_dict()
+    assert record["residual"] is None
+    assert record["params"]["residual_kind"] == "inf"
 
 
 @pytest.mark.parametrize("finer, residual", [
