@@ -8,6 +8,12 @@ b" = b delta.  The equivalence is realized discretely by the diagonal map
 delta**(-1/2) I between matched grids, and verified through interior
 residuals, evolution comparison, and an eigenfunction family that is entire
 in the spectral parameter.
+
+Both operators are assembled once, as three-point stencils (first, w): the
+column of each row's first node and a (3, n) weight array.  The conjugacy
+study applies their difference to the corpus without building an n x n
+array; a dense matrix is scattered only where a GeneratorMatrix needs its
+entries.
 """
 
 from __future__ import annotations
