@@ -143,18 +143,16 @@ def conf_derivative_limit(f: FunctionHandle, delta: Order, t: float):
     q_prev = quotient(h)
     extrapolants = []
     deltas = []
-    while h / 2.0 >= _LIMIT_H_MIN * 0.5:
+    while h >= _LIMIT_H_MIN:
         h /= 2.0
         q = quotient(h)
         r = 2.0 * q - q_prev  # cancels the O(h) term under halving
         if extrapolants:
             deltas.append(abs(r - extrapolants[-1]))
         extrapolants.append(r)
-        if len(deltas) >= 1 and deltas[-1] < 1e-8 * (1.0 + abs(r)):
+        if deltas and deltas[-1] < 1e-8 * (1.0 + abs(r)):
             return r
         q_prev = q
-        if h < _LIMIT_H_MIN:
-            break
     # tolerate stopping at _LIMIT_H_MIN while improving; flag genuine divergence
     if len(deltas) >= 2 and deltas[-1] > deltas[-2]:
         table = ", ".join(f"{e:.6e}" for e in extrapolants[-4:])

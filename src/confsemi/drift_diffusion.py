@@ -13,7 +13,8 @@ Both operators are assembled once, as three-point stencils (first, w): the
 column of each row's first node and a (3, n) weight array.  The conjugacy
 study applies their difference to the corpus without building an n x n
 array; a dense matrix is scattered only where a GeneratorMatrix needs its
-entries.
+entries.  The evolution comparison flows both operators with semigroup's
+stepper (_advance); this module holds no flow code of its own.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
+# not called here: the benchmark's span tracer (perfbench/spans.py,
+# EXPM_SITES) wraps the expm bound in this module and fails without it
 from scipy.linalg import expm
 
 from .calculus import FunctionHandle, conf_derivative, conf_derivative_iterated
@@ -44,9 +46,8 @@ __all__ = [
     "derivative_identity_residuals",
 ]
 
-from .semigroup import (GeneratorMatrix, _scale_for_squaring, _sine_basis,
-                        _square_flushed, _tridiagonal_eigenpairs,
-                        evolve_classical)
+from .semigroup import (GeneratorMatrix, _advance, _sine_basis,
+                        _tridiagonal_eigenpairs)
 
 # fixed smooth probe functions on the uniform-variable interval (0,1)
 SMOOTH_CORPUS = (
@@ -421,41 +422,6 @@ class EigenfunctionFamily:
         return float(np.max(np.abs(self.evaluate(lam, xi, k=4))))
 
 
-def _flow(matrix: np.ndarray) -> np.ndarray:
-    """exp(matrix) by expm and the flushed squaring, as in semigroup.
-
-    Kept here so the expm call is this module's own: the benchmark's
-    tracer counts expm calls per module.
-    """
-    scaled, k = _scale_for_squaring(matrix)
-    return _square_flushed(expm(scaled), k)
-
-
-def _advance(g: GeneratorMatrix, steps, block: np.ndarray) -> list:
-    """The block after each step in turn under exp(step A), A = g.entries.
-
-    A generator that asks for its eigenbasis (eigenbasis_flow) flows there
-    by evolve_classical while its pairs are certified.  Every other one,
-    and one whose eigenbasis flow leaves double range, flows by this
-    module's dense _flow, one exponential per distinct step, which writes
-    an overflow as inf and nan for the check to fail on.
-    """
-    if g.eigenbasis_flow and g.certified:
-        try:
-            return list(accumulate(
-                steps, lambda x, step: evolve_classical(g, step, x),
-                initial=block))[1:]
-        except FloatingPointError:
-            pass
-    flows = {}
-    states = [block]
-    for step in steps:
-        if step not in flows:
-            flows[step] = _flow(step * g.entries)
-        states.append(flows[step] @ states[-1])
-    return states[1:]
-
-
 def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     """Evolution agreement of the operator pair, both ends clamped.
 
@@ -465,12 +431,14 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     window error must stay below 5 * (window stencil residual) * t.
 
     Both flows advance the corpus block through t_list, which must be
-    nondecreasing and nonnegative (see _advance).  The twin flows in its
-    closed-form eigenbasis and the mapped graded operator in the eigenbasis
-    of _tridiagonal_eigenpairs, each while certified against the entries
-    it flows; otherwise each flows densely.  At delta = 1 the mapped
-    operator is the twin bit for bit, so the twin's flow serves both and
-    every error is 0.
+    nondecreasing and nonnegative (see semigroup._advance).  The twin flows
+    in its closed-form eigenbasis and the mapped graded operator in the
+    eigenbasis of _tridiagonal_eigenpairs, each while certified against the
+    entries it flows; otherwise each flows densely.  At delta = 1 the
+    mapped operator is the twin bit for bit, so the twin's flow serves both
+    and every error is 0.  An error is inf from the step at which a flow
+    leaves double range, and at every step when the mapped operator's
+    weights do (its stencil residual is then nan, see _window_gap).
     """
     times = [float(t) for t in t_list]
     steps = np.diff([0.0, *times])
@@ -481,19 +449,25 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     twin = build_classical_operator(p, grid, clamp_right=True)
     block, rows = _corpus_block(grid, _CLAMPED_CORPUS), _window_rows(grid)
     stencil_residual = _window_gap(first, mapped, twin_stencil, block, rows)
-    twin_states = _advance(twin, steps, block)
-    if np.array_equal(mapped, twin_stencil):
-        graded_states = twin_states
-    else:
-        entries = _stencil_dense(first, mapped)
-        pairs = _tridiagonal_eigenpairs(entries)
-        graded = GeneratorMatrix(entries, twin.weight, f"mapped[n={n}]",
-                                 eigenpairs=pairs,
-                                 eigenbasis_flow=pairs is not None)
-        graded_states = _advance(graded, steps, block)
-    records = [{"t": t, "error": _window_sup(g - c, rows),
-                "bound": 5.0 * stencil_residual * t}
-               for t, g, c in zip(times, graded_states, twin_states)]
+    errors = []
+    try:
+        if np.array_equal(mapped, twin_stencil):
+            flows = ((state, state) for state in _advance(twin, steps, block))
+        else:
+            entries = _stencil_dense(first, mapped)
+            pairs = _tridiagonal_eigenpairs(entries)
+            # refuses weights out of double range before either flow starts
+            graded = GeneratorMatrix(entries, twin.weight, f"mapped[n={n}]",
+                                     eigenpairs=pairs,
+                                     eigenbasis_flow=pairs is not None)
+            flows = zip(_advance(graded, steps, block),
+                        _advance(twin, steps, block))
+        for graded_state, twin_state in flows:
+            errors.append(_window_sup(graded_state - twin_state, rows))
+    except FloatingPointError:  # out of double range: inf from here on
+        errors += [math.inf] * (len(steps) - len(errors))
+    records = [{"t": t, "error": error, "bound": 5.0 * stencil_residual * t}
+               for t, error in zip(times, errors)]
     return {"n": n, "stencil_residual": stencil_residual, "records": records}
 
 

@@ -17,12 +17,16 @@ off-diagonal products are all positive, from the symmetric tridiagonal
 eigensolver (_tridiagonal_eigenpairs; the clamped graded drift-diffusion
 operator).  They are checked against the entries once, when the generator
 is built, and certified when the defect, scaled by the condition
-d_max / d_min of D, stays at rounding.  A generator built with
-eigenbasis_flow (the two clamped drift-diffusion operators) flows in its
-eigenbasis when certified, exp(sA) x = d * V (exp(s lam) * V^T (x / d));
-every other one (the fixtures, the Dirichlet Laplacian among them, an
-operator whose similarity is too ill-conditioned) flows by dense scaling
-and squaring on the entries.  The resolvent and contraction bounds need
+d_max / d_min of D, stays at rounding.  Every flow runs through one
+stepper, _advance, which evolve_classical takes one step and the
+drift-diffusion evolution comparison takes a list of steps.  A generator
+built with eigenbasis_flow (the two clamped drift-diffusion operators)
+flows in its eigenbasis when certified,
+exp(sA) x = d * V (exp(s lam) * V^T (x / d)); every other one (the
+fixtures, the Dirichlet Laplacian among them, an operator whose
+similarity is too ill-conditioned) flows by dense scaling and squaring on
+the entries.  A state that would leave double range raises
+FloatingPointError instead.  The resolvent and contraction bounds need
 d = 1: S(t) = exp(psi(t) A) is the classical flow on a new clock, so for
 a symmetric A its norm is max_k exp(psi(t) lam_k) and the resolvent norm
 is max_k 1/(lam - lam_k).  The dense Hermitian-part margin and the
@@ -80,10 +84,10 @@ class GeneratorMatrix:
     conditioning of the basis (Bauer-Fike).  Without eigenpairs the four
     are None and certified is False.
 
-    eigenbasis_flow asks evolve_classical to run this generator in its
-    eigenbasis; it needs eigenpairs and takes effect only while they are
-    certified.  Left False, the pairs serve the norm bounds alone and the
-    flow stays dense.
+    eigenbasis_flow asks _advance (and so evolve_classical) to run this
+    generator in its eigenbasis; it needs eigenpairs and takes effect only
+    while they are certified.  Left False, the pairs serve the norm bounds
+    alone and the flow stays dense.
     """
 
     entries: np.ndarray
@@ -286,12 +290,13 @@ _LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _eigenbasis_flow(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
-    """d * V (exp(s lam) * V^T (x / d)) for a vector or a block of columns x.
+    """d * V (exp(s lam) * V^T (x / d)) for a vector or a block of columns x,
+    in x's dtype (real or complex).
 
-    V acts on the real and imaginary parts side by side as one real block,
-    so the real basis is never cast to complex.  Raises FloatingPointError
-    before exp(s lam) leaves double range, and when a product does, instead
-    of returning inf or nan.
+    A complex x is viewed as one real block, its real and imaginary parts in
+    alternate columns, so the real basis is never cast to complex.  Raises
+    FloatingPointError before exp(s lam) leaves double range, and when a
+    product does, instead of returning inf or nan.
     """
     top = s * float(np.max(g.spectrum))
     if top > _LOG_MAX:
@@ -299,30 +304,44 @@ def _eigenbasis_flow(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
             f"exp(s lam) overflows at s={s}: s max(lam) = {top:.6g}")
     scale = g.similarity[:, None]
     cols = x.reshape(len(x), -1) / scale
-    m = cols.shape[1]
-    real = np.hstack((cols.real, cols.imag))
     with np.errstate(over="raise", invalid="raise"):
         real = g.eigvecs @ (np.exp(s * g.spectrum)[:, None]
-                            * (g.eigvecs.T @ real))
-        return ((real[:, :m] + 1j * real[:, m:]) * scale).reshape(x.shape)
+                            * (g.eigvecs.T @ cols.view(float)))
+        return (real.view(cols.dtype) * scale).reshape(x.shape)
+
+
+def _advance(g: GeneratorMatrix, steps, x: np.ndarray):
+    """Yield x after each step in turn under exp(step A), A = g.entries.
+
+    x is a vector or a block of columns; a real x under a real A stays real.
+    The flow runs in g's eigenbasis when g asks for that (eigenbasis_flow)
+    and its eigenpairs are certified, else by dense scaling and squaring
+    (any square A), one exponential per distinct step.  A zero step yields a
+    copy.  Raises FloatingPointError instead of yielding a non-finite state.
+    """
+    eigenbasis = g.eigenbasis_flow and g.certified
+    flows = {}
+    for step in steps:
+        if step == 0.0:
+            x = x.copy()
+        elif eigenbasis:
+            x = _eigenbasis_flow(g, step, x)
+        else:
+            if step not in flows:
+                flows[step] = _flow(step * g.entries)
+            x = flows[step] @ x
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError(
+                f"evolution produced non-finite state at s={step}")
+        yield x
 
 
 def evolve_classical(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
-    """exp(sA) x for a vector or a block of columns x: in g's eigenbasis
-    when g asks for that (eigenbasis_flow) and its eigenpairs are certified,
-    else by scaling-and-squaring (dense, any square A)."""
+    """exp(sA) x for a vector or a block of columns x, as a complex array
+    (see _advance)."""
     if s < 0.0:
         raise ValueError(f"classical time must be nonnegative, got {s}")
-    x = np.asarray(x, dtype=complex)
-    if s == 0.0:
-        return x.copy()
-    if g.eigenbasis_flow and g.certified:
-        out = _eigenbasis_flow(g, s, x)
-    else:
-        out = _flow(s * g.entries) @ x
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(f"evolution produced non-finite state at s={s}")
-    return out
+    return next(_advance(g, (s,), np.asarray(x, dtype=complex)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """The clamped graded drift-diffusion operator in its certified eigenbasis,
-against the dense oracles and the dense route it falls back to."""
+against the dense oracles and the dense route of an uncertified one."""
 
 import itertools
 import warnings
@@ -9,10 +9,12 @@ import pytest
 from scipy.linalg import expm
 
 from confsemi import drift_diffusion as dd
+from confsemi import semigroup as sg
 from confsemi import (DriftDiffusionParams, GeneratorMatrix, GridPair, Order,
                       build_classical_operator, evolve_classical,
                       mild_solution_residuals, taylor_matrix_exp)
-from confsemi.semigroup import _DEFECT_ULPS, _tridiagonal_eigenpairs
+from confsemi.semigroup import (_DEFECT_ULPS, _advance, _flow,
+                                _tridiagonal_eigenpairs)
 
 EPS = np.finfo(float).eps
 STEPS = np.diff([0.0, 0.25, 0.5, 1.0])
@@ -67,8 +69,8 @@ def test_certified_flow_matches_expm_and_taylor(n, deltas, steps):
         if not g.certified:
             assert b / a > 1.0 and condition > 16.0
             bare = graded(mapped, twin, None)
-            for got, want in zip(dd._advance(g, STEPS, block),
-                                 dd._advance(bare, STEPS, block)):
+            for got, want in zip(_advance(g, STEPS, block),
+                                 _advance(bare, STEPS, block)):
                 assert np.array_equal(got, want)
             continue
         certified += 1
@@ -94,7 +96,8 @@ def test_eigenpairs_reproduce_the_entries():
 
 def test_mild_errors_match_the_dense_route():
     """with its pairs mild_bound calls no expm, and every error is that of
-    the dense route within 1e-10 relative"""
+    the dense route within 1e-10 relative; the dense route makes one
+    exponential per distinct step"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.7))
     calls = []
 
@@ -103,7 +106,7 @@ def test_mild_errors_match_the_dense_route():
         return expm(matrix)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dd, "expm", counting)
+        mp.setattr(sg, "expm", counting)
         fast = mild_solution_residuals(p, 128, (0.25, 0.5, 1.0))
         assert calls == []
         mp.setattr(dd, "_tridiagonal_eigenpairs", lambda entries: None)
@@ -148,10 +151,10 @@ def test_perturbed_entry_fails_certification_and_flows_densely(n):
     moved[3, 4] *= 1.0 + 1e-6
     bad = graded(moved, twin, pairs)
     assert not bad.certified and bad.spectral_defect > 1e3 * EPS * (n + 1)
-    want = dd._advance(graded(moved, twin, None), STEPS, block)
-    for got, dense in zip(dd._advance(bad, STEPS, block), want):
+    want = list(_advance(graded(moved, twin, None), STEPS, block))
+    for got, dense in zip(_advance(bad, STEPS, block), want, strict=True):
         assert np.array_equal(got, dense)
-    assert np.array_equal(want[0], dd._flow(0.25 * moved) @ block)
+    assert np.array_equal(want[0], _flow(0.25 * moved) @ block)
 
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
 
@@ -180,12 +183,28 @@ def test_order_one_errors_are_exactly_zero():
 
 # overflow ---------------------------------------------------------------------
 
+def counted_mild(p, n):
+    """mild_solution_residuals at t = 0.25, 0.5, 1 and the shapes of the
+    expm calls it made, with every warning an error"""
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return expm(matrix)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(sg, "expm", counting)
+        return mild_solution_residuals(p, n, (0.25, 0.5, 1.0)), calls
+
+
 @pytest.mark.parametrize("n", [128, 256])
-def test_overflowing_eigenbasis_redoes_the_dense_route(n):
+def test_overflowing_eigenbasis_flow_ends_in_inf_without_expm(n):
     """at delta = 0.4 the graded operator is certified but grows like
-    exp(388 t) at n = 64 and faster beyond; where its eigenbasis flow leaves
-    double range, mild_bound redoes the whole graded flow densely and writes
-    the same non-finite errors as without pairs"""
+    exp(388 t) at n = 64 and faster beyond; where its eigenbasis flow
+    leaves double range, mild_bound's errors are inf from that step on,
+    with no expm and no warning, and the same steps are inf on the dense
+    route of the same entries without pairs"""
     mapped, twin, block, _ = mapped_pair(1.0, 1.0, 0.4, 0.4, n)
     g = graded(mapped, twin, _tridiagonal_eigenpairs(mapped))
     assert g.certified and np.max(g.spectrum) > 1e3
@@ -195,24 +214,40 @@ def test_overflowing_eigenbasis_redoes_the_dense_route(n):
             for step in STEPS:
                 block = evolve_classical(g, step, block)
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.4))
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-        fast = mild_solution_residuals(p, n, (0.25, 0.5, 1.0))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dd, "_tridiagonal_eigenpairs", lambda entries: None)
+    fast, calls = counted_mild(p, n)
+    assert calls == []
+    errors = np.array([rec["error"] for rec in fast["records"]])
+    assert np.isinf(errors[-1]) and not np.any(np.isnan(errors))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dd, "_tridiagonal_eigenpairs", lambda entries: None)
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
             dense = mild_solution_residuals(p, n, (0.25, 0.5, 1.0))
-    errors = [rec["error"] for rec in fast["records"]]
-    assert not all(np.isfinite(errors))
-    np.testing.assert_array_equal(errors,
-                                  [rec["error"] for rec in dense["records"]])
+    want = np.array([rec["error"] for rec in dense["records"]])
+    np.testing.assert_array_equal(np.isinf(errors), np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(errors[finite], want[finite], rtol=1e-10)
 
 
 def test_overflowing_twin_ends_in_non_finite_errors():
-    """at c = 1e6 the twin's exp(s lam) leaves double range; its flow falls
-    back to the dense route and mild_bound's errors are nan, not a raise"""
-    p = DriftDiffusionParams(1.0, 1.0, 1e6, Order(0.5))
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-        out = mild_solution_residuals(p, 64, (0.25, 0.5, 1.0))
-    assert all(np.isnan(rec["error"]) for rec in out["records"])
+    """at c = 1e6 the twin's exp(s lam) leaves double range at the first
+    step: mild_bound's errors are all inf, not a raise, with no expm and
+    no warning"""
+    out, calls = counted_mild(DriftDiffusionParams(1.0, 1.0, 1e6, Order(0.5)),
+                              64)
+    assert calls == []
+    assert all(np.isinf(rec["error"]) for rec in out["records"])
+
+
+def test_out_of_range_operator_ends_in_inf_errors_without_a_flow():
+    """at delta = 0.02 and n = 2048 the graded weights leave double range:
+    the mapped GeneratorMatrix refuses them before either flow starts, so
+    the stencil residual is nan and every error inf, with no expm (the twin
+    would flow densely here) and no warning"""
+    out, calls = counted_mild(
+        DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.02)), 2048)
+    assert calls == []
+    assert np.isnan(out["stencil_residual"])
+    assert all(np.isinf(rec["error"]) for rec in out["records"])
 
 
 def test_overflowing_product_raises_without_nan():
