@@ -46,7 +46,7 @@ __all__ = [
     "derivative_identity_residuals",
 ]
 
-from .semigroup import (GeneratorMatrix, _advance, _sine_basis,
+from .semigroup import (GeneratorMatrix, _advance, _toeplitz_eigenpairs,
                         _tridiagonal_eigenpairs)
 
 # fixed smooth probe functions on the uniform-variable interval (0,1)
@@ -219,45 +219,18 @@ def build_classical_operator(p: DriftDiffusionParams, grid: GridPair,
                              clamp_right: bool = False) -> GeneratorMatrix:
     """Constant-coefficient twin on the uniform grid, plain mesh weight h.
 
-    Clamped at both ends the twin carries closed-form eigenpairs (see
-    _twin_eigenpairs) when they exist, and flows in that basis while they
-    are certified.
+    Clamped at both ends the twin is tridiagonal Toeplitz and carries
+    closed-form eigenpairs (semigroup._toeplitz_eigenpairs) when they
+    exist, and flows in that basis while they are certified.
     """
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
     a_t, b_t, c = parameter_transfer(p)
     entries = _stencil_dense(*_twin_stencil(p, grid, clamp_right))
-    pairs = _twin_eigenpairs(a_t, b_t, c, grid) if clamp_right else None
+    pairs = _toeplitz_eigenpairs(a_t, b_t, c, grid.n) if clamp_right else None
     return GeneratorMatrix(
         entries=entries, weight=grid.h, label=f"classical[n={grid.n}]",
         eigenpairs=pairs, eigenbasis_flow=pairs is not None)
-
-
-def _twin_eigenpairs(a: float, b: float, c: float, grid: GridPair):
-    """(lam, V, d) of the clamped twin a D2 + b D1 + c on grid, or None.
-
-    The twin is tridiagonal Toeplitz with off-diagonals sub = a/h^2 - b/(2h)
-    and sup = a/h^2 + b/(2h).  When both are positive (cell Peclet number
-    b h / (2a) below 1), d_j = rho**j with rho = sqrt(sub/sup) makes it
-    symmetric, with the sine basis as eigenvectors and the eigenvalues
-    lam_k = c - 2a/h^2 + 2 sqrt(sub sup) cos(k pi h), written here as
-    c - (b/h)^2 / (2(a/h^2 + sqrt(sub sup))) - 4 sqrt(sub sup) sin^2(k pi h/2)
-    so that the top of the spectrum suffers no cancellation.  None when
-    sub <= 0 or rho**(n-1) underflows to 0.
-    """
-    n, h = grid.n, grid.h
-    diffusion, drift = a / h ** 2, b / (2.0 * h)
-    sub, sup = diffusion - drift, diffusion + drift
-    if not (sub > 0.0 and sup > 0.0):
-        return None
-    scale = np.sqrt(sub / sup) ** np.arange(n)
-    if scale[-1] == 0.0:
-        return None
-    root = np.sqrt(sub * sup)
-    k = np.arange(1, n + 1)
-    spectrum = (c - 2.0 * drift ** 2 / (diffusion + root)
-                - 4.0 * root * np.sin(0.5 * np.pi * h * k) ** 2)
-    return spectrum, _sine_basis(n)[0], scale
 
 
 def build_conformable_operator(p: DriftDiffusionParams, grid: GridPair,

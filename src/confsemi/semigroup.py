@@ -11,8 +11,9 @@ generators.
 
 A generator may carry eigenpairs in one representation,
 A = D V diag(lam) V^T D^-1 with D = diag(d), d > 0 and V orthogonal; a
-symmetric A is the case d = 1.  They come in closed form (the Dirichlet
-Laplacian, the clamped drift-diffusion twin) or, for a tridiagonal A whose
+symmetric A is the case d = 1.  They come in closed form for a
+tridiagonal Toeplitz A (_toeplitz_eigenpairs: the Dirichlet Laplacian,
+the clamped drift-diffusion twin) or, for a tridiagonal A whose
 off-diagonal products are all positive, from the symmetric tridiagonal
 eigensolver (_tridiagonal_eigenpairs; the clamped graded drift-diffusion
 operator).  They are checked against the entries once, when the generator
@@ -24,13 +25,14 @@ built with eigenbasis_flow (the two clamped drift-diffusion operators)
 flows in its eigenbasis when certified,
 exp(sA) x = d * V (exp(s lam) * V^T (x / d)); every other one (the
 fixtures, the Dirichlet Laplacian among them, an operator whose
-similarity is too ill-conditioned) flows by dense scaling and squaring on
-the entries.  A state that would leave double range raises
-FloatingPointError instead.  The resolvent and contraction bounds need
-d = 1: S(t) = exp(psi(t) A) is the classical flow on a new clock, so for
-a symmetric A its norm is max_k exp(psi(t) lam_k) and the resolvent norm
-is max_k 1/(lam - lam_k).  The dense Hermitian-part margin and the
-Laplacian's dense flow stay as the independent routes.
+similarity is too ill-conditioned) flows by scipy's expm on the entries,
+the scaling and squaring of Al-Mohy and Higham (SIMAX 31, 2009).  A state
+that would leave double range raises FloatingPointError instead.  The
+resolvent and contraction bounds need d = 1: S(t) = exp(psi(t) A) is the
+classical flow on a new clock, so for a symmetric A its norm is
+max_k exp(psi(t) lam_k) and the resolvent norm is max_k 1/(lam - lam_k).
+The dense Hermitian-part margin and the Laplacian's dense flow stay as
+the independent routes.
 """
 
 from __future__ import annotations
@@ -224,67 +226,6 @@ def taylor_matrix_exp(matrix: np.ndarray) -> np.ndarray:
     return result
 
 
-# 1-norm up to which the degree-13 Pade approximant of Al-Mohy and Higham
-# (SIMAX 31, 2009) needs no scaling
-_THETA_13 = 5.371920351148152
-# entries below this fraction of the largest are flushed to zero while
-# squaring: a far entry of exp(A / 2**k) for a banded A decays into the
-# subnormal range, and BLAS multiplies subnormals at a fraction of full speed
-_FLUSH_RATIO = 2.0 ** -511
-
-
-def _scale_for_squaring(matrix: np.ndarray) -> tuple:
-    """(matrix / 2**k, k) with k the squarings that bring the 1-norm to
-    _THETA_13 or below.
-
-    Triangular and diagonal input gets k = 0: expm squares it with the exact
-    diagonal, which the flushed squaring would not reproduce.
-    """
-    if 0 in bandwidth(matrix):
-        return matrix, 0
-    norm = np.linalg.norm(matrix, 1)
-    if norm <= _THETA_13:
-        return matrix, 0
-    k = int(np.ceil(np.log2(norm / _THETA_13)))
-    return matrix / 2.0 ** k, k
-
-
-def _flush(flow: np.ndarray) -> bool:
-    """Zero the entries below _FLUSH_RATIO times the largest, in place;
-    True when there were none."""
-    size = np.abs(flow)
-    tiny = size < _FLUSH_RATIO * np.max(size)
-    if not np.any(tiny):
-        return True
-    flow[tiny] = 0.0
-    return False
-
-
-def _square_flushed(flow: np.ndarray, k: int) -> np.ndarray:
-    """flow**(2**k) by k squarings, flushing tiny entries after the Pade
-    step and after each squaring until a flush finds nothing to zero.
-
-    Each flush moves the product by at most n * 2**-511 of its largest
-    entry per squaring, far below rounding, and keeps subnormals out of the
-    matrix products.  The flushes overwrite flow; k = 0 returns it
-    untouched.
-    """
-    if k == 0:
-        return flow
-    clean = _flush(flow)
-    for _ in range(k):
-        flow = flow @ flow
-        if not clean:
-            clean = _flush(flow)
-    return flow
-
-
-def _flow(matrix: np.ndarray) -> np.ndarray:
-    """exp(matrix): expm of the scaled matrix, then the flushed squaring."""
-    scaled, k = _scale_for_squaring(matrix)
-    return _square_flushed(expm(scaled), k)
-
-
 # largest exponent whose exp is a finite double
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -315,8 +256,8 @@ def _advance(g: GeneratorMatrix, steps, x: np.ndarray):
 
     x is a vector or a block of columns; a real x under a real A stays real.
     The flow runs in g's eigenbasis when g asks for that (eigenbasis_flow)
-    and its eigenpairs are certified, else by dense scaling and squaring
-    (any square A), one exponential per distinct step.  A zero step yields a
+    and its eigenpairs are certified, else by scipy's dense expm (any
+    square A), one exponential per distinct step.  A zero step yields a
     copy.  Raises FloatingPointError instead of yielding a non-finite state.
     """
     eigenbasis = g.eigenbasis_flow and g.certified
@@ -328,7 +269,7 @@ def _advance(g: GeneratorMatrix, steps, x: np.ndarray):
             x = _eigenbasis_flow(g, step, x)
         else:
             if step not in flows:
-                flows[step] = _flow(step * g.entries)
+                flows[step] = expm(step * g.entries)
             x = flows[step] @ x
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(
@@ -635,9 +576,9 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
     """Second-difference matrix on n interior nodes, both ends clamped,
     with the uniform-mesh inner product (weight h per node).
 
-    Its eigenpairs are closed-form (see _sine_eigenpairs), with d = 1.  They
-    serve the resolvent and contraction bounds; the flow stays dense, the
-    route those bounds are read against.
+    Its eigenpairs are closed-form (_toeplitz_eigenpairs at a = 1,
+    b = c = 0), with d = 1.  They serve the resolvent and contraction
+    bounds; the flow stays dense, the route those bounds are read against.
     """
     if n < 2:
         raise ValueError("need n >= 2 interior nodes")
@@ -647,16 +588,36 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
     entries = (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) / h ** 2
     return GeneratorMatrix(entries=entries, weight=h,
                            label=f"dirichlet_laplacian[n={n}]",
-                           eigenpairs=_sine_eigenpairs(n))
+                           eigenpairs=_toeplitz_eigenpairs(1.0, 0.0, 0.0, n))
 
 
-def _sine_eigenpairs(n: int) -> tuple:
-    """(lam, V) of the clamped second difference on n interior nodes:
-    lam_k = -(4/h^2) sin^2(k pi h/2) with the cached sine basis V."""
+def _toeplitz_eigenpairs(a: float, b: float, c: float, n: int):
+    """(lam, V, d) of a D2 + b D1 + c on n interior nodes of the uniform
+    mesh h = 1/(n + 1), both ends clamped (centred differences), or None.
+
+    The operator is tridiagonal Toeplitz with off-diagonals
+    sub = a/h^2 - b/(2h) and sup = a/h^2 + b/(2h).  When both are positive
+    (cell Peclet number b h / (2a) below 1), d_j = rho**j with
+    rho = sqrt(sub/sup) makes it symmetric, with the cached sine basis as
+    eigenvectors and the eigenvalues
+    lam_k = c - 2a/h^2 + 2 sqrt(sub sup) cos(k pi h), written here as
+    c - (b/h)^2 / (2(a/h^2 + sqrt(sub sup))) - 4 sqrt(sub sup) sin^2(k pi h/2)
+    so that the top of the spectrum suffers no cancellation.  At b = 0, d is
+    all ones.  None when sub <= 0 or rho**(n-1) underflows to 0.
+    """
     h = 1.0 / (n + 1)
+    diffusion, drift = a / h ** 2, b / (2.0 * h)
+    sub, sup = diffusion - drift, diffusion + drift
+    if not (sub > 0.0 and sup > 0.0):
+        return None
+    scale = np.sqrt(sub / sup) ** np.arange(n)
+    if scale[-1] == 0.0:
+        return None
+    root = np.sqrt(sub * sup)
     k = np.arange(1, n + 1)
-    spectrum = -(4.0 / h ** 2) * np.sin(0.5 * np.pi * h * k) ** 2
-    return spectrum, _sine_basis(n)[0]
+    spectrum = (c - 2.0 * drift ** 2 / (diffusion + root)
+                - 4.0 * root * np.sin(0.5 * np.pi * h * k) ** 2)
+    return spectrum, _sine_basis(n)[0], scale
 
 
 def _tridiagonal_eigenpairs(entries: np.ndarray):

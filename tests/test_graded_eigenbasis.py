@@ -13,7 +13,7 @@ from confsemi import semigroup as sg
 from confsemi import (DriftDiffusionParams, GeneratorMatrix, GridPair, Order,
                       build_classical_operator, evolve_classical,
                       mild_solution_residuals, taylor_matrix_exp)
-from confsemi.semigroup import (_DEFECT_ULPS, _advance, _flow,
+from confsemi.semigroup import (_DEFECT_ULPS, _advance,
                                 _tridiagonal_eigenpairs)
 
 EPS = np.finfo(float).eps
@@ -154,7 +154,7 @@ def test_perturbed_entry_fails_certification_and_flows_densely(n):
     want = list(_advance(graded(moved, twin, None), STEPS, block))
     for got, dense in zip(_advance(bad, STEPS, block), want, strict=True):
         assert np.array_equal(got, dense)
-    assert np.array_equal(want[0], _flow(0.25 * moved) @ block)
+    assert np.array_equal(want[0], expm(0.25 * moved) @ block)
 
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
 

@@ -16,8 +16,8 @@ from confsemi import (ConformableSemigroup, GeneratorMatrix, Order,
                       strong_continuity_check, taylor_matrix_exp)
 from confsemi import semigroup
 from confsemi.config import TOLERANCE_DEFAULTS
-from confsemi.semigroup import (_DP_A, _DP_B4, _DP_B5, _DP_C, _flow,
-                                _rk45_advance, _sine_eigenpairs)
+from confsemi.semigroup import (_DP_A, _DP_B4, _DP_B5, _DP_C, _rk45_advance,
+                                _toeplitz_eigenpairs)
 from confsemi.suites import _orbit_gap
 
 
@@ -295,6 +295,14 @@ EPS = np.finfo(float).eps
 ORACLE_NS = [32, 64, 128, 256]
 
 
+def sine_eigenpairs(n):
+    """(lam, V) of the clamped second difference: the closed form at
+    a = 1, b = c = 0, whose similarity d is all ones"""
+    spectrum, vecs, scale = _toeplitz_eigenpairs(1.0, 0.0, 0.0, n)
+    assert np.all(scale == 1.0)
+    return spectrum, vecs
+
+
 def top_eigenvalue(n):
     h = 1.0 / (n + 1)
     return -(4.0 / h ** 2) * math.sin(math.pi * h / 2.0) ** 2
@@ -304,7 +312,7 @@ def top_eigenvalue(n):
 def test_dirichlet_eigenpairs_are_checked_at_rounding(n):
     g = dirichlet_second_difference(n)
     assert g.spectrum.shape == (n,)
-    assert np.array_equal(g.spectrum, _sine_eigenpairs(n)[0])
+    assert np.array_equal(g.spectrum, sine_eigenpairs(n)[0])
     assert g.spectral_defect <= EPS * (n + 1)
 
 
@@ -317,7 +325,7 @@ def test_closed_form_flow_matches_plain_expm(n):
     bounds are read against."""
     g = dirichlet_second_difference(n)
     assert g.certified and not g.eigenbasis_flow
-    spectrum, vecs = _sine_eigenpairs(n)
+    spectrum, vecs = sine_eigenpairs(n)
     flowing = GeneratorMatrix(g.entries, g.weight, g.label, (spectrum, vecs),
                               eigenbasis_flow=True)
     steps = [1e-4, 0.01, 0.5] + [Order(d).psi(t) for d in (0.5, 1.0)
@@ -330,7 +338,7 @@ def test_closed_form_flow_matches_plain_expm(n):
             assert gap <= 32.0 * EPS * (n + 1) ** 2, (s, gap)
         eye = np.eye(n, dtype=complex)
         assert np.array_equal(evolve_classical(g, s, eye),
-                              _flow(s * g.entries) @ eye)
+                              expm(s * g.entries) @ eye)
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)
@@ -375,7 +383,7 @@ def perturbed(g, part):
     """g with one entry of its entries, eigenvalues or eigenvectors moved by
     1e-6 relative"""
     entries = g.entries.copy()
-    spectrum, vecs = _sine_eigenpairs(g.dim)
+    spectrum, vecs = sine_eigenpairs(g.dim)
     vecs = vecs.copy()  # the cached basis is read-only
     target = {"entries": entries, "eigenvalue": spectrum,
               "eigenvector": vecs}[part]
@@ -459,7 +467,7 @@ def test_resolvent_probes_match_one_by_one_products():
         u, v = rng.standard_normal(g.dim), rng.standard_normal(g.dim)
         random_excess = max(random_excess, excess(u), excess(v))
         complex_excess = max(complex_excess, excess(u + 1j * v))
-    modes = _sine_eigenpairs(g.dim)[1][:, :4]
+    modes = sine_eigenpairs(g.dim)[1][:, :4]
     want = max(random_excess, *(excess(x) for x in modes.T))
     got = resolvent_bound_check(g, lam, seed=4)[1]["lower_excess"]
     assert got == pytest.approx(want, rel=1e-12, abs=1e-15)

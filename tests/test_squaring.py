@@ -1,4 +1,10 @@
-"""The flushed scaling-and-squaring exponential against the dense oracles."""
+"""The dense exponential route of evolve_classical against the oracles.
+
+A generator without eigenpairs flows by scipy's expm, the scaling and
+squaring of Al-Mohy and Higham: evolve_classical must return expm(sA) x
+bit for bit, and agree with the in-repo series oracle taylor_matrix_exp
+where that oracle is affordable (n <= 32).
+"""
 
 import numpy as np
 import pytest
@@ -9,21 +15,24 @@ from confsemi import (DriftDiffusionParams, GeneratorMatrix, GridPair, Order,
                       build_classical_operator, dirichlet_second_difference,
                       evolve_classical, mild_solution_residuals,
                       taylor_matrix_exp)
-from confsemi.semigroup import _scale_for_squaring, _square_flushed
 
 
-def flushed_exp(matrix):
-    scaled, k = _scale_for_squaring(matrix)
-    return _square_flushed(expm(scaled), k)
+def dense_flow(matrix, s=1.0):
+    """exp(s matrix) as evolve_classical computes it for a generator
+    without eigenpairs, applied to the identity"""
+    n = matrix.shape[0]
+    g = GeneratorMatrix(matrix, 1.0 / (n + 1))
+    assert g.spectrum is None
+    return evolve_classical(g, s, np.eye(n))
 
 
-def max_rel(got, want):
-    return np.max(np.abs(got - want)) / np.max(np.abs(want))
-
-
-def has_no_subnormal(matrix):
-    size = np.abs(matrix)
-    return bool(np.all((size == 0.0) | (size >= np.finfo(float).tiny)))
+def assert_matches_oracles(matrix, s):
+    got = dense_flow(matrix, s)
+    assert np.array_equal(got, expm(s * matrix) @ np.eye(len(matrix),
+                                                           dtype=complex))
+    if matrix.shape[0] <= 32:
+        want = taylor_matrix_exp(s * matrix)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def mapped_pair(p, n, clamp_right):
@@ -56,12 +65,7 @@ DD_CASES = drift_diffusion_matrices()
 @pytest.mark.parametrize("n", [32, 64, 128, 256])
 @pytest.mark.parametrize("s", [1e-4, 0.01, 0.5])
 def test_laplacian_matches_oracles(n, s):
-    matrix = s * dirichlet_second_difference(n).entries
-    got = flushed_exp(matrix)
-    assert max_rel(got, expm(matrix)) <= 1e-14
-    assert has_no_subnormal(got)
-    if n <= 32:
-        assert max_rel(got, taylor_matrix_exp(matrix).real) <= 1e-12
+    assert_matches_oracles(dirichlet_second_difference(n).entries, s)
 
 
 # the graded operator has spurious boundary modes growing at rates up to
@@ -69,27 +73,19 @@ def test_laplacian_matches_oracles(n, s):
 @pytest.mark.parametrize("name, matrix", DD_CASES, ids=[c[0] for c in DD_CASES])
 @pytest.mark.parametrize("step", [1e-3, 0.01])
 def test_drift_diffusion_pair_matches_oracles(name, matrix, step):
-    got = flushed_exp(step * matrix)
-    assert max_rel(got, expm(step * matrix)) <= 1e-14
-    assert has_no_subnormal(got)
-    if matrix.shape[0] <= 32:
-        assert max_rel(got, taylor_matrix_exp(step * matrix).real) <= 1e-12
+    assert_matches_oracles(matrix, step)
 
 
 @pytest.mark.parametrize("n", [16, 32, 96])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_random_dense_matches_oracles(n, dtype):
+    """1-norm 30, so scipy scales and squares"""
     rng = np.random.default_rng(n)
     matrix = rng.standard_normal((n, n)).astype(dtype)
     if dtype is complex:
         matrix += 1j * rng.standard_normal((n, n))
     matrix *= 30.0 / np.linalg.norm(matrix, 1)
-    got = flushed_exp(matrix)
-    assert _scale_for_squaring(matrix)[1] > 0
-    assert max_rel(got, expm(matrix)) <= 1e-14
-    assert has_no_subnormal(got)
-    if n <= 32:
-        assert max_rel(got, taylor_matrix_exp(matrix)) <= 1e-12
+    assert_matches_oracles(matrix, 1.0)
 
 
 def upper_bidiagonal(n):
@@ -106,30 +102,25 @@ def upper_bidiagonal(n):
     upper_bidiagonal(64).T,
 ], ids=["nilpotent", "diag", "diag_complex", "nonnormal4", "upper", "lower"])
 def test_triangular_input_keeps_expm_bitwise(matrix):
-    scaled, k = _scale_for_squaring(matrix)
-    assert k == 0 and scaled is matrix
-    assert np.array_equal(_square_flushed(expm(scaled), k), expm(matrix))
+    """the semigroup suite's fixtures are triangular; their flow is expm's,
+    which squares triangular input with the exact diagonal"""
+    assert np.array_equal(dense_flow(matrix), expm(matrix))
 
 
-def test_small_norm_input_is_not_squared():
-    matrix = 1e-3 * dirichlet_second_difference(16).entries
-    assert _scale_for_squaring(matrix)[1] == 0
-    assert np.array_equal(flushed_exp(matrix), expm(matrix))
-
-
-def test_evolution_uses_the_flushed_flow():
-    """a generator without eigenpairs flows by the flushed squaring"""
+def test_evolution_uses_plain_expm():
+    """a generator without eigenpairs flows by expm, bit for bit, at a step
+    where scipy squares (1-norm 0.05 * 4 * 65**2 = 845)"""
     g = GeneratorMatrix(dirichlet_second_difference(64).entries, 1.0 / 65)
     x = np.sin(np.arange(1, 65) * np.pi / 65).astype(complex)
-    want = expm(0.05 * g.entries) @ x
-    got = evolve_classical(g, 0.05, x)
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(evolve_classical(g, 0.05, x),
+                          expm(0.05 * g.entries) @ x)
 
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_mild_residuals_match_plain_expm(n):
-    """the graded flow's flushed squaring against plain expm; the twin takes
-    its own route (its closed form) on both sides"""
+    """the graded flow of mild_solution_residuals against plain expm of the
+    mapped operator; the twin takes its own route (its closed form) on both
+    sides"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
     t_list = (0.25, 0.5, 1.0)
     mapped, twin, block, rows = mapped_pair(p, n, True)

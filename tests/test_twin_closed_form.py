@@ -18,7 +18,7 @@ from confsemi import (ConformableSemigroup, DriftDiffusionParams,
                       dirichlet_second_difference, evolve_classical,
                       resolvent_bound_check, taylor_matrix_exp)
 from confsemi.config import default_config
-from confsemi.semigroup import _DEFECT_ULPS, _flow, _sine_basis
+from confsemi.semigroup import _DEFECT_ULPS, _sine_basis
 
 EPS = np.finfo(float).eps
 
@@ -38,8 +38,8 @@ def rel_gap(got, want):
 
 
 def dense(g, s, x):
-    """the scaling-and-squaring route of evolve_classical"""
-    return _flow(s * g.entries) @ x
+    """the dense route of evolve_classical"""
+    return expm(s * g.entries) @ x
 
 
 # agreement with the dense oracles ---------------------------------------------
@@ -180,7 +180,7 @@ def test_sweep_columns_beside_the_law_are_unchanged():
                   sweep_n_list=(32, 64))
     closed = suites.run_sweep(cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dd, "_twin_eigenpairs", lambda *args: None)
+        mp.setattr(dd, "_toeplitz_eigenpairs", lambda *args: None)
         dense_rows = suites.run_sweep(cfg)
     for got, want in zip(closed, dense_rows):
         assert {k: v for k, v in got.items() if k != "law_residual"} == {
