@@ -19,20 +19,24 @@ eigensolver (_tridiagonal_eigenpairs; the clamped graded drift-diffusion
 operator).  They are checked against the entries once, when the generator
 is built, and certified when the defect, scaled by the condition
 d_max / d_min of D, stays at rounding.  Every flow runs through one
-stepper, _advance, which evolve_classical takes one step and the
-drift-diffusion evolution comparison takes a list of steps.  A generator
-built with eigenbasis_flow (the two clamped drift-diffusion operators)
-flows in its eigenbasis when certified,
+stepper, _advance.  evolve_classical takes it one step, for one time or a
+batch of times; the composition law takes a batch of pairs through two
+steps; the drift-diffusion evolution comparison takes a list of steps.  A
+generator built with eigenbasis_flow (the two clamped drift-diffusion
+operators) flows in its eigenbasis when certified,
 exp(sA) x = d * V (exp(s lam) * V^T (x / d)); every other one (the
 fixtures, the Dirichlet Laplacian among them, an operator whose
 similarity is too ill-conditioned) flows by scipy's expm on the entries,
-the scaling and squaring of Al-Mohy and Higham (SIMAX 31, 2009).  A state
-that would leave double range raises FloatingPointError instead.  The
-resolvent and contraction bounds need d = 1: S(t) = exp(psi(t) A) is the
-classical flow on a new clock, so for a symmetric A its norm is
-max_k exp(psi(t) lam_k) and the resolvent norm is max_k 1/(lam - lam_k).
-The dense Hermitian-part margin and the Laplacian's dense flow stay as
-the independent routes.
+the scaling and squaring of Al-Mohy and Higham (SIMAX 31, 2009), one
+stacked call for all the new times of a step.  A state that would leave
+double range raises FloatingPointError instead.  The resolvent and
+contraction bounds need d = 1: S(t) = exp(psi(t) A) is the classical flow
+on a new clock, so for a symmetric A its norm is max_k exp(psi(t) lam_k)
+and the resolvent norm is max_k 1/(lam - lam_k).  The independent routes
+they are read against work on the entries: the Hermitian-part margin
+(bisection on the three diagonals of a tridiagonal A, dense eigvalsh
+otherwise), the pointwise resolvent products (from the diagonals
+likewise) and the Laplacian's dense flow.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg import bandwidth, eigh_tridiagonal, expm
+from scipy.linalg import (bandwidth, eigh_tridiagonal, eigvalsh_tridiagonal,
+                          expm)
 
 from .clock import Order
 
@@ -254,35 +259,58 @@ def _eigenbasis_flow(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
 def _advance(g: GeneratorMatrix, steps, x: np.ndarray):
     """Yield x after each step in turn under exp(step A), A = g.entries.
 
-    x is a vector or a block of columns; a real x under a real A stays real.
-    The flow runs in g's eigenbasis when g asks for that (eigenbasis_flow)
-    and its eigenpairs are certified, else by scipy's dense expm (any
-    square A), one exponential per distinct step.  A zero step yields a
-    copy.  Raises FloatingPointError instead of yielding a non-finite state.
+    x is a vector or a block of columns and each step one time; or x is a
+    stack of states, one per row, and each step a vector of times, one per
+    row.  A real x under a real A stays real.  The flow runs in g's
+    eigenbasis when g asks for that (eigenbasis_flow) and its eigenpairs
+    are certified, one _eigenbasis_flow per time; else by scipy's dense
+    expm (any square A), one stacked call per step for the distinct times
+    no earlier step had, so a state that leaves double range costs no
+    exponential of a later step.  Each flow applies to its own state, so a
+    row of a stack gets the bits a lone state would.  A zero time leaves a
+    copy.  Raises FloatingPointError instead of yielding a non-finite
+    state.
     """
     eigenbasis = g.eigenbasis_flow and g.certified
     flows = {}
+
+    def flow(s, state):
+        if s == 0.0:
+            return state.copy()
+        if eigenbasis:
+            return _eigenbasis_flow(g, s, state)
+        return flows[s] @ state
+
     for step in steps:
-        if step == 0.0:
-            x = x.copy()
-        elif eigenbasis:
-            x = _eigenbasis_flow(g, step, x)
+        times = np.ravel(step).tolist()
+        if not eigenbasis:
+            new = [s for s in dict.fromkeys(times)
+                   if s != 0.0 and s not in flows]
+            if new:
+                flows.update(zip(new, expm(np.array(new)[:, None, None]
+                                           * g.entries)))
+        if np.ndim(step):
+            x = np.stack([flow(s, state) for s, state in zip(times, x)])
         else:
-            if step not in flows:
-                flows[step] = expm(step * g.entries)
-            x = flows[step] @ x
+            x = flow(times[0], x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(
                 f"evolution produced non-finite state at s={step}")
         yield x
 
 
-def evolve_classical(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
-    """exp(sA) x for a vector or a block of columns x, as a complex array
-    (see _advance)."""
-    if s < 0.0:
+def evolve_classical(g: GeneratorMatrix, s, x: np.ndarray) -> np.ndarray:
+    """exp(sA) x for a vector or a block of columns x, as a complex array.
+
+    For a 1-D array of times s, the stack of exp(s_k A) x, one row per
+    time, from one batch (see _advance).
+    """
+    if np.any(np.asarray(s) < 0.0):
         raise ValueError(f"classical time must be nonnegative, got {s}")
-    return next(_advance(g, (s,), np.asarray(x, dtype=complex)))
+    x = np.asarray(x, dtype=complex)
+    if np.ndim(s):
+        x = np.broadcast_to(x, (len(s), *x.shape))
+    return next(_advance(g, (s,), x))
 
 
 @dataclass(frozen=True)
@@ -292,23 +320,43 @@ class ConformableSemigroup:
     generator: GeneratorMatrix
     order: Order
 
-    def evolve(self, t: float, x: np.ndarray) -> np.ndarray:
+    def evolve(self, t, x: np.ndarray) -> np.ndarray:
+        """exp(psi(t) A) x; for a 1-D array of times t, one row per time
+        (see evolve_classical), each time through the clock's float path."""
+        if np.ndim(t):
+            return evolve_classical(
+                self.generator, np.array([self.order.psi(float(v)) for v in t]),
+                x)
         return evolve_classical(self.generator, self.order.psi(t), x)
 
 
-def delta_law_residual(cs: ConformableSemigroup, r: float, q: float,
-                       x: np.ndarray) -> float:
+def delta_law_residual(cs: ConformableSemigroup, r, q, x: np.ndarray):
     """Composition-law defect in the rescaled time variable.
 
     Compares the one-shot evolution at (r+q)**(1/delta) with the two-step
-    evolution at r**(1/delta) then q**(1/delta), in the weighted norm.
+    evolution at q**(1/delta) then r**(1/delta), in the weighted norm.  r
+    and q may be arrays of pairs, which give one defect per pair: every
+    flow of the batch is one row of a stack that _advance takes through
+    two steps.  Scalar r and q give a float.
     """
-    if r < 0.0 or q < 0.0:
+    r, q = np.broadcast_arrays(np.asarray(r, dtype=float),
+                               np.asarray(q, dtype=float))
+    if np.any(r < 0.0) or np.any(q < 0.0):
         raise ValueError("law arguments must be nonnegative")
-    d = cs.order.delta
-    one_shot = cs.evolve((r + q) ** (1.0 / d), x)
-    two_step = cs.evolve(r ** (1.0 / d), cs.evolve(q ** (1.0 / d), x))
-    return cs.generator.w_norm(one_shot - two_step)
+    d, psi = cs.order.delta, cs.order.psi
+    pairs = list(zip(r.ravel().tolist(), q.ravel().tolist()))
+    m = len(pairs)
+    one_shot = [psi((a + b) ** (1.0 / d)) for a, b in pairs]
+    first = [psi(b ** (1.0 / d)) for _, b in pairs]
+    second = [psi(a ** (1.0 / d)) for a, _ in pairs]
+    x = np.asarray(x, dtype=complex)
+    *_, flowed = _advance(cs.generator,
+                          (np.array(one_shot + first),
+                           np.array([0.0] * m + second)),
+                          np.broadcast_to(x, (2 * m, *x.shape)))
+    defects = np.array([cs.generator.w_norm(a - b)
+                        for a, b in zip(flowed[:m], flowed[m:])])
+    return float(defects[0]) if r.ndim == 0 else defects.reshape(r.shape)
 
 
 def neville_extrapolate(nodes: np.ndarray, values: list) -> np.ndarray:
@@ -350,7 +398,8 @@ def classical_generator_quotient(g: GeneratorMatrix, x: np.ndarray,
     if len(s_seq) < 4:
         raise ValueError("need at least 4 quotient times")
     x = np.asarray(x, dtype=complex)
-    quotients = [(evolve_classical(g, s, x) - x) / s for s in s_seq]
+    quotients = [(state - x) / s
+                 for state, s in zip(evolve_classical(g, s_seq, x), s_seq)]
     return neville_extrapolate(s_seq, quotients)
 
 
@@ -475,14 +524,33 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
     return OrbitSample(times=times, states=states, norms=norms)
 
 
+# bisection runs until its interval is a few ulps of the eigenvalue itself
+# (LAPACK's most accurate setting, 2 dlamch('S')); the default stops at an
+# interval of eps ||T||_1, about 6e-12 relative at the top of the n = 256
+# Laplacian, wider than the 1e-12 its closed-form test allows
+_BISECTION_TOL = 2.0 * np.finfo(float).tiny
+
+
 def dissipativity_margin(g: GeneratorMatrix) -> float:
     """Largest Rayleigh quotient Re<Ax, x> over unit weighted-norm x.
 
     The scalar weight cancels from the quotient, so this is the top
     eigenvalue of the Hermitian part (A + A^H) / 2; a nonpositive value
-    certifies discrete dissipativity.
+    certifies discrete dissipativity.  A tridiagonal A has a tridiagonal
+    Hermitian part, whose top eigenvalue comes from bisection on its
+    diagonals, with no n x n array; any other A goes through the dense
+    eigvalsh.
     """
-    sym = 0.5 * (g.entries + g.entries.conj().T)
+    a = g.entries
+    if bandwidth(a) == (1, 1):
+        # a diagonal unitary similarity takes each off-diagonal entry to its
+        # modulus, so the real symmetric band has the same spectrum
+        off = np.abs(0.5 * (np.diagonal(a, 1) + np.diagonal(a, -1).conj()))
+        top = g.dim - 1
+        return float(eigvalsh_tridiagonal(
+            np.diagonal(a).real, off, select="i", select_range=(top, top),
+            tol=_BISECTION_TOL)[0])
+    sym = 0.5 * (a + a.conj().T)
     return float(np.max(np.linalg.eigvalsh(sym)))
 
 
@@ -529,9 +597,9 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
     one, and by how much the pointwise lower bound
     ||(lam I - A) x|| >= lam ||x|| is violated on seeded random vectors and
     on the eigenvectors of the _MODE_PROBES largest eigenvalues, multiplied
-    by the entries.  Returns (residual, params); the residual is
-    the larger relative excess (inf for mismatched eigenpairs, see
-    _certified), at most 0 when the bound holds.
+    by the entries (by the three diagonals of a tridiagonal A).  Returns
+    (residual, params); the residual is the larger relative excess (inf for
+    mismatched eigenpairs, see _certified), at most 0 when the bound holds.
     """
     if lam <= 0.0:
         raise ValueError(f"shift must be positive, got {lam}")
@@ -544,8 +612,15 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
     probes = np.hstack((
         np.random.default_rng(seed).standard_normal((_RESOLVENT_PROBES, n)).T,
         g.eigvecs[:, np.argsort(g.spectrum)[-_MODE_PROBES:]]))
-    shifted = lam * np.eye(n) - g.entries
-    lhs = np.sqrt(np.sum(g.weight * np.abs(shifted @ probes) ** 2, axis=0))
+    a = g.entries
+    if bandwidth(a) == (1, 1):
+        # (lam I - A) probes from A's three diagonals
+        shifted = (lam - np.diagonal(a))[:, None] * probes
+        shifted[:-1] -= np.diagonal(a, 1)[:, None] * probes[1:]
+        shifted[1:] -= np.diagonal(a, -1)[:, None] * probes[:-1]
+    else:
+        shifted = (lam * np.eye(n) - a) @ probes
+    lhs = np.sqrt(np.sum(g.weight * np.abs(shifted) ** 2, axis=0))
     rhs_val = lam * np.sqrt(np.sum(g.weight * np.abs(probes) ** 2, axis=0))
     lower_excess = float(np.max((rhs_val - lhs) / rhs_val, initial=-np.inf))
     return _certified(max(norm_excess, lower_excess), g), {
@@ -674,7 +749,7 @@ def strong_continuity_check(cs: ConformableSemigroup, x: np.ndarray) -> tuple:
     g = cs.generator
     x = np.asarray(x, dtype=complex)
     ts = [2.0 ** -k for k in range(4, 21)]
-    gaps = np.array([g.w_norm(cs.evolve(t, x) - x) for t in ts])
+    gaps = np.array([g.w_norm(state - x) for state in cs.evolve(ts, x)])
     psis = cs.order.psi(np.array(ts))
     slope = float(np.max(gaps / psis))
     generator_norm = g.w_norm(g.entries @ x)

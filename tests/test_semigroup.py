@@ -358,8 +358,9 @@ def test_resolvent_norms_match_inverse_and_svd(n):
 @pytest.mark.parametrize("n", ORACLE_NS)
 def test_dirichlet_margin_and_flow_norms_match_closed_forms(n):
     """the top eigenvalue of the clamped second difference is
-    -(4/h^2) sin^2(pi h/2); the dense Hermitian-part margin meets it within
-    1e-12 relative (measured 8e-15 to 3.4e-13 at n = 32 to 256), and both
+    -(4/h^2) sin^2(pi h/2); the Hermitian-part margin, by bisection on the
+    band, meets it within 1e-12 relative (measured 8e-15 to 2.7e-13 at
+    n = 32 to 256), and both
     checks record it as their margin.  The flow is normal, so its norm at
     time t is exp(psi(t) times that eigenvalue)."""
     g = dirichlet_second_difference(n)
