@@ -268,8 +268,8 @@ def _advance(g: GeneratorMatrix, steps, x: np.ndarray):
     no earlier step had, so a state that leaves double range costs no
     exponential of a later step.  Each flow applies to its own state, so a
     row of a stack gets the bits a lone state would.  A zero time leaves a
-    copy.  Raises FloatingPointError instead of yielding a non-finite
-    state.
+    copy.  Raises FloatingPointError, with no RuntimeWarning before it,
+    instead of yielding a non-finite state.
     """
     eigenbasis = g.eigenbasis_flow and g.certified
     flows = {}
@@ -283,16 +283,18 @@ def _advance(g: GeneratorMatrix, steps, x: np.ndarray):
 
     for step in steps:
         times = np.ravel(step).tolist()
-        if not eigenbasis:
-            new = [s for s in dict.fromkeys(times)
-                   if s != 0.0 and s not in flows]
-            if new:
-                flows.update(zip(new, expm(np.array(new)[:, None, None]
-                                           * g.entries)))
-        if np.ndim(step):
-            x = np.stack([flow(s, state) for s, state in zip(times, x)])
-        else:
-            x = flow(times[0], x)
+        # refused below, not warned of (_eigenbasis_flow sets its own state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not eigenbasis:
+                new = [s for s in dict.fromkeys(times)
+                       if s != 0.0 and s not in flows]
+                if new:
+                    flows.update(zip(new, expm(np.array(new)[:, None, None]
+                                               * g.entries)))
+            if np.ndim(step):
+                x = np.stack([flow(s, state) for s, state in zip(times, x)])
+            else:
+                x = flow(times[0], x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(
                 f"evolution produced non-finite state at s={step}")
@@ -484,42 +486,40 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
                           n_out: int = 21) -> OrbitSample:
     """Independent orbit of x'(t) = t**(delta-1) A x(t) on a fixed grid.
 
-    The right-hand side is singular at t=0 for delta < 1, so the segment
-    [0, t0] is advanced exactly via exp(psi(t0) A); from t0 on, integration
-    is a hand-rolled adaptive Dormand-Prince 5(4) stepper that never
-    consults the clock.  t0 = min(1e-3, psi_inv(1e-3)).  The stepper starts
-    at h = (t1 - t0) / 100, t1 the first output time past t0, and carries
-    its step from one output time to the next.  A real A with a real x0
-    runs in float64 (the exact segment is then real); the states are
-    returned complex either way.
+    A hand-rolled adaptive Dormand-Prince 5(4) stepper integrates
+    dx/dtau = exp(delta tau) A x in tau = ln t, free of the singularity at
+    t = 0, of the clock and of the flow, from x0 at tau0 =
+    ln(delta 2**-56 / ||A||_1) / delta, before which the flow moves x0 by
+    under eps / 16: outputs with ln t <= tau0 (t = 0; all, for A = 0) are
+    x0.  The step starts at (ln t1 - tau0) / 100, t1 the first output past
+    tau0, and carries across outputs.  A real A and x0 step in float64,
+    states come back complex, and a FloatingPointError names t.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
     d = delta.delta
     x0 = np.asarray(x0, dtype=complex)
-    t0 = min(1e-3, delta.psi_inv(1e-3))
+    norm = max(float(np.linalg.norm(g.entries, 1)), np.finfo(float).tiny)
+    tau = math.log(d * 2.0 ** -56 / norm) / d
 
-    def rhs(t: float, x: np.ndarray) -> np.ndarray:
-        return t ** (d - 1.0) * (g.entries @ x)
+    def rhs(tau: float, x: np.ndarray) -> np.ndarray:
+        return math.exp(d * tau) * (g.entries @ x)
 
     times = np.linspace(0.0, t_end, n_out)
     states = []
-    t_cur = t0
-    x_cur = evolve_classical(g, delta.psi(t0), x0)
-    if np.isrealobj(g.entries) and not np.any(x0.imag):
-        x_cur = x_cur.real.copy()
+    x = x0.real.copy() if np.isrealobj(g.entries) and not x0.imag.any() else x0
     h = None
     for t in times:
-        if t == 0.0:
-            states.append(x0.copy())
-        elif t <= t0:
-            states.append(evolve_classical(g, delta.psi(t), x0))
-        else:
-            if h is None:
-                h = (t - t0) / 100.0
-            x_cur, h = _rk45_advance(rhs, t_cur, x_cur, t, h, rtol, atol)
-            t_cur = t
-            states.append(x_cur.astype(complex))
+        target = math.log(t) if t > 0.0 else -math.inf
+        if target > tau:
+            h = h or (target - tau) / 100.0
+            try:
+                x, h = _rk45_advance(rhs, tau, x, target, h, rtol, atol)
+            except FloatingPointError as exc:  # the stepper names tau
+                head, at = str(exc).rsplit("t=", 1)
+                raise FloatingPointError(f"{head}t={math.exp(float(at))}") from exc
+            tau = target
+        states.append(x.astype(complex))
     norms = np.array([g.w_norm(s) for s in states])
     return OrbitSample(times=times, states=states, norms=norms)
 

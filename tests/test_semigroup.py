@@ -249,9 +249,9 @@ def test_step_budget_guard(monkeypatch):
                               np.array([1.0, -1.0, 0.5, 1.0]), 2.0)
 
 
-def test_step_is_carried_across_output_times(monkeypatch):
-    """ten times the output times cost well under ten times the rhs calls:
-    the step carries on instead of restarting at interval / 100."""
+def counting_rhs(monkeypatch):
+    """Patch the orbit's stepper to count rhs calls; returns the counter,
+    a one-item list."""
     calls = [0]
 
     def counting(rhs, *args):
@@ -261,13 +261,81 @@ def test_step_is_carried_across_output_times(monkeypatch):
         return _rk45_advance(counted, *args)
 
     monkeypatch.setattr(semigroup, "_rk45_advance", counting)
+    return calls
+
+
+def test_step_is_carried_across_output_times(monkeypatch):
+    """each of the 180 output times added between 21 and 201 outputs costs
+    at most 7 rhs calls: the step carries on (about 6 a time) instead of
+    restarting at interval / 100 (about 24 a time)."""
+    calls = counting_rhs(monkeypatch)
     x0 = np.array([1.0, -1.0, 0.5, 1.0])
     cost = {}
     for n_out in (21, 201):
         calls[0] = 0
         solve_conformable_ode(nonnormal4(), Order(0.4), x0, 2.0, n_out=n_out)
         cost[n_out] = calls[0]
-    assert cost[201] <= 2.5 * cost[21]
+    assert cost[201] - cost[21] <= 7 * 180
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.4, 1.0])
+def test_orbit_is_clock_free(monkeypatch, delta):
+    """the orbit consults neither the flow it is checked against nor the
+    clock: with both made to raise, it still runs for a real and a complex
+    x0 and for a complex generator, and still matches the flow (to within
+    a hundred times atol where the flow has decayed below it)"""
+    cases = [(nonnormal4(), np.array([1.0, -1.0, 0.5, 1.0])),
+             (nonnormal4(), np.array([1.0 + 0.5j, -1.0, 0.5 - 1.0j, 1.0j])),
+             (diag_complex(), np.array([1.0, -1.0]))]
+    order = Order(delta)
+    times = np.linspace(0.0, 2.0, 9)
+    want = [conformable(g, delta).evolve(times, x0) for g, x0 in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the orbit consulted the flow or the clock")
+
+    for owner, name in ((semigroup, "evolve_classical"),
+                        (semigroup, "_advance"), (semigroup, "expm"),
+                        (Order, "psi"), (Order, "psi_inv")):
+        monkeypatch.setattr(owner, name, forbidden)
+    got = [solve_conformable_ode(g, order, x0, 2.0, n_out=9)
+           for g, x0 in cases]
+    monkeypatch.undo()
+    for orbit, flows in zip(got, want):
+        np.testing.assert_array_equal(orbit.times, times)
+        for state, exact in zip(orbit.states, flows):
+            assert (np.linalg.norm(state - exact)
+                    <= 1e-6 * np.linalg.norm(exact) + 1e-10)
+
+
+def test_orbit_at_the_order_floor(monkeypatch):
+    """at delta = 0.02 the orbit starts from x0 at ln t ~ -2217 and crosses
+    the decades below the first output time in a few hundred steps"""
+    calls = counting_rhs(monkeypatch)
+    assert _orbit_gap(0.02) <= 1e-8
+    assert calls[0] <= 3000
+
+
+@pytest.mark.parametrize("delta", [0.02, 1.0])
+def test_zero_generator_orbit_stays_at_x0(delta):
+    """a zero A moves nothing: every output time lies below the start"""
+    g = GeneratorMatrix(np.zeros((3, 3)), 1.0, "zero")
+    x0 = np.array([1.0, -2.0, 0.5j])
+    orbit = solve_conformable_ode(g, Order(delta), x0, 2.0, n_out=9)
+    for state in orbit.states:
+        np.testing.assert_array_equal(state, x0)
+
+
+def test_overflowing_orbit_names_t_in_its_error():
+    """diag(712, -1) leaves double range at t = ln(max float) / 712 ~ 0.997
+    at delta = 1: the orbit ends in step-size underflow, and the message
+    names a t in (0, 2], not the stepper's ln t, which is negative there"""
+    g = GeneratorMatrix(np.diag([712.0, -1.0]), 1.0, "overflow")
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="step size underflow") as info:
+        solve_conformable_ode(g, Order(1.0), np.array([1.0, 1.0]), 2.0)
+    t = float(str(info.value).rsplit("t=", 1)[1])
+    assert 0.0 < t <= 2.0
 
 
 # continuity and contraction ----------------------------------------------------
