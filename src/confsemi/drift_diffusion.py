@@ -7,7 +7,10 @@ operator a" g'' + b" g' + c g on the uniform grid, with a" = a delta**2 and
 b" = b delta.  The equivalence is realized discretely by the diagonal map
 delta**(-1/2) I between matched grids, and verified through interior
 residuals, evolution comparison, and an eigenfunction family that is entire
-in the spectral parameter.
+in the spectral parameter.  The map is a scalar, so it conjugates an
+operator to itself: the graded stencil is compared with the twin's as it
+stands, and the map's one job is the pairing of the inner products, the
+node weight h/delta with h.
 
 Both operators are assembled once, as three-point stencils (first, w): the
 column of each row's first node and a (3, n) weight array.  The conjugacy
@@ -277,17 +280,6 @@ def _window_rows(grid: GridPair) -> np.ndarray:
     return (grid.xi_nodes >= lo) & (grid.xi_nodes <= hi)
 
 
-def _mapped_stencils(p: DriftDiffusionParams, grid: GridPair,
-                     clamp_right: bool) -> tuple:
-    """(first, mapped, twin): the stencil columns the two operators share,
-    the graded operator's weights under the scalar unitary, and the
-    classical twin's weights.  At delta = 1 mapped and twin are equal bit
-    for bit."""
-    first, graded = _graded_stencil(p, grid, clamp_right)
-    fwd, inv = discrete_unitary(grid)
-    return first, (fwd * graded) * inv, _twin_stencil(p, grid, clamp_right)[1]
-
-
 def _corpus_block(grid: GridPair, corpus) -> np.ndarray:
     """The corpus sampled on the uniform grid, one column per function."""
     return np.column_stack([func(grid.xi_nodes) for _, func in corpus])
@@ -298,36 +290,39 @@ def _window_sup(block: np.ndarray, rows: np.ndarray) -> float:
     return float(np.max(np.abs(block[rows])))
 
 
-def _window_gap(first: np.ndarray, mapped: np.ndarray, twin: np.ndarray,
+def _window_gap(first: np.ndarray, graded: np.ndarray, twin: np.ndarray,
                 block: np.ndarray, rows: np.ndarray) -> float:
-    """Largest window entry of |(mapped - twin) block| for two stencils on
+    """Largest window entry of |(graded - twin) block| for two stencils on
     the columns first, taken on the window rows alone; nan when a weight of
     either is not finite on any row, inside the window or not, so that an
     operator out of double range never passes."""
-    if not (np.all(np.isfinite(mapped)) and np.all(np.isfinite(twin))):
+    if not (np.all(np.isfinite(graded)) and np.all(np.isfinite(twin))):
         return math.nan
-    gap = mapped[:, rows] - twin[:, rows]
+    gap = graded[:, rows] - twin[:, rows]
     return float(np.max(np.abs(_stencil_apply(first[rows], gap, block))))
 
 
 def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
-    """Interior disagreement of the unitarily mapped operator pair.
+    """Interior disagreement of the unitarily equivalent operator pair.
 
     For each grid size, returns the max over the smooth corpus of the
-    sup-norm of (U A_graded U^-1 - A_classical) applied to corpus samples,
-    over rows inside the fixed window.  Both operators are applied as
-    three-point stencils, so no n x n array is built.  The residual is nan
-    when a stencil weight leaves double range (see _window_gap), which
-    makes every order it enters nan.  Residuals must shrink as the grid
-    refines; the caller turns consecutive entries into empirical orders.
+    sup-norm of (A_graded - A_classical) applied to corpus samples, over
+    rows inside the fixed window; the scalar unitary U = delta**(-1/2) I
+    gives U A_graded U^-1 = A_graded, so it is not applied.  Both operators
+    are applied as three-point stencils, so no n x n array is built.  The
+    residual is nan when a stencil weight leaves double range (see
+    _window_gap), which makes every order it enters nan.  Residuals must
+    shrink as the grid refines; the caller turns consecutive entries into
+    empirical orders.
     """
     if any(n < 16 for n in n_list):
         raise ValueError("conjugacy study needs n >= 16")
     out = []
     for n in n_list:
         grid = GridPair.build(int(n), p.delta)
-        first, mapped, twin = _mapped_stencils(p, grid, False)
-        out.append((int(n), _window_gap(first, mapped, twin,
+        first, graded = _graded_stencil(p, grid, False)
+        twin = _twin_stencil(p, grid, False)[1]
+        out.append((int(n), _window_gap(first, graded, twin,
                                         _corpus_block(grid, SMOOTH_CORPUS),
                                         _window_rows(grid))))
     return out
@@ -405,32 +400,34 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
 
     Both flows advance the corpus block through t_list, which must be
     nondecreasing and nonnegative (see semigroup._advance).  The twin flows
-    in its closed-form eigenbasis and the mapped graded operator in the
-    eigenbasis of _tridiagonal_eigenpairs, each while certified against the
-    entries it flows; otherwise each flows densely.  At delta = 1 the
-    mapped operator is the twin bit for bit, so the twin's flow serves both
-    and every error is 0.  An error is inf from the step at which a flow
-    leaves double range, and at every step when the mapped operator's
-    weights do (its stencil residual is then nan, see _window_gap).
+    in its closed-form eigenbasis and the graded operator (as assembled, in
+    the twin's weight h) in the eigenbasis of _tridiagonal_eigenpairs, each
+    while certified against the entries it flows; otherwise each flows
+    densely.  At delta = 1 the two are equal bit for bit, so the twin's flow
+    serves both and every error is 0.  An error is inf from the step at
+    which a flow leaves double range, and at every step when the graded
+    operator's weights do (its stencil residual is then nan, see
+    _window_gap).
     """
     times = [float(t) for t in t_list]
     steps = np.diff([0.0, *times])
     if np.any(steps < 0.0):
         raise ValueError(f"t_list must be nonnegative and nondecreasing, got {t_list}")
     grid = GridPair.build(n, p.delta)
-    first, mapped, twin_stencil = _mapped_stencils(p, grid, True)
+    first, graded_w = _graded_stencil(p, grid, True)
+    twin_w = _twin_stencil(p, grid, True)[1]
     twin = build_classical_operator(p, grid, clamp_right=True)
     block, rows = _corpus_block(grid, _CLAMPED_CORPUS), _window_rows(grid)
-    stencil_residual = _window_gap(first, mapped, twin_stencil, block, rows)
+    stencil_residual = _window_gap(first, graded_w, twin_w, block, rows)
     errors = []
     try:
-        if np.array_equal(mapped, twin_stencil):
+        if np.array_equal(graded_w, twin_w):
             flows = ((state, state) for state in _advance(twin, steps, block))
         else:
-            entries = _stencil_dense(first, mapped)
+            entries = _stencil_dense(first, graded_w)
             pairs = _tridiagonal_eigenpairs(entries)
             # refuses weights out of double range before either flow starts
-            graded = GeneratorMatrix(entries, twin.weight, f"mapped[n={n}]",
+            graded = GeneratorMatrix(entries, twin.weight, f"graded[n={n}]",
                                      eigenpairs=pairs,
                                      eigenbasis_flow=pairs is not None)
             flows = zip(_advance(graded, steps, block),

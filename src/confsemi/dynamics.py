@@ -92,16 +92,6 @@ def dsw_condition_check(p: DriftDiffusionParams) -> dict:
     }
 
 
-def _contour_mean(fam: EigenfunctionFamily, test_vals: np.ndarray,
-                  xi: np.ndarray, h: float, center: complex,
-                  radius: float) -> complex:
-    total = 0.0 + 0.0j
-    for k in range(_CONTOUR_POINTS):
-        lam = center + radius * cmath.exp(2j * math.pi * k / _CONTOUR_POINTS)
-        total += h * np.sum(test_vals * fam.evaluate(lam, xi))
-    return total / _CONTOUR_POINTS
-
-
 def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
                          n: int = 256,
                          residual_factor: float = 10.0) -> dict:
@@ -126,7 +116,18 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
     xi, h = grid.xi_nodes, grid.h
     centered = slice(0, n - 1)  # last row is one-sided, excluded from the bound
 
-    ratios, axis_ratios = [], []
+    tests = np.column_stack([func(xi) for func in _FUNCTIONALS])  # (n, 3)
+    nodes = [cmath.exp(2j * math.pi * k / _CONTOUR_POINTS)
+             for k in range(_CONTOUR_POINTS)]
+
+    def contour_means(center: complex, radius: float) -> np.ndarray:
+        """the three functionals' trapezoid means on one circle, read from
+        the mean of one (_CONTOUR_POINTS, n) block of eigenfunctions"""
+        block = np.array([fam.evaluate(center + radius * z, xi)
+                          for z in nodes])
+        return h * (np.mean(block, axis=0) @ tests)
+
+    ratios, axis_ratios, defects, shrink_changes = [], [], [], []
     for lam in rect.samples():
         vec = fam.evaluate(lam, xi)
         residual = float(np.max(np.abs((matrix @ vec - lam * vec)[centered])))
@@ -134,18 +135,12 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
         ratios.append(residual / bound)
         if abs(lam.real) <= 1e-12:
             axis_ratios.append(ratios[-1])
-
-    defects, shrink_changes = [], []
-    for func in _FUNCTIONALS:
-        test_vals = func(xi)
-        for lam in rect.samples():
-            center_val = complex(h * np.sum(test_vals * fam.evaluate(lam, xi)))
-            mean = _contour_mean(fam, test_vals, xi, h, lam, _CONTOUR_RADIUS)
-            mean_half = _contour_mean(fam, test_vals, xi, h, lam,
-                                      _CONTOUR_RADIUS / 2.0)
-            scale = max(abs(center_val), 1e-12)
-            defects.append(abs(mean - center_val) / scale)
-            shrink_changes.append(abs(mean - mean_half) / scale)
+        center_vals = h * (vec @ tests)
+        mean = contour_means(lam, _CONTOUR_RADIUS)
+        mean_half = contour_means(lam, _CONTOUR_RADIUS / 2.0)
+        scale = np.maximum(np.abs(center_vals), 1e-12)
+        defects.extend((np.abs(mean - center_vals) / scale).tolist())
+        shrink_changes.extend((np.abs(mean - mean_half) / scale).tolist())
 
     corners = rect.corners()
     duplicates = len({(round(l.real, 14), round(l.imag, 14)) for l in corners}) \

@@ -9,7 +9,7 @@ adaptive Runge-Kutta orbit for the singular ODE x'(t) = t**(delta-1) A x(t),
 and the dissipativity / resolvent / contraction battery for negative
 generators.
 
-A generator may carry eigenpairs in one representation,
+A tridiagonal generator may carry eigenpairs in one representation,
 A = D V diag(lam) V^T D^-1 with D = diag(d), d > 0 and V orthogonal; a
 symmetric A is the case d = 1.  They come in closed form for a
 tridiagonal Toeplitz A (_toeplitz_eigenpairs: the Dirichlet Laplacian,
@@ -35,8 +35,8 @@ on a new clock, so for a symmetric A its norm is max_k exp(psi(t) lam_k)
 and the resolvent norm is max_k 1/(lam - lam_k).  The independent routes
 they are read against work on the entries: the Hermitian-part margin
 (bisection on the three diagonals of a tridiagonal A, dense eigvalsh
-otherwise), the pointwise resolvent products (from the diagonals
-likewise) and the Laplacian's dense flow.
+otherwise) and the pointwise resolvent products, from the three
+diagonals.
 """
 
 from __future__ import annotations
@@ -80,10 +80,11 @@ class GeneratorMatrix:
     real generators run expm in real arithmetic.  State vectors stay
     complex; a real matrix applied to one gives the same flow.
 
-    eigenpairs, when given, is (lam, V) or (lam, V, d): real eigenvalues, an
-    orthogonal V and a positive diagonal similarity d (all ones when left
-    out) with A = D V diag(lam) V^T D^-1.  They are held against entries
-    once, here, and kept as spectrum, eigvecs and similarity;
+    eigenpairs, when given, is (lam, V, d): real eigenvalues, an orthogonal
+    V and a positive diagonal similarity d with A = D V diag(lam) V^T D^-1,
+    for entries of bandwidth at most (1, 1); anything else raises
+    ValueError.  They are held against entries once, here, and kept as
+    spectrum, eigvecs and similarity;
     spectral_defect is the larger of ||D^-1 A D V - V diag(lam)||_max /
     max|lam| and ||V^T V - I||_max.  The pairs are certified when
     condition(d) * spectral_defect <= _DEFECT_ULPS eps (n + 1), with
@@ -131,16 +132,19 @@ class GeneratorMatrix:
             raise ValueError("eigenbasis_flow needs eigenpairs")
         if eigenpairs is not None:
             n = entries.shape[0]
-            spectrum, vecs, *rest = (np.asarray(a) for a in eigenpairs)
-            scale = rest[0] if rest else np.ones(n)
-            if (len(rest) > 1 or spectrum.shape != (n,) or scale.shape != (n,)
-                    or vecs.shape != (n, n)
-                    or any(np.iscomplexobj(a) for a in (spectrum, vecs, scale))):
+            band = bandwidth(entries)
+            if max(band) > 1:
+                raise ValueError("eigenpairs need a tridiagonal generator, "
+                                 f"got bandwidth {band}")
+            arrays = [np.asarray(a) for a in eigenpairs]
+            if (len(arrays) != 3
+                    or [a.shape for a in arrays] != [(n,), (n, n), (n,)]
+                    or any(np.iscomplexobj(a) for a in arrays)):
                 raise ValueError(
-                    f"eigenpairs need real arrays of shapes ({n},), ({n}, {n}) "
-                    f"and optionally ({n},), got "
-                    + ", ".join(f"{a.dtype} {a.shape}"
-                                for a in (spectrum, vecs, *rest)))
+                    f"eigenpairs need real arrays (lam, V, d) of shapes "
+                    f"({n},), ({n}, {n}) and ({n},), got "
+                    + ", ".join(f"{a.dtype} {a.shape}" for a in arrays))
+            spectrum, vecs, scale = arrays
             if not all(np.all(np.isfinite(a)) for a in (spectrum, vecs, scale)):
                 raise FloatingPointError("eigenpairs have non-finite entries")
             if not np.all(scale > 0.0):
@@ -175,19 +179,15 @@ def _spectral_defect(entries: np.ndarray, spectrum: np.ndarray,
     """max(||D^-1 A D V - V diag(lam)||_max / max|lam|, ||V^T V - I||_max)
     with D = diag(scale); a zero spectrum is measured absolutely.
 
-    A tridiagonal A is applied from its three diagonals, in O(n^2).
+    The tridiagonal A is applied from its three diagonals, in O(n^2).
     """
     top = float(np.max(np.abs(spectrum))) or 1.0
-    if bandwidth(entries) == (1, 1):
-        # D^-1 A D keeps the diagonal and scales the off-diagonals by the
-        # ratios of neighbouring d
-        ratio = scale[1:] / scale[:-1]
-        residual = (np.diagonal(entries)[:, None] - spectrum) * vecs
-        residual[:-1] += (np.diagonal(entries, 1) * ratio)[:, None] * vecs[1:]
-        residual[1:] += (np.diagonal(entries, -1) / ratio)[:, None] * vecs[:-1]
-    else:
-        column = scale[:, None]
-        residual = (entries @ (column * vecs)) / column - vecs * spectrum
+    # D^-1 A D keeps the diagonal and scales the off-diagonals by the ratios
+    # of neighbouring d
+    ratio = scale[1:] / scale[:-1]
+    residual = (np.diagonal(entries)[:, None] - spectrum) * vecs
+    residual[:-1] += (np.diagonal(entries, 1) * ratio)[:, None] * vecs[1:]
+    residual[1:] += (np.diagonal(entries, -1) / ratio)[:, None] * vecs[:-1]
     return max(float(np.max(np.abs(residual))) / top,
                _orthogonality_defect(vecs))
 
@@ -451,33 +451,36 @@ def _rk45_advance(rhs, t: float, x: np.ndarray, t_target: float, h: float,
     (x at t_target, the step to try next), where a last step cut short at
     t_target hands on the step it was cut from.  The error norm is the RMS
     of |err| / (atol + rtol * max(|x|, |x_new|)); a non-finite error counts
-    as a rejection at the smallest step factor.
+    as a rejection at the smallest step factor, so a state that leaves
+    double range ends in step-size underflow, with no RuntimeWarning.
     """
-    k = np.empty((7, x.size), dtype=x.dtype)
-    k[0] = rhs(t, x)
-    steps = 0
-    while t < t_target:
-        if h < 1e-14 * abs(t):
-            raise FloatingPointError(f"step size underflow at t={t}")
-        last = h >= t_target - t
-        step = t_target - t if last else h
-        for i in range(1, 7):
-            xi = x + step * (_DP_A[i, :i] @ k[:i])
-            k[i] = rhs(t + _DP_C[i] * step, xi)
-        # xi is now the fifth-order solution x + step * (_DP_B5 @ k)
-        scale = atol + rtol * np.maximum(np.abs(x), np.abs(xi))
-        err = float(np.sqrt(np.mean((np.abs(step * (_DP_E @ k)) / scale) ** 2)))
-        if math.isnan(err):
-            err = math.inf
-        factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
-        if err <= 1.0:
-            t, x = (t_target if last else t + step), xi
-            k[0] = k[6]
-        if err > 1.0 or step == h:
-            h = step * factor
-        steps += 1
-        if steps > _RK45_MAX_STEPS:
-            raise FloatingPointError(f"step budget exhausted at t={t}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.empty((7, x.size), dtype=x.dtype)
+        k[0] = rhs(t, x)
+        steps = 0
+        while t < t_target:
+            if h < 1e-14 * abs(t):
+                raise FloatingPointError(f"step size underflow at t={t}")
+            last = h >= t_target - t
+            step = t_target - t if last else h
+            for i in range(1, 7):
+                xi = x + step * (_DP_A[i, :i] @ k[:i])
+                k[i] = rhs(t + _DP_C[i] * step, xi)
+            # xi is now the fifth-order solution x + step * (_DP_B5 @ k)
+            scale = atol + rtol * np.maximum(np.abs(x), np.abs(xi))
+            err = float(np.sqrt(np.mean(
+                (np.abs(step * (_DP_E @ k)) / scale) ** 2)))
+            if math.isnan(err):
+                err = math.inf
+            factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
+            if err <= 1.0:
+                t, x = (t_target if last else t + step), xi
+                k[0] = k[6]
+            if err > 1.0 or step == h:
+                h = step * factor
+            steps += 1
+            if steps > _RK45_MAX_STEPS:
+                raise FloatingPointError(f"step budget exhausted at t={t}")
     return x, h
 
 
@@ -597,7 +600,7 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
     one, and by how much the pointwise lower bound
     ||(lam I - A) x|| >= lam ||x|| is violated on seeded random vectors and
     on the eigenvectors of the _MODE_PROBES largest eigenvalues, multiplied
-    by the entries (by the three diagonals of a tridiagonal A).  Returns
+    by the three diagonals of the tridiagonal A.  Returns
     (residual, params); the residual is the larger relative excess (inf for
     mismatched eigenpairs, see _certified), at most 0 when the bound holds.
     """
@@ -613,13 +616,9 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
         np.random.default_rng(seed).standard_normal((_RESOLVENT_PROBES, n)).T,
         g.eigvecs[:, np.argsort(g.spectrum)[-_MODE_PROBES:]]))
     a = g.entries
-    if bandwidth(a) == (1, 1):
-        # (lam I - A) probes from A's three diagonals
-        shifted = (lam - np.diagonal(a))[:, None] * probes
-        shifted[:-1] -= np.diagonal(a, 1)[:, None] * probes[1:]
-        shifted[1:] -= np.diagonal(a, -1)[:, None] * probes[:-1]
-    else:
-        shifted = (lam * np.eye(n) - a) @ probes
+    shifted = (lam - np.diagonal(a))[:, None] * probes
+    shifted[:-1] -= np.diagonal(a, 1)[:, None] * probes[1:]
+    shifted[1:] -= np.diagonal(a, -1)[:, None] * probes[:-1]
     lhs = np.sqrt(np.sum(g.weight * np.abs(shifted) ** 2, axis=0))
     rhs_val = lam * np.sqrt(np.sum(g.weight * np.abs(probes) ** 2, axis=0))
     lower_excess = float(np.max((rhs_val - lhs) / rhs_val, initial=-np.inf))
@@ -653,7 +652,9 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
 
     Its eigenpairs are closed-form (_toeplitz_eigenpairs at a = 1,
     b = c = 0), with d = 1.  They serve the resolvent and contraction
-    bounds; the flow stays dense, the route those bounds are read against.
+    bounds, which flow nothing.  Its flow stays dense (eigenbasis_flow is
+    left False) only because perfbench's tracer test expects an expm span
+    from it.
     """
     if n < 2:
         raise ValueError("need n >= 2 interior nodes")

@@ -17,6 +17,7 @@ from confsemi import (DriftDiffusionParams, EigenfunctionFamily,
                       empirical_orders, mild_solution_residuals,
                       parameter_transfer)
 from confsemi.clock import pow_arr
+from conftest import graded_pair
 
 PARAMS = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
 EPS = np.finfo(float).eps
@@ -179,9 +180,9 @@ def test_conjugacy_residual_is_nan_out_of_double_range():
     outside the window, yet the residual must not read finite"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.02))
     grid = GridPair.build(2048, p.delta)
-    _, mapped, _ = dd._mapped_stencils(p, grid, False)
-    assert not np.all(np.isfinite(mapped))
-    assert np.all(np.isfinite(mapped[:, dd._window_rows(grid)]))
+    _, graded = dd._graded_stencil(p, grid, False)
+    assert not np.all(np.isfinite(graded))
+    assert np.all(np.isfinite(graded[:, dd._window_rows(grid)]))
     (n0, coarse), (n1, fine) = conjugacy_residual(p, (1024, 2048))
     assert (n0, n1) == (1024, 2048)
     assert np.isfinite(coarse) and np.isnan(fine)
@@ -203,17 +204,6 @@ def test_conjugacy_residual_builds_no_dense_matrix():
 
 # operator pair ------------------------------------------------------------------
 
-def mapped_pair(p, n, clamp_right, corpus):
-    """The mapped graded operator as a dense matrix, its classical twin, the
-    corpus block and the window rows, as mild_solution_residuals builds
-    them."""
-    grid = GridPair.build(n, p.delta)
-    first, mapped, _ = dd._mapped_stencils(p, grid, clamp_right)
-    return (dd._stencil_dense(first, mapped),
-            build_classical_operator(p, grid, clamp_right),
-            dd._corpus_block(grid, corpus), dd._window_rows(grid))
-
-
 def test_real_generators_are_stored_real():
     grid = GridPair.build(32, PARAMS.delta)
     for g in (build_conformable_operator(PARAMS, grid),
@@ -222,14 +212,16 @@ def test_real_generators_are_stored_real():
 
 
 def test_scalar_mapping_matches_dense_conjugation():
-    """the scalar unitary gives the old eye/sqrt(d) @ A @ eye*sqrt(d)."""
+    """the dense conjugation eye/sqrt(d) @ A @ eye*sqrt(d) by the unitary
+    leaves the graded operator as it is, up to rounding, which is why the
+    pair is compared without it"""
     for n in (32, 64):
         grid = GridPair.build(n, PARAMS.delta)
         graded = build_conformable_operator(PARAMS, grid, clamp_right=True)
         root = np.sqrt(PARAMS.delta.delta)
         dense = (np.eye(n) / root) @ graded.entries @ (np.eye(n) * root)
-        mapped = mapped_pair(PARAMS, n, True, dd._CLAMPED_CORPUS)[0]
-        assert np.max(np.abs(mapped - dense)) <= 1e-14 * np.max(np.abs(dense))
+        assert np.max(np.abs(graded.entries - dense)) <= 1e-15 * np.max(
+            np.abs(dense))
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -237,11 +229,10 @@ def test_stepped_mild_errors_match_dense_expm(n):
     """advancing the corpus block step by step reproduces the per-time
     difference of the two dense exponentials."""
     t_list = (0.25, 0.5, 1.0)
-    mapped, twin, block, rows = mapped_pair(PARAMS, n, True,
-                                            dd._CLAMPED_CORPUS)
+    graded, twin, block, rows = graded_pair(PARAMS, n)
     out = mild_solution_residuals(PARAMS, n, t_list)
     for t, rec in zip(t_list, out["records"]):
-        gap = (expm(t * mapped) - expm(t * twin.entries)) @ block
+        gap = (expm(t * graded) - expm(t * twin.entries)) @ block
         want = np.max(np.abs(gap[rows]))
         assert rec["t"] == t
         assert rec["error"] == pytest.approx(want, rel=1e-10)

@@ -10,30 +10,20 @@ from scipy.linalg import expm
 
 from confsemi import drift_diffusion as dd
 from confsemi import semigroup as sg
-from confsemi import (DriftDiffusionParams, GeneratorMatrix, GridPair, Order,
-                      build_classical_operator, evolve_classical,
-                      mild_solution_residuals, taylor_matrix_exp)
+from confsemi import (DriftDiffusionParams, GeneratorMatrix, Order,
+                      evolve_classical, mild_solution_residuals,
+                      taylor_matrix_exp)
 from confsemi.semigroup import (_DEFECT_ULPS, _advance,
                                 _tridiagonal_eigenpairs)
+from conftest import graded_pair
 
 EPS = np.finfo(float).eps
 STEPS = np.diff([0.0, 0.25, 0.5, 1.0])
 
 
-def mapped_pair(a, b, c, delta, n):
-    """The clamped mapped graded operator as a dense matrix, its classical
-    twin, the corpus block and the window rows."""
-    p = DriftDiffusionParams(a, b, c, Order(delta))
-    grid = GridPair.build(n, p.delta)
-    first, mapped, _ = dd._mapped_stencils(p, grid, True)
-    return (dd._stencil_dense(first, mapped),
-            build_classical_operator(p, grid, clamp_right=True),
-            dd._corpus_block(grid, dd._CLAMPED_CORPUS), dd._window_rows(grid))
-
-
-def graded(mapped, twin, pairs):
-    """the mapped graded operator as mild_solution_residuals builds it"""
-    return GeneratorMatrix(mapped, twin.weight, "mapped", eigenpairs=pairs,
+def graded(matrix, twin, pairs):
+    """the graded operator as mild_solution_residuals builds it"""
+    return GeneratorMatrix(matrix, twin.weight, "graded", eigenpairs=pairs,
                            eigenbasis_flow=pairs is not None)
 
 
@@ -61,14 +51,15 @@ def test_certified_flow_matches_expm_and_taylor(n, deltas, steps):
     flows densely, as without pairs"""
     certified = 0
     for (a, b, c), delta in itertools.product(COEFFS, deltas):
-        mapped, twin, block, _ = mapped_pair(a, b, c, delta, n)
-        g = graded(mapped, twin, _tridiagonal_eigenpairs(mapped))
+        matrix, twin, block, _ = graded_pair(
+            DriftDiffusionParams(a, b, c, Order(delta)), n)
+        g = graded(matrix, twin, _tridiagonal_eigenpairs(matrix))
         condition = float(np.max(g.similarity) / np.min(g.similarity))
         assert g.certified == (condition * g.spectral_defect
                                <= _DEFECT_ULPS * EPS * (n + 1))
         if not g.certified:
             assert b / a > 1.0 and condition > 16.0
-            bare = graded(mapped, twin, None)
+            bare = graded(matrix, twin, None)
             for got, want in zip(_advance(g, STEPS, block),
                                  _advance(bare, STEPS, block)):
                 assert np.array_equal(got, want)
@@ -77,20 +68,21 @@ def test_certified_flow_matches_expm_and_taylor(n, deltas, steps):
         x = block.astype(complex)
         for s in steps:
             got = evolve_classical(g, s, x)
-            assert rel_gap(got, expm(s * mapped) @ x) <= 1e-10
-            assert rel_gap(got, taylor_matrix_exp(s * mapped) @ x) <= 1e-10
+            assert rel_gap(got, expm(s * matrix) @ x) <= 1e-10
+            assert rel_gap(got, taylor_matrix_exp(s * matrix) @ x) <= 1e-10
     assert certified >= (len(COEFFS) - 1) * len(deltas)
 
 
 def test_eigenpairs_reproduce_the_entries():
-    """D V diag(lam) V^T D^-1 rebuilds the mapped operator entry by entry,
+    """D V diag(lam) V^T D^-1 rebuilds the graded operator entry by entry,
     and V is orthonormal"""
-    mapped, *_ = mapped_pair(1.0, 1.0, 0.4, 0.7, 48)
-    spectrum, vecs, scale = _tridiagonal_eigenpairs(mapped)
+    matrix, *_ = graded_pair(
+        DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.7)), 48)
+    spectrum, vecs, scale = _tridiagonal_eigenpairs(matrix)
     assert scale[0] == 1.0
     rebuilt = scale[:, None] * ((vecs * spectrum) @ vecs.T) / scale
-    assert np.max(np.abs(rebuilt - mapped)) <= 64.0 * EPS * np.max(
-        np.abs(mapped))
+    assert np.max(np.abs(rebuilt - matrix)) <= 64.0 * EPS * np.max(
+        np.abs(matrix))
     assert np.max(np.abs(vecs.T @ vecs - np.eye(48))) <= 64.0 * EPS
 
 
@@ -126,10 +118,11 @@ def test_non_positive_products_give_no_pairs(delta, rows):
     """at the default coefficients a product A[j, j+1] A[j+1, j] <= 0 sits
     in the first row at delta = 0.3 and in 7 or more below 0.1; no diagonal
     similarity symmetrizes such an operator"""
-    mapped, *_ = mapped_pair(1.0, 1.0, 0.4, delta, 256)
-    products = np.diagonal(mapped, 1) * np.diagonal(mapped, -1)
+    matrix, *_ = graded_pair(
+        DriftDiffusionParams(1.0, 1.0, 0.4, Order(delta)), 256)
+    products = np.diagonal(matrix, 1) * np.diagonal(matrix, -1)
     assert np.sum(products <= 0.0) == rows
-    assert _tridiagonal_eigenpairs(mapped) is None
+    assert _tridiagonal_eigenpairs(matrix) is None
 
 
 def test_underflowing_similarity_gives_no_pairs():
@@ -144,10 +137,11 @@ def test_perturbed_entry_fails_certification_and_flows_densely(n):
     """one entry moved by 1e-6 relative voids the pairs: the flow is the
     dense one, bit for bit that of the same entries without pairs, and so
     is mild_bound's"""
-    mapped, twin, block, _ = mapped_pair(1.0, 1.0, 0.4, 0.5, n)
-    pairs = _tridiagonal_eigenpairs(mapped)
-    assert graded(mapped, twin, pairs).certified
-    moved = mapped.copy()
+    matrix, twin, block, _ = graded_pair(
+        DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5)), n)
+    pairs = _tridiagonal_eigenpairs(matrix)
+    assert graded(matrix, twin, pairs).certified
+    moved = matrix.copy()
     moved[3, 4] *= 1.0 + 1e-6
     bad = graded(moved, twin, pairs)
     assert not bad.certified and bad.spectral_defect > 1e3 * EPS * (n + 1)
@@ -173,7 +167,7 @@ def test_perturbed_entry_fails_certification_and_flows_densely(n):
 
 
 def test_order_one_errors_are_exactly_zero():
-    """at delta = 1 the mapped operator is the twin bit for bit and shares
+    """at delta = 1 the graded operator is the twin bit for bit and shares
     its flow"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(1.0))
     for n in (64, 128):
@@ -205,8 +199,9 @@ def test_overflowing_eigenbasis_flow_ends_in_inf_without_expm(n):
     leaves double range, mild_bound's errors are inf from that step on,
     with no expm and no warning, and the same steps are inf, again with no
     warning, on the dense route of the same entries without pairs"""
-    mapped, twin, block, _ = mapped_pair(1.0, 1.0, 0.4, 0.4, n)
-    g = graded(mapped, twin, _tridiagonal_eigenpairs(mapped))
+    matrix, twin, block, _ = graded_pair(
+        DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.4)), n)
+    g = graded(matrix, twin, _tridiagonal_eigenpairs(matrix))
     assert g.certified and np.max(g.spectrum) > 1e3
     with pytest.raises(FloatingPointError):
         with warnings.catch_warnings():
@@ -241,7 +236,7 @@ def test_overflowing_twin_ends_in_non_finite_errors():
 
 def test_out_of_range_operator_ends_in_inf_errors_without_a_flow():
     """at delta = 0.02 and n = 2048 the graded weights leave double range:
-    the mapped GeneratorMatrix refuses them before either flow starts, so
+    the graded GeneratorMatrix refuses them before either flow starts, so
     the stencil residual is nan and every error inf, with no expm (the twin
     would flow densely here) and no warning"""
     out, calls = counted_mild(
@@ -254,8 +249,9 @@ def test_out_of_range_operator_ends_in_inf_errors_without_a_flow():
 def test_overflowing_product_raises_without_nan():
     """exp(s lam) is finite but the state times it is not: the eigenbasis
     route raises FloatingPointError and warns of nothing"""
-    mapped, twin, block, _ = mapped_pair(1.0, 1.0, 0.4, 0.4, 64)
-    g = graded(mapped, twin, _tridiagonal_eigenpairs(mapped))
+    matrix, twin, block, _ = graded_pair(
+        DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.4)), 64)
+    g = graded(matrix, twin, _tridiagonal_eigenpairs(matrix))
     assert 300.0 < np.max(g.spectrum) < 400.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")

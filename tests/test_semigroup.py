@@ -331,8 +331,8 @@ def test_overflowing_orbit_names_t_in_its_error():
     at delta = 1: the orbit ends in step-size underflow, and the message
     names a t in (0, 2], not the stepper's ln t, which is negative there"""
     g = GeneratorMatrix(np.diag([712.0, -1.0]), 1.0, "overflow")
-    with np.errstate(all="ignore"), pytest.raises(
-            FloatingPointError, match="step size underflow") as info:
+    with pytest.raises(FloatingPointError,
+                       match="step size underflow") as info:
         solve_conformable_ode(g, Order(1.0), np.array([1.0, 1.0]), 2.0)
     t = float(str(info.value).rsplit("t=", 1)[1])
     assert 0.0 < t <= 2.0
@@ -364,11 +364,11 @@ ORACLE_NS = [32, 64, 128, 256]
 
 
 def sine_eigenpairs(n):
-    """(lam, V) of the clamped second difference: the closed form at
+    """(lam, V, d) of the clamped second difference: the closed form at
     a = 1, b = c = 0, whose similarity d is all ones"""
     spectrum, vecs, scale = _toeplitz_eigenpairs(1.0, 0.0, 0.0, n)
     assert np.all(scale == 1.0)
-    return spectrum, vecs
+    return spectrum, vecs, scale
 
 
 def top_eigenvalue(n):
@@ -389,13 +389,12 @@ def test_closed_form_flow_matches_plain_expm(n):
     """V exp(s diag(lam)) V^T is the dense flow entry by entry, within
     32 eps (n+1)^2, at small steps and at the contraction grid's clocks;
     so is evolve_classical on the same pairs built with eigenbasis_flow.
-    The Laplacian itself keeps the dense flow, the route its closed-form
-    bounds are read against."""
+    The Laplacian itself keeps the dense flow."""
     g = dirichlet_second_difference(n)
     assert g.certified and not g.eigenbasis_flow
-    spectrum, vecs = sine_eigenpairs(n)
-    flowing = GeneratorMatrix(g.entries, g.weight, g.label, (spectrum, vecs),
-                              eigenbasis_flow=True)
+    spectrum, vecs, scale = sine_eigenpairs(n)
+    flowing = GeneratorMatrix(g.entries, g.weight, g.label,
+                              (spectrum, vecs, scale), eigenbasis_flow=True)
     steps = [1e-4, 0.01, 0.5] + [Order(d).psi(t) for d in (0.5, 1.0)
                                  for t in (0.1, 1.0, 5.0)]
     for s in steps:
@@ -452,13 +451,13 @@ def perturbed(g, part):
     """g with one entry of its entries, eigenvalues or eigenvectors moved by
     1e-6 relative"""
     entries = g.entries.copy()
-    spectrum, vecs = sine_eigenpairs(g.dim)
+    spectrum, vecs, scale = sine_eigenpairs(g.dim)
     vecs = vecs.copy()  # the cached basis is read-only
     target = {"entries": entries, "eigenvalue": spectrum,
               "eigenvector": vecs}[part]
     index = (3,) * target.ndim
     target[index] *= 1.0 + 1e-6
-    return GeneratorMatrix(entries, g.weight, g.label, (spectrum, vecs))
+    return GeneratorMatrix(entries, g.weight, g.label, (spectrum, vecs, scale))
 
 
 @pytest.mark.parametrize("part", ["entries", "eigenvalue", "eigenvector"])
@@ -483,7 +482,7 @@ def test_checks_need_eigenpairs():
 
 def test_checks_refuse_a_non_dissipative_spectrum():
     g = GeneratorMatrix(np.diag([1.0, -1.0]), 1.0, "saddle",
-                        (np.array([1.0, -1.0]), np.eye(2)))
+                        (np.array([1.0, -1.0]), np.eye(2), np.ones(2)))
     assert g.spectral_defect == 0.0
     with pytest.raises(ValueError, match="not dissipative"):
         resolvent_bound_check(g, 1.0)
@@ -492,15 +491,30 @@ def test_checks_refuse_a_non_dissipative_spectrum():
 
 
 @pytest.mark.parametrize("eigenpairs, error", [
-    ((np.array([-1.0]), np.eye(2)), ValueError),
-    ((np.array([-1.0, -2.0]), np.eye(3)), ValueError),
-    ((np.array([-1.0, -2.0 + 0j]), np.eye(2)), ValueError),
-    ((np.array([-1.0, -2.0]), np.eye(2, dtype=complex)), ValueError),
-    ((np.array([-1.0, math.nan]), np.eye(2)), FloatingPointError),
+    ((np.array([-1.0]), np.eye(2), np.ones(2)), ValueError),
+    ((np.array([-1.0, -2.0]), np.eye(3), np.ones(2)), ValueError),
+    ((np.array([-1.0, -2.0 + 0j]), np.eye(2), np.ones(2)), ValueError),
+    ((np.array([-1.0, -2.0]), np.eye(2, dtype=complex), np.ones(2)),
+     ValueError),
+    ((np.array([-1.0, math.nan]), np.eye(2), np.ones(2)), FloatingPointError),
+    # the similarity is not optional
+    ((np.array([-1.0, -2.0]), np.eye(2)), ValueError),
 ])
 def test_eigenpairs_are_validated(eigenpairs, error):
     with pytest.raises(error):
         GeneratorMatrix(np.diag([-1.0, -2.0]), 1.0, "", eigenpairs)
+
+
+def test_eigenpairs_need_a_tridiagonal_generator():
+    """pairs on a pentadiagonal generator raise, even exact ones: the
+    spectral defect and the resolvent products read three diagonals"""
+    lap = dirichlet_second_difference(8)
+    entries = lap.entries + lap.entries @ lap.entries
+    spectrum = lap.spectrum + lap.spectrum ** 2
+    with pytest.raises(ValueError, match="tridiagonal"):
+        GeneratorMatrix(entries, lap.weight, "pentadiagonal",
+                        (spectrum, lap.eigvecs, lap.similarity))
+    assert GeneratorMatrix(entries, lap.weight).spectrum is None
 
 
 @pytest.mark.parametrize("weight", [0.0, -0.5, math.inf, math.nan])

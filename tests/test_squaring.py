@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from confsemi import drift_diffusion as dd
-from confsemi import (DriftDiffusionParams, GeneratorMatrix, GridPair, Order,
-                      build_classical_operator, dirichlet_second_difference,
-                      evolve_classical, mild_solution_residuals,
-                      taylor_matrix_exp)
+from confsemi import (DriftDiffusionParams, GeneratorMatrix, Order,
+                      dirichlet_second_difference, evolve_classical,
+                      mild_solution_residuals, taylor_matrix_exp)
+from conftest import graded_pair
 
 
 def dense_flow(matrix, s=1.0):
@@ -35,26 +34,18 @@ def assert_matches_oracles(matrix, s):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def mapped_pair(p, n, clamp_right):
-    """The mapped graded operator as a dense matrix, its classical twin, the
-    clamped corpus block and the window rows."""
-    grid = GridPair.build(n, p.delta)
-    first, mapped, _ = dd._mapped_stencils(p, grid, clamp_right)
-    return (dd._stencil_dense(first, mapped),
-            build_classical_operator(p, grid, clamp_right),
-            dd._corpus_block(grid, dd._CLAMPED_CORPUS), dd._window_rows(grid))
-
-
 def drift_diffusion_matrices():
-    """The mapped graded operator and its classical twin, both closures."""
+    """The graded operator and its classical twin, both closures; the
+    graded cases keep the ids "mapped[...]" they had while the graded
+    operator was conjugated by the scalar unitary."""
     out = []
     for n in (32, 128):
         for delta in (0.05, 0.3, 1.0):
             p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(delta))
             for clamp_right in (True, False):
-                mapped, twin, _, _ = mapped_pair(p, n, clamp_right)
+                graded, twin, _, _ = graded_pair(p, n, clamp_right)
                 tag = f"n={n},delta={delta},clamp={clamp_right}"
-                out += [(f"mapped[{tag}]", mapped),
+                out += [(f"mapped[{tag}]", graded),
                         (f"classical[{tag}]", twin.entries)]
     return out
 
@@ -119,15 +110,15 @@ def test_evolution_uses_plain_expm():
 @pytest.mark.parametrize("n", [64, 256])
 def test_mild_residuals_match_plain_expm(n):
     """the graded flow of mild_solution_residuals against plain expm of the
-    mapped operator; the twin takes its own route (its closed form) on both
+    graded operator; the twin takes its own route (its closed form) on both
     sides"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
     t_list = (0.25, 0.5, 1.0)
-    mapped, twin, block, rows = mapped_pair(p, n, True)
+    graded, twin, block, rows = graded_pair(p, n)
     out = mild_solution_residuals(p, n, t_list)
     graded_state, twin_state = block, block
     for t, step, rec in zip(t_list, np.diff([0.0, *t_list]), out["records"]):
-        graded_state = expm(step * mapped) @ graded_state
+        graded_state = expm(step * graded) @ graded_state
         twin_state = evolve_classical(twin, step, twin_state)
         want = np.max(np.abs((graded_state - twin_state)[rows]))
         assert rec["error"] == pytest.approx(want, rel=1e-13)
