@@ -102,7 +102,7 @@ class WeightedQuadrature:
 
 def _weight(t, exponent: float, what: str):
     """t**exponent through pow_arr, for a float or an array t >= 0; a float
-    gives a 0-d array, which the caller's product turns into a scalar."""
+    gives a numpy float, which the caller's product keeps a scalar."""
     t = np.asarray(t, dtype=float)
     if t.min(initial=0.0) < 0.0:
         raise ValueError(f"{what} needs t >= 0, got {t.min()}")

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import SUITE_NAMES, ConfigError, parse_config
+from .config import SUITE_NAMES, ConfigError, RunConfig, parse_config
 from .reports import read_report_json, write_report_json, write_summary_csv
 from .suites import SWEEP_COLUMNS, run_suite, run_sweep
 
@@ -52,11 +52,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _configure(args) -> RunConfig:
+    """The config file, with each value given on the command line set over
+    it (sweep takes only --out)."""
+    flags = {"out_dir": args.out, "seed": getattr(args, "seed", None),
+             "suite": getattr(args, "suite", None)}
+    return replace(parse_config(args.config),
+                   **{name: value for name, value in flags.items()
+                      if value is not None})
+
+
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config).with_overrides(
-        out_dir=args.out, seed=args.seed)
-    if args.suite is not None:
-        cfg = replace(cfg, suite=args.suite)
+    cfg = _configure(args)
     reports = run_suite(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     report_path = os.path.join(cfg.out_dir, "report.json")
@@ -73,8 +80,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config)
-    cfg = cfg.with_overrides(out_dir=args.out)
+    cfg = _configure(args)
     rows = run_sweep(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     sweep_path = os.path.join(cfg.out_dir, "sweep.csv")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Mapping
 
@@ -125,8 +125,11 @@ class RunConfig:
         for n in (*self.n_list, self.n_resolvent, self.n_eigen, *self.sweep_n_list):
             if n < 16:
                 raise ConfigError(f"grid sizes must be >= 16, got {n}")
-        if not self.delta_list:
-            raise ConfigError("delta_list must be nonempty")
+        for name, values in (("[orders] delta_list", self.delta_list),
+                             ("[sweep] delta_list", self.sweep_delta_list),
+                             ("[sweep] n_list", self.sweep_n_list)):
+            if not values:
+                raise ConfigError(f"{name} must be nonempty")
         if len(self.n_list) < 2:
             raise ConfigError(
                 f"[grids] n_list needs at least two grid sizes, got "
@@ -153,14 +156,6 @@ class RunConfig:
 
     def tol(self, name: str) -> float:
         return self.tolerances[name]
-
-    def with_overrides(self, out_dir=None, seed=None) -> "RunConfig":
-        cfg = self
-        if out_dir is not None:
-            cfg = replace(cfg, out_dir=str(out_dir))
-        if seed is not None:
-            cfg = replace(cfg, seed=int(seed))
-        return cfg
 
 
 def _convert(section: str, key: str, default, raw: str):

@@ -242,12 +242,18 @@ def build_conformable_operator(p: DriftDiffusionParams, grid: GridPair,
 
     The node weight h/delta is the exact image of the uniform rule under the
     grading, so the diagonal unitary intertwines the inner products exactly.
+    Clamped at both ends the operator is tridiagonal and carries the
+    eigenpairs of semigroup._tridiagonal_eigenpairs when they exist, and
+    flows in that basis while they are certified.
     """
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
     entries = _stencil_dense(*_graded_stencil(p, grid, clamp_right))
-    return GeneratorMatrix(entries=entries, weight=grid.h / p.delta.delta,
-                           label=f"graded[n={grid.n}]")
+    pairs = _tridiagonal_eigenpairs(entries) if clamp_right else None
+    return GeneratorMatrix(
+        entries=entries, weight=grid.h / p.delta.delta,
+        label=f"graded[n={grid.n}]", eigenpairs=pairs,
+        eigenbasis_flow=pairs is not None)
 
 
 def _twin_stencil(p: DriftDiffusionParams, grid: GridPair,
@@ -400,11 +406,12 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
 
     Both flows advance the corpus block through t_list, which must be
     nondecreasing and nonnegative (see semigroup._advance).  The twin flows
-    in its closed-form eigenbasis and the graded operator (as assembled, in
-    the twin's weight h) in the eigenbasis of _tridiagonal_eigenpairs, each
-    while certified against the entries it flows; otherwise each flows
-    densely.  At delta = 1 the two are equal bit for bit, so the twin's flow
-    serves both and every error is 0.  An error is inf from the step at
+    in its closed-form eigenbasis and the graded operator, as
+    build_conformable_operator gives it (no flow reads its weight h/delta),
+    in the eigenbasis of _tridiagonal_eigenpairs, each while certified
+    against the entries it flows; otherwise each flows densely.  At
+    delta = 1 the two are equal bit for bit, so the twin's flow serves both
+    and every error is 0.  An error is inf from the step at
     which a flow leaves double range, and at every step when the graded
     operator's weights do (its stencil residual is then nan, see
     _window_gap).
@@ -424,12 +431,8 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
         if np.array_equal(graded_w, twin_w):
             flows = ((state, state) for state in _advance(twin, steps, block))
         else:
-            entries = _stencil_dense(first, graded_w)
-            pairs = _tridiagonal_eigenpairs(entries)
             # refuses weights out of double range before either flow starts
-            graded = GeneratorMatrix(entries, twin.weight, f"graded[n={n}]",
-                                     eigenpairs=pairs,
-                                     eigenbasis_flow=pairs is not None)
+            graded = build_conformable_operator(p, grid, clamp_right=True)
             flows = zip(_advance(graded, steps, block),
                         _advance(twin, steps, block))
         for graded_state, twin_state in flows:

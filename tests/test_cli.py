@@ -208,20 +208,41 @@ def test_missing_file_rejected(tmp_path):
         parse_config(str(tmp_path / "absent.ini"))
 
 
-def test_overrides(tmp_path):
-    cfg = parse_config(write(tmp_path, "[run]\nsuite = clock\n"))
-    bumped = cfg.with_overrides(out_dir="other", seed=5)
-    assert bumped.out_dir == "other"
-    assert bumped.seed == 5
-    assert cfg.seed == 0  # original untouched
-
-
 def test_suite_names_cover_cli_choices():
     assert "all" in SUITE_NAMES
     assert len(SUITE_NAMES) == 8
 
 
 # command line ----------------------------------------------------------------
+
+def test_overrides(tmp_path, capsys):
+    """--out and --seed set over the file's [run] out and seed, for run and
+    for sweep; without them the file's values hold"""
+    from_file = tmp_path / "from_file"
+    cfg = write(tmp_path, f"[run]\nsuite = clock\nseed = 3\nout = {from_file}\n"
+                          "[sweep]\ndelta_list = 1.0\nn_list = 16\n")
+    out = tmp_path / "other"
+    assert main(["run", "--config", cfg, "--out", str(out), "--seed", "5"]) == 0
+    assert "(suite=clock, seed=5)" in capsys.readouterr().out
+    assert (out / "report.json").exists() and not from_file.exists()
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "sweep.csv").exists() and not from_file.exists()
+    assert main(["run", "--config", cfg]) == 0
+    assert "(suite=clock, seed=3)" in capsys.readouterr().out
+    assert (from_file / "report.json").exists()
+
+
+@pytest.mark.parametrize("text", ["[sweep]\ndelta_list =\n",
+                                  "[sweep]\nn_list = ,\n"])
+def test_empty_sweep_list_exits_two(tmp_path, capsys, text):
+    cfg = write(tmp_path, text)
+    with pytest.raises(ConfigError, match="must be nonempty"):
+        parse_config(cfg)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def run_cli(tmp_path, suite="clock", seed="0", tag="a"):
     cfg = write(tmp_path, "[run]\nsuite = all\n", name=f"cfg_{tag}.ini")

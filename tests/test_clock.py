@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confsemi import Order
-from confsemi.clock import _pow_pos, pow_arr
+from confsemi.clock import pow_arr
 
 DELTAS = st.floats(min_value=0.05, max_value=1.0, exclude_min=True)
 TIMES = st.floats(min_value=1e-6, max_value=50.0)
@@ -25,15 +25,11 @@ def test_order_accepts_unit_interval(good):
     assert Order(good).delta == good
 
 
-def test_pow_pos_zero_base():
-    assert _pow_pos(0.0, 0.5) == 0.0
-    assert _pow_pos(0.0, 2.5) == 0.0
-
-
-def test_pow_pos_unit_exponent_is_bitwise():
-    # order-1 reductions must not pick up the ~1 ulp exp/log round trip
-    for v in (0.7300000001, 1.0, 3.141592653589793, 1e-12):
-        assert _pow_pos(v, 1.0) == v
+def test_zero_time_maps_to_zero():
+    for delta in (0.02, 0.5, 1.0):
+        c = Order(delta)
+        assert c.psi(0.0) == 0.0
+        assert c.psi_inv(0.0) == 0.0
 
 
 def test_negative_dust_is_clamped():
@@ -90,8 +86,10 @@ def test_strictly_monotone(delta, t1, t2):
 
 
 def test_order_one_is_identity_clock():
+    # bit for bit: order-1 reductions must not pick up a rounding of the power
     c = Order(1.0)
-    for t in (0.0, 0.3, 1.0, 7.25):
+    for t in (0.0, 0.3, 1.0, 7.25, 0.7300000001, 3.141592653589793, 1e-12,
+              5e-324, 1e300):
         assert c.psi(t) == t
         assert c.psi_inv(t) == t
 
@@ -117,6 +115,7 @@ def test_pow_arr_zero_and_unit_branches():
     unit[0] = 99.0  # exponent-1 branch must copy, not alias
     assert base[0] == 0.0
     assert np.array_equal(pow_arr(base, 0.0), np.ones(4))
+    assert np.isnan(pow_arr(np.array([np.nan]), 0.5)[0])  # not a zero base
     with pytest.raises(ValueError):
         pow_arr(base, -0.4)
     assert pow_arr(base[1:], -0.5)[0] == pytest.approx(2.0, rel=1e-15)

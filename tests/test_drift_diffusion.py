@@ -232,7 +232,7 @@ def test_stepped_mild_errors_match_dense_expm(n):
     graded, twin, block, rows = graded_pair(PARAMS, n)
     out = mild_solution_residuals(PARAMS, n, t_list)
     for t, rec in zip(t_list, out["records"]):
-        gap = (expm(t * graded) - expm(t * twin.entries)) @ block
+        gap = (expm(t * graded.entries) - expm(t * twin.entries)) @ block
         want = np.max(np.abs(gap[rows]))
         assert rec["t"] == t
         assert rec["error"] == pytest.approx(want, rel=1e-10)

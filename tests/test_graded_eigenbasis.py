@@ -21,10 +21,9 @@ EPS = np.finfo(float).eps
 STEPS = np.diff([0.0, 0.25, 0.5, 1.0])
 
 
-def graded(matrix, twin, pairs):
-    """the graded operator as mild_solution_residuals builds it"""
-    return GeneratorMatrix(matrix, twin.weight, "graded", eigenpairs=pairs,
-                           eigenbasis_flow=pairs is not None)
+def without_pairs(g):
+    """g's entries and weight with no eigenpairs, which flow densely"""
+    return GeneratorMatrix(g.entries, g.weight, g.label)
 
 
 def rel_gap(got, want):
@@ -51,33 +50,31 @@ def test_certified_flow_matches_expm_and_taylor(n, deltas, steps):
     flows densely, as without pairs"""
     certified = 0
     for (a, b, c), delta in itertools.product(COEFFS, deltas):
-        matrix, twin, block, _ = graded_pair(
+        g, _, block, _ = graded_pair(
             DriftDiffusionParams(a, b, c, Order(delta)), n)
-        g = graded(matrix, twin, _tridiagonal_eigenpairs(matrix))
         condition = float(np.max(g.similarity) / np.min(g.similarity))
         assert g.certified == (condition * g.spectral_defect
                                <= _DEFECT_ULPS * EPS * (n + 1))
         if not g.certified:
             assert b / a > 1.0 and condition > 16.0
-            bare = graded(matrix, twin, None)
             for got, want in zip(_advance(g, STEPS, block),
-                                 _advance(bare, STEPS, block)):
+                                 _advance(without_pairs(g), STEPS, block)):
                 assert np.array_equal(got, want)
             continue
         certified += 1
         x = block.astype(complex)
         for s in steps:
             got = evolve_classical(g, s, x)
-            assert rel_gap(got, expm(s * matrix) @ x) <= 1e-10
-            assert rel_gap(got, taylor_matrix_exp(s * matrix) @ x) <= 1e-10
+            assert rel_gap(got, expm(s * g.entries) @ x) <= 1e-10
+            assert rel_gap(got, taylor_matrix_exp(s * g.entries) @ x) <= 1e-10
     assert certified >= (len(COEFFS) - 1) * len(deltas)
 
 
 def test_eigenpairs_reproduce_the_entries():
     """D V diag(lam) V^T D^-1 rebuilds the graded operator entry by entry,
     and V is orthonormal"""
-    matrix, *_ = graded_pair(
-        DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.7)), 48)
+    matrix = graded_pair(
+        DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.7)), 48)[0].entries
     spectrum, vecs, scale = _tridiagonal_eigenpairs(matrix)
     assert scale[0] == 1.0
     rebuilt = scale[:, None] * ((vecs * spectrum) @ vecs.T) / scale
@@ -118,11 +115,10 @@ def test_non_positive_products_give_no_pairs(delta, rows):
     """at the default coefficients a product A[j, j+1] A[j+1, j] <= 0 sits
     in the first row at delta = 0.3 and in 7 or more below 0.1; no diagonal
     similarity symmetrizes such an operator"""
-    matrix, *_ = graded_pair(
-        DriftDiffusionParams(1.0, 1.0, 0.4, Order(delta)), 256)
-    products = np.diagonal(matrix, 1) * np.diagonal(matrix, -1)
+    g = graded_pair(DriftDiffusionParams(1.0, 1.0, 0.4, Order(delta)), 256)[0]
+    products = np.diagonal(g.entries, 1) * np.diagonal(g.entries, -1)
     assert np.sum(products <= 0.0) == rows
-    assert _tridiagonal_eigenpairs(matrix) is None
+    assert g.spectrum is None and not g.eigenbasis_flow
 
 
 def test_underflowing_similarity_gives_no_pairs():
@@ -137,15 +133,15 @@ def test_perturbed_entry_fails_certification_and_flows_densely(n):
     """one entry moved by 1e-6 relative voids the pairs: the flow is the
     dense one, bit for bit that of the same entries without pairs, and so
     is mild_bound's"""
-    matrix, twin, block, _ = graded_pair(
+    g, _, block, _ = graded_pair(
         DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5)), n)
-    pairs = _tridiagonal_eigenpairs(matrix)
-    assert graded(matrix, twin, pairs).certified
-    moved = matrix.copy()
+    assert g.certified
+    moved = g.entries.copy()
     moved[3, 4] *= 1.0 + 1e-6
-    bad = graded(moved, twin, pairs)
+    bad = GeneratorMatrix(moved, g.weight, eigenpairs=(
+        g.spectrum, g.eigvecs, g.similarity), eigenbasis_flow=True)
     assert not bad.certified and bad.spectral_defect > 1e3 * EPS * (n + 1)
-    want = list(_advance(graded(moved, twin, None), STEPS, block))
+    want = list(_advance(without_pairs(bad), STEPS, block))
     for got, dense in zip(_advance(bad, STEPS, block), want, strict=True):
         assert np.array_equal(got, dense)
     assert np.array_equal(want[0], expm(0.25 * moved) @ block)
@@ -199,9 +195,8 @@ def test_overflowing_eigenbasis_flow_ends_in_inf_without_expm(n):
     leaves double range, mild_bound's errors are inf from that step on,
     with no expm and no warning, and the same steps are inf, again with no
     warning, on the dense route of the same entries without pairs"""
-    matrix, twin, block, _ = graded_pair(
+    g, _, block, _ = graded_pair(
         DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.4)), n)
-    g = graded(matrix, twin, _tridiagonal_eigenpairs(matrix))
     assert g.certified and np.max(g.spectrum) > 1e3
     with pytest.raises(FloatingPointError):
         with warnings.catch_warnings():
@@ -249,9 +244,8 @@ def test_out_of_range_operator_ends_in_inf_errors_without_a_flow():
 def test_overflowing_product_raises_without_nan():
     """exp(s lam) is finite but the state times it is not: the eigenbasis
     route raises FloatingPointError and warns of nothing"""
-    matrix, twin, block, _ = graded_pair(
+    g, _, block, _ = graded_pair(
         DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.4)), 64)
-    g = graded(matrix, twin, _tridiagonal_eigenpairs(matrix))
     assert 300.0 < np.max(g.spectrum) < 400.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")

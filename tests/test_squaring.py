@@ -45,7 +45,7 @@ def drift_diffusion_matrices():
             for clamp_right in (True, False):
                 graded, twin, _, _ = graded_pair(p, n, clamp_right)
                 tag = f"n={n},delta={delta},clamp={clamp_right}"
-                out += [(f"mapped[{tag}]", graded),
+                out += [(f"mapped[{tag}]", graded.entries),
                         (f"classical[{tag}]", twin.entries)]
     return out
 
@@ -118,7 +118,7 @@ def test_mild_residuals_match_plain_expm(n):
     out = mild_solution_residuals(p, n, t_list)
     graded_state, twin_state = block, block
     for t, step, rec in zip(t_list, np.diff([0.0, *t_list]), out["records"]):
-        graded_state = expm(step * graded) @ graded_state
+        graded_state = expm(step * graded.entries) @ graded_state
         twin_state = evolve_classical(twin, step, twin_state)
         want = np.max(np.abs((graded_state - twin_state)[rows]))
         assert rec["error"] == pytest.approx(want, rel=1e-13)
