@@ -32,6 +32,13 @@ def test_zero_time_maps_to_zero():
         assert c.psi_inv(0.0) == 0.0
 
 
+def test_pow_pos_unit_exponent_is_bitwise():
+    # order-1 reductions must not pick up a rounding of the power
+    for v in (0.7300000001, 1.0, 3.141592653589793, 1e-12):
+        assert v ** 1.0 == v
+        assert Order(1.0).psi(v) == v
+
+
 def test_negative_dust_is_clamped():
     c = Order(0.4)
     assert c.psi(-5e-16) == 0.0
