@@ -26,9 +26,10 @@ SUITE_NAMES = ("calculus", "spaces", "clock", "semigroup", "drift-diffusion",
 
 WEIGHT_IDS = ("unit", "exp_decay", "gaussian")
 
-# smallest order a run accepts: below it the inverse clock of the quotient
-# times, the orbit start (1e-3 delta)**(1/delta) and the graded nodes
-# xi**(1/delta) underflow, and runs end in tracebacks instead of verdicts
+# smallest order a run accepts: below it the generator-quotient times
+# (delta 2**-(k+1))**(1/delta), k < 8, underflow to 0 (from k = 4 at delta =
+# 0.01) and the semigroup suite ends in a traceback; the graded nodes
+# xi**(1/delta) underflow on fine grids too (at delta = 0.01, n = 2048)
 ORDER_FLOOR = 0.02
 
 # closed range of each [drift_diffusion] coefficient: the eigenfunctions'

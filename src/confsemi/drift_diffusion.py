@@ -12,9 +12,9 @@ operator to itself: the graded stencil is compared with the twin's as it
 stands, and the map's one job is the pairing of the inner products, the
 node weight h/delta with h.
 
-Both operators are assembled once, as three-point stencils (first, w): the
-column of each row's first node and a (3, n) weight array.  The conjugacy
-study applies their difference to the corpus without building an n x n
+Both operators are clamped at both ends and assembled once as (3, n) bands
+in semigroup's layout, the ghost values at 0 and 1 reading 0.  The
+conjugacy study applies their difference to the corpus with no n x n
 array; a dense matrix is scattered only where a GeneratorMatrix needs its
 entries.  The evolution comparison flows both operators with semigroup's
 stepper (_advance); this module holds no flow code of its own.
@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 # not called here: the benchmark's span tracer (perfbench/spans.py,
@@ -49,8 +48,8 @@ __all__ = [
     "derivative_identity_residuals",
 ]
 
-from .semigroup import (GeneratorMatrix, _advance, _toeplitz_eigenpairs,
-                        _tridiagonal_eigenpairs)
+from .semigroup import (GeneratorMatrix, _advance, _band_apply, _band_dense,
+                        _toeplitz_eigenpairs, _tridiagonal_eigenpairs)
 
 # fixed smooth probe functions on the uniform-variable interval (0,1)
 SMOOTH_CORPUS = (
@@ -140,62 +139,23 @@ def _quadratic_weights(nodes: tuple, at: float) -> tuple:
     return w1, w2
 
 
-def _difference_stencils(nodes: np.ndarray, right_ghost: Optional[float]) -> tuple:
-    """Three-point first/second difference stencils on arbitrary nodes.
+def _difference_stencils(nodes: np.ndarray) -> tuple:
+    """Three-point first and second difference bands (w1, w2) on arbitrary
+    nodes, in the (3, n) layout of semigroup._band_apply.
 
-    Returns (first, w1, w2): row i takes the weights w1[:, i] (first
-    difference) and w2[:, i] (second) at the columns first[i] + 0, 1, 2.  A
-    ghost node at 0 with clamped value closes the left end, so row 0 reads
-    column -1.  The right end is either closed the same way (right_ghost =
-    endpoint; row n - 1 reads column n) or left free with a one-sided
-    second-order stencil on the last row (first = n - 3).
+    Ghost nodes at 0 and 1 with clamped value 0 close both ends, so row 0
+    reads the ghost at 0 and row n - 1 the ghost at 1.
     """
-    n = len(nodes)
-    ghost = [] if right_ghost is None else [right_ghost]
-    extended = np.concatenate(([0.0], nodes, ghost))
-    # per row: stencil nodes, the node the weights are taken at, and the
-    # column of the first stencil node
+    extended = np.concatenate(([0.0], nodes, [1.0]))
+    # per row: the three stencil nodes, the weights taken at the middle one
     x1, x2, x3 = extended[:-2], extended[1:-1], extended[2:]
-    at, first = x2, np.arange(-1, len(x2) - 1)
-    if right_ghost is None:
-        x1, x2, x3 = (np.append(x1, nodes[n - 3]), np.append(x2, nodes[n - 2]),
-                      np.append(x3, nodes[n - 1]))
-        at, first = np.append(at, nodes[n - 1]), np.append(first, n - 3)
-    w1, w2 = _quadratic_weights((x1, x2, x3), at)
-    return first, w1, w2
-
-
-def _stencil_dense(first: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The n x n matrix of the stencil (first, w), ghost columns dropped."""
-    n = w.shape[1]
-    dense = np.zeros((n, n))
-    rows = np.arange(n)
-    for k in range(3):
-        cols = first + k
-        keep = (cols >= 0) & (cols < n)
-        dense[rows[keep], cols[keep]] += w[k, keep]
-    return dense
-
-
-def _stencil_apply(first: np.ndarray, w: np.ndarray,
-                   block: np.ndarray) -> np.ndarray:
-    """The stencil rows (first, w) times the (n, m) block, ghost values 0.
-
-    The rows may be any subset of an operator's rows; the block is always
-    the whole state.
-    """
-    padded = np.zeros((block.shape[0] + 2, block.shape[1]), dtype=block.dtype)
-    padded[1:-1] = block
-    out = w[0][:, None] * padded[first + 1]
-    for k in (1, 2):
-        out += w[k][:, None] * padded[first + 1 + k]
-    return out
+    return _quadratic_weights((x1, x2, x3), x2)
 
 
 def _assemble_conformable(a: float, b: float, c: float, delta: float,
-                          x: np.ndarray, clamp_right: bool) -> tuple:
-    """Stencil (first, w) of a D(Df) + b Df + c f with the order-delta
-    derivative D on nodes x (see _difference_stencils).
+                          x: np.ndarray) -> np.ndarray:
+    """Bands w of a D(Df) + b Df + c f with the order-delta derivative D on
+    nodes x, both ends clamped (see _difference_stencils).
 
     At delta = 1 the weights are exactly 0 and 1, so the classical twin is
     this routine at order 1 on the uniform nodes, in identical arithmetic.
@@ -205,7 +165,7 @@ def _assemble_conformable(a: float, b: float, c: float, delta: float,
     residual.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        first, w1, w2 = _difference_stencils(x, 1.0 if clamp_right else None)
+        w1, w2 = _difference_stencils(x)
         # two applications of the order-delta derivative, expanded by the
         # product rule; nesting the difference stencils instead would widen
         # the stencil and break exact agreement with the classical twin at
@@ -213,61 +173,67 @@ def _assemble_conformable(a: float, b: float, c: float, delta: float,
         second = ((1.0 - delta) * pow_arr(x, 1.0 - 2.0 * delta) * w1
                   + pow_arr(x, 2.0 - 2.0 * delta) * w2)
         drift = pow_arr(x, 1.0 - delta) * w1
-        # c on each row's own column, as c times the identity
-        diagonal = first + np.arange(3)[:, None] == np.arange(len(x))
-        return first, a * second + b * drift + c * diagonal
+        # c on the diagonal band, as c times the identity
+        return a * second + b * drift + c * np.array([[0.0], [1.0], [0.0]])
+
+
+# clamp_right stays on the two builders only because the benchmark's kernel
+# curves (perfbench/curves.py) pass clamp_right=True; every operator is
+# clamped at both ends, and True is the only accepted value
+_FREE_CLOSURE_REMOVED = "free right closure removed: clamp_right must be True"
 
 
 def build_classical_operator(p: DriftDiffusionParams, grid: GridPair,
-                             clamp_right: bool = False) -> GeneratorMatrix:
+                             clamp_right: bool = True) -> GeneratorMatrix:
     """Constant-coefficient twin on the uniform grid, plain mesh weight h.
 
-    Clamped at both ends the twin is tridiagonal Toeplitz and carries
-    closed-form eigenpairs (semigroup._toeplitz_eigenpairs) when they
-    exist, and flows in that basis while they are certified.
+    The twin is tridiagonal Toeplitz and carries closed-form eigenpairs
+    (semigroup._toeplitz_eigenpairs) when they exist, and flows in that
+    basis while they are certified.
     """
+    if not clamp_right:
+        raise ValueError(_FREE_CLOSURE_REMOVED)
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
     a_t, b_t, c = parameter_transfer(p)
-    entries = _stencil_dense(*_twin_stencil(p, grid, clamp_right))
-    pairs = _toeplitz_eigenpairs(a_t, b_t, c, grid.n) if clamp_right else None
+    pairs = _toeplitz_eigenpairs(a_t, b_t, c, grid.n)
     return GeneratorMatrix(
-        entries=entries, weight=grid.h, label=f"classical[n={grid.n}]",
-        eigenpairs=pairs, eigenbasis_flow=pairs is not None)
+        entries=_band_dense(_twin_stencil(p, grid)), weight=grid.h,
+        label=f"classical[n={grid.n}]", eigenpairs=pairs,
+        eigenbasis_flow=pairs is not None)
 
 
 def build_conformable_operator(p: DriftDiffusionParams, grid: GridPair,
-                               clamp_right: bool = False) -> GeneratorMatrix:
+                               clamp_right: bool = True) -> GeneratorMatrix:
     """Graded-grid operator with the pushforward weighted inner product.
 
     The node weight h/delta is the exact image of the uniform rule under the
     grading, so the diagonal unitary intertwines the inner products exactly.
-    Clamped at both ends the operator is tridiagonal and carries the
-    eigenpairs of semigroup._tridiagonal_eigenpairs when they exist, and
-    flows in that basis while they are certified.
+    The operator is tridiagonal and carries the eigenpairs of
+    semigroup._tridiagonal_eigenpairs when they exist, and flows in that
+    basis while they are certified.
     """
+    if not clamp_right:
+        raise ValueError(_FREE_CLOSURE_REMOVED)
     if p.delta != grid.delta:
         raise ValueError("grid was built for a different order")
-    entries = _stencil_dense(*_graded_stencil(p, grid, clamp_right))
-    pairs = _tridiagonal_eigenpairs(entries) if clamp_right else None
+    entries = _band_dense(_graded_stencil(p, grid))
+    pairs = _tridiagonal_eigenpairs(entries)
     return GeneratorMatrix(
         entries=entries, weight=grid.h / p.delta.delta,
         label=f"graded[n={grid.n}]", eigenpairs=pairs,
         eigenbasis_flow=pairs is not None)
 
 
-def _twin_stencil(p: DriftDiffusionParams, grid: GridPair,
-                  clamp_right: bool) -> tuple:
-    """Stencil (first, w) of the classical twin on the uniform nodes."""
+def _twin_stencil(p: DriftDiffusionParams, grid: GridPair) -> np.ndarray:
+    """Bands of the classical twin on the uniform nodes."""
     a_t, b_t, c = parameter_transfer(p)
-    return _assemble_conformable(a_t, b_t, c, 1.0, grid.xi_nodes, clamp_right)
+    return _assemble_conformable(a_t, b_t, c, 1.0, grid.xi_nodes)
 
 
-def _graded_stencil(p: DriftDiffusionParams, grid: GridPair,
-                    clamp_right: bool) -> tuple:
-    """Stencil (first, w) of the graded operator on the graded nodes."""
-    return _assemble_conformable(p.a, p.b, p.c, p.delta.delta, grid.x_nodes,
-                                 clamp_right)
+def _graded_stencil(p: DriftDiffusionParams, grid: GridPair) -> np.ndarray:
+    """Bands of the graded operator on the graded nodes."""
+    return _assemble_conformable(p.a, p.b, p.c, p.delta.delta, grid.x_nodes)
 
 
 def discrete_unitary(grid: GridPair) -> tuple:
@@ -296,16 +262,16 @@ def _window_sup(block: np.ndarray, rows: np.ndarray) -> float:
     return float(np.max(np.abs(block[rows])))
 
 
-def _window_gap(first: np.ndarray, graded: np.ndarray, twin: np.ndarray,
-                block: np.ndarray, rows: np.ndarray) -> float:
-    """Largest window entry of |(graded - twin) block| for two stencils on
-    the columns first, taken on the window rows alone; nan when a weight of
+def _window_gap(graded: np.ndarray, twin: np.ndarray, block: np.ndarray,
+                rows: np.ndarray) -> float:
+    """Largest window entry of |(graded - twin) block| for two bands, whose
+    difference is taken on the window rows alone; nan when a weight of
     either is not finite on any row, inside the window or not, so that an
     operator out of double range never passes."""
     if not (np.all(np.isfinite(graded)) and np.all(np.isfinite(twin))):
         return math.nan
-    gap = graded[:, rows] - twin[:, rows]
-    return float(np.max(np.abs(_stencil_apply(first[rows], gap, block))))
+    gap = np.where(rows, graded - twin, 0.0)
+    return float(np.max(np.abs(_band_apply(gap, block)[rows])))
 
 
 def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
@@ -315,7 +281,7 @@ def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
     sup-norm of (A_graded - A_classical) applied to corpus samples, over
     rows inside the fixed window; the scalar unitary U = delta**(-1/2) I
     gives U A_graded U^-1 = A_graded, so it is not applied.  Both operators
-    are applied as three-point stencils, so no n x n array is built.  The
+    are applied as bands, so no n x n array is built.  The
     residual is nan when a stencil weight leaves double range (see
     _window_gap), which makes every order it enters nan.  Residuals must
     shrink as the grid refines; the caller turns consecutive entries into
@@ -326,9 +292,8 @@ def conjugacy_residual(p: DriftDiffusionParams, n_list) -> list:
     out = []
     for n in n_list:
         grid = GridPair.build(int(n), p.delta)
-        first, graded = _graded_stencil(p, grid, False)
-        twin = _twin_stencil(p, grid, False)[1]
-        out.append((int(n), _window_gap(first, graded, twin,
+        out.append((int(n), _window_gap(_graded_stencil(p, grid),
+                                        _twin_stencil(p, grid),
                                         _corpus_block(grid, SMOOTH_CORPUS),
                                         _window_rows(grid))))
     return out
@@ -397,11 +362,7 @@ class EigenfunctionFamily:
 
 
 def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
-    """Evolution agreement of the operator pair, both ends clamped.
-
-    With the free right closure the two flows legitimately diverge O(1):
-    the closure mismatch at the uncontrolled boundary propagates into the
-    interior.  Clamping both ends gives the well-posed comparison; the
+    """Evolution agreement of the operator pair, both ends clamped: the
     window error must stay below 5 * (window stencil residual) * t.
 
     Both flows advance the corpus block through t_list, which must be
@@ -421,18 +382,17 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     if np.any(steps < 0.0):
         raise ValueError(f"t_list must be nonnegative and nondecreasing, got {t_list}")
     grid = GridPair.build(n, p.delta)
-    first, graded_w = _graded_stencil(p, grid, True)
-    twin_w = _twin_stencil(p, grid, True)[1]
-    twin = build_classical_operator(p, grid, clamp_right=True)
+    graded_w, twin_w = _graded_stencil(p, grid), _twin_stencil(p, grid)
+    twin = build_classical_operator(p, grid)
     block, rows = _corpus_block(grid, _CLAMPED_CORPUS), _window_rows(grid)
-    stencil_residual = _window_gap(first, graded_w, twin_w, block, rows)
+    stencil_residual = _window_gap(graded_w, twin_w, block, rows)
     errors = []
     try:
         if np.array_equal(graded_w, twin_w):
             flows = ((state, state) for state in _advance(twin, steps, block))
         else:
             # refuses weights out of double range before either flow starts
-            graded = build_conformable_operator(p, grid, clamp_right=True)
+            graded = build_conformable_operator(p, grid)
             flows = zip(_advance(graded, steps, block),
                         _advance(twin, steps, block))
         for graded_state, twin_state in flows:

@@ -17,8 +17,9 @@ import numpy as np
 
 from .clock import Order
 from .drift_diffusion import (DriftDiffusionParams, EigenfunctionFamily,
-                              GridPair, build_classical_operator)
-from .semigroup import ConformableSemigroup, GeneratorMatrix, evolve_classical
+                              GridPair, _twin_stencil)
+from .semigroup import (ConformableSemigroup, GeneratorMatrix, _band_apply,
+                        evolve_classical)
 
 __all__ = [
     "LambdaRectangle",
@@ -97,12 +98,13 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
                          residual_factor: float = 10.0) -> dict:
     """Probe the three checkable hypotheses on one spectral rectangle.
 
-    For every sample the discrete eigen-residual on centered-stencil rows
-    is measured against residual_factor * h^2 * sup|phi''''|; contour means
-    of three fixed functionals are compared with their center values; and
-    the Gram determinant of the normalized corner eigenfunctions is
-    recorded for the caller to hold against its separation threshold.  A
-    degenerate Gram (duplicated spectral values) is recorded, not raised.
+    For every sample the discrete eigen-residual of the twin's bands (no
+    n x n array) on every row but the last is measured against
+    residual_factor * h^2 * sup|phi''''|; contour means of three fixed
+    functionals are compared with their center values; and the Gram
+    determinant of the normalized corner eigenfunctions is recorded for the
+    caller to hold against its separation threshold.  A degenerate Gram
+    (duplicated spectral values) is recorded, not raised.
 
     Returns the worst (residual, params) of each measure under
     "eigen_residual", "eigen_residual_imag_axis", "analyticity" and
@@ -112,9 +114,10 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
     grid = GridPair.build(n, Order(1.0))
     twin = DriftDiffusionParams(fam.diffusion, fam.drift, fam.reaction,
                                 Order(1.0))
-    matrix = build_classical_operator(twin, grid).entries
+    bands = _twin_stencil(twin, grid)
     xi, h = grid.xi_nodes, grid.h
-    centered = slice(0, n - 1)  # last row is one-sided, excluded from the bound
+    # the last row reads the clamped ghost 0 at xi = 1, where phi is not 0
+    centered = slice(0, n - 1)
 
     tests = np.column_stack([func(xi) for func in _FUNCTIONALS])  # (n, 3)
     nodes = [cmath.exp(2j * math.pi * k / _CONTOUR_POINTS)
@@ -130,7 +133,8 @@ def dsw_hypotheses_probe(fam: EigenfunctionFamily, rect: LambdaRectangle,
     ratios, axis_ratios, defects, shrink_changes = [], [], [], []
     for lam in rect.samples():
         vec = fam.evaluate(lam, xi)
-        residual = float(np.max(np.abs((matrix @ vec - lam * vec)[centered])))
+        residual = float(np.max(np.abs(
+            (_band_apply(bands, vec) - lam * vec)[centered])))
         bound = residual_factor * h * h * fam.fourth_derivative_sup(lam)
         ratios.append(residual / bound)
         if abs(lam.real) <= 1e-12:

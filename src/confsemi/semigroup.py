@@ -34,9 +34,10 @@ contraction bounds need d = 1: S(t) = exp(psi(t) A) is the classical flow
 on a new clock, so for a symmetric A its norm is max_k exp(psi(t) lam_k)
 and the resolvent norm is max_k 1/(lam - lam_k).  The independent routes
 they are read against work on the entries: the Hermitian-part margin
-(bisection on the three diagonals of a tridiagonal A, dense eigvalsh
-otherwise) and the pointwise resolvent products, from the three
-diagonals.
+(bisection on the bands of a tridiagonal A, dense eigvalsh otherwise) and
+the pointwise resolvent products, from the bands.  Every tridiagonal
+operator has one band layout, read by _bands, scattered by _band_dense
+and applied by _band_apply (Golub and Van Loan, Matrix Computations, 1.2).
 """
 
 from __future__ import annotations
@@ -174,20 +175,51 @@ class GeneratorMatrix:
 _DEFECT_ULPS = 8.0
 
 
+def _bands(entries: np.ndarray) -> np.ndarray:
+    """The (3, n) bands (sub, diagonal, super) of a tridiagonal matrix in the
+    layout of _band_apply, the ghost entries w[0, 0] and w[2, n - 1] 0."""
+    return np.stack([np.pad(np.diagonal(entries, k), (max(-k, 0), max(k, 0)))
+                     for k in (-1, 0, 1)])
+
+
+def _band_dense(w: np.ndarray) -> np.ndarray:
+    """The n x n matrix of the (3, n) bands w, the ghost entries dropped."""
+    n = w.shape[1]
+    dense = np.zeros((n, n), dtype=w.dtype)
+    # added to zeros, through a flat view, so a -0.0 weight lands as 0.0
+    flat = dense.reshape(-1)
+    flat[n::n + 1] += w[0, 1:]
+    flat[::n + 1] += w[1]
+    flat[1::n + 1] += w[2, :-1]
+    return dense
+
+
+def _band_apply(w: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The bands w times a real or complex vector or (n, m) block: row i is
+    w[0, i] block[i - 1] + w[1, i] block[i] + w[2, i] block[i + 1], summed
+    in that order, with the ghost values block[-1] and block[n] 0."""
+    w = w.reshape(w.shape + (1,) * (block.ndim - 1))
+    out = w[1] * block
+    out[1:] += w[0, 1:] * block[:-1]
+    out[:-1] += w[2, :-1] * block[1:]
+    return out
+
+
 def _spectral_defect(entries: np.ndarray, spectrum: np.ndarray,
                      vecs: np.ndarray, scale: np.ndarray) -> float:
     """max(||D^-1 A D V - V diag(lam)||_max / max|lam|, ||V^T V - I||_max)
     with D = diag(scale); a zero spectrum is measured absolutely.
 
-    The tridiagonal A is applied from its three diagonals, in O(n^2).
+    The tridiagonal A is applied from its bands, in O(n^2).
     """
     top = float(np.max(np.abs(spectrum))) or 1.0
     # D^-1 A D keeps the diagonal and scales the off-diagonals by the ratios
     # of neighbouring d
+    w = _bands(entries)
     ratio = scale[1:] / scale[:-1]
-    residual = (np.diagonal(entries)[:, None] - spectrum) * vecs
-    residual[:-1] += (np.diagonal(entries, 1) * ratio)[:, None] * vecs[1:]
-    residual[1:] += (np.diagonal(entries, -1) / ratio)[:, None] * vecs[:-1]
+    w[0, 1:] /= ratio
+    w[2, :-1] *= ratio
+    residual = _band_apply(w, vecs) - vecs * spectrum
     return max(float(np.max(np.abs(residual))) / top,
                _orthogonality_defect(vecs))
 
@@ -546,12 +578,13 @@ def dissipativity_margin(g: GeneratorMatrix) -> float:
     """
     a = g.entries
     if bandwidth(a) == (1, 1):
+        sub, diag, sup = _bands(a)
         # a diagonal unitary similarity takes each off-diagonal entry to its
         # modulus, so the real symmetric band has the same spectrum
-        off = np.abs(0.5 * (np.diagonal(a, 1) + np.diagonal(a, -1).conj()))
+        off = np.abs(0.5 * (sup[:-1] + sub[1:].conj()))
         top = g.dim - 1
         return float(eigvalsh_tridiagonal(
-            np.diagonal(a).real, off, select="i", select_range=(top, top),
+            diag.real, off, select="i", select_range=(top, top),
             tol=_BISECTION_TOL)[0])
     sym = 0.5 * (a + a.conj().T)
     return float(np.max(np.linalg.eigvalsh(sym)))
@@ -600,7 +633,7 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
     one, and by how much the pointwise lower bound
     ||(lam I - A) x|| >= lam ||x|| is violated on seeded random vectors and
     on the eigenvectors of the _MODE_PROBES largest eigenvalues, multiplied
-    by the three diagonals of the tridiagonal A.  Returns
+    by the bands of the tridiagonal A.  Returns
     (residual, params); the residual is the larger relative excess (inf for
     mismatched eigenpairs, see _certified), at most 0 when the bound holds.
     """
@@ -615,10 +648,9 @@ def resolvent_bound_check(g: GeneratorMatrix, lam: float,
     probes = np.hstack((
         np.random.default_rng(seed).standard_normal((_RESOLVENT_PROBES, n)).T,
         g.eigvecs[:, np.argsort(g.spectrum)[-_MODE_PROBES:]]))
-    a = g.entries
-    shifted = (lam - np.diagonal(a))[:, None] * probes
-    shifted[:-1] -= np.diagonal(a, 1)[:, None] * probes[1:]
-    shifted[1:] -= np.diagonal(a, -1)[:, None] * probes[:-1]
+    shift = -_bands(g.entries)
+    shift[1] += lam
+    shifted = _band_apply(shift, probes)
     lhs = np.sqrt(np.sum(g.weight * np.abs(shifted) ** 2, axis=0))
     rhs_val = lam * np.sqrt(np.sum(g.weight * np.abs(probes) ** 2, axis=0))
     lower_excess = float(np.max((rhs_val - lhs) / rhs_val, initial=-np.inf))
@@ -659,9 +691,7 @@ def dirichlet_second_difference(n: int) -> GeneratorMatrix:
     if n < 2:
         raise ValueError("need n >= 2 interior nodes")
     h = 1.0 / (n + 1)
-    main = -2.0 * np.ones(n)
-    off = np.ones(n - 1)
-    entries = (np.diag(main) + np.diag(off, 1) + np.diag(off, -1)) / h ** 2
+    entries = _band_dense(np.tile([[1.0], [-2.0], [1.0]], n) / h ** 2)
     return GeneratorMatrix(entries=entries, weight=h,
                            label=f"dirichlet_laplacian[n={n}]",
                            eigenpairs=_toeplitz_eigenpairs(1.0, 0.0, 0.0, n))
@@ -705,7 +735,8 @@ def _tridiagonal_eigenpairs(entries: np.ndarray):
     sqrt(A[j, j+1] A[j+1, j]); eigh_tridiagonal gives its pairs in O(n^2).
     None when a product is <= 0 or d leaves double range.
     """
-    sup, sub = np.diagonal(entries, 1), np.diagonal(entries, -1)
+    w = _bands(entries)
+    sub, sup = w[0, 1:], w[2, :-1]
     products = sup * sub
     if not np.all(products > 0.0):
         return None
@@ -713,7 +744,7 @@ def _tridiagonal_eigenpairs(entries: np.ndarray):
         scale = np.cumprod(np.concatenate(([1.0], np.sqrt(sub / sup))))
     if not np.all((scale > 0.0) & np.isfinite(scale)):
         return None
-    spectrum, vecs = eigh_tridiagonal(np.diagonal(entries), np.sqrt(products))
+    spectrum, vecs = eigh_tridiagonal(w[1], np.sqrt(products))
     return spectrum, vecs, scale
 
 

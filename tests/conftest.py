@@ -13,11 +13,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from confsemi import drift_diffusion as dd  # noqa: E402  (after the pin)
 
 
-def graded_pair(p, n, clamp_right=True, corpus=dd._CLAMPED_CORPUS):
+def graded_pair(p, n, corpus=dd._CLAMPED_CORPUS):
     """The graded operator of p on n nodes (the one mild_solution_residuals
     flows: the scalar unitary leaves it as it is), its classical twin, the
     corpus block and the window rows."""
     grid = dd.GridPair.build(n, p.delta)
-    return (dd.build_conformable_operator(p, grid, clamp_right),
-            dd.build_classical_operator(p, grid, clamp_right),
+    return (dd.build_conformable_operator(p, grid),
+            dd.build_classical_operator(p, grid),
             dd._corpus_block(grid, corpus), dd._window_rows(grid))

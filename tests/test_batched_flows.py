@@ -29,8 +29,7 @@ def clamped_twin(n):
     """the certified clamped drift-diffusion twin, which flows in its
     eigenbasis"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
-    g = build_classical_operator(p, GridPair.build(n, p.delta),
-                                 clamp_right=True)
+    g = build_classical_operator(p, GridPair.build(n, p.delta))
     assert g.certified and g.eigenbasis_flow
     return g
 

@@ -17,6 +17,9 @@ from confsemi import (DriftDiffusionParams, EigenfunctionFamily,
                       empirical_orders, mild_solution_residuals,
                       parameter_transfer)
 from confsemi.clock import pow_arr
+from confsemi.dynamics import LambdaRectangle, dsw_hypotheses_probe
+from confsemi.semigroup import (_band_apply, _band_dense, _bands,
+                                dirichlet_second_difference)
 from conftest import graded_pair
 
 PARAMS = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
@@ -87,18 +90,15 @@ def test_discrete_unitary_preserves_pairing():
         assert left == pytest.approx(right, rel=1e-13)
 
 
-def loop_difference_matrices(nodes, right_ghost):
-    """The row-by-row assembly the vectorized builder must reproduce bitwise."""
+def loop_difference_matrices(nodes):
+    """The row-by-row assembly the vectorized builder must reproduce
+    bitwise, both ends closed by clamped ghost nodes at 0 and 1."""
     n = len(nodes)
     d1 = np.zeros((n, n))
     d2 = np.zeros((n, n))
-    ghost = [] if right_ghost is None else [right_ghost]
-    extended = [0.0, *nodes, *ghost]
+    extended = [0.0, *nodes, 1.0]
     for i in range(1, n + 1):
-        if i == n and right_ghost is None:
-            stencil, at, cols = nodes[n - 3:], nodes[n - 1], (n - 3, n - 2, n - 1)
-        else:
-            stencil, at, cols = extended[i - 1:i + 2], extended[i], (i - 2, i - 1, i)
+        stencil, at, cols = extended[i - 1:i + 2], extended[i], (i - 2, i - 1, i)
         w1, w2 = dd._quadratic_weights(stencil, at)
         for col, a, b in zip(cols, w1, w2):
             if 0 <= col < n:
@@ -109,33 +109,47 @@ def loop_difference_matrices(nodes, right_ghost):
 
 @pytest.mark.parametrize("n", [8, 17, 64])
 @pytest.mark.parametrize("delta", [0.05, 0.3, 1.0])
-@pytest.mark.parametrize("ghost", [None, 1.0])
-def test_difference_matrices_match_loop_bitwise(n, delta, ghost):
-    """the stencils scattered to dense are the loop's matrices"""
+def test_difference_matrices_match_loop_bitwise(n, delta):
+    """the bands scattered to dense are the loop's matrices"""
     nodes = GridPair.build(n, Order(delta)).x_nodes
-    first, *stencils = dd._difference_stencils(nodes, ghost)
-    for w, want in zip(stencils, loop_difference_matrices(nodes, ghost)):
-        assert dd._stencil_dense(first, w).tobytes() == want.tobytes()
+    for w, want in zip(dd._difference_stencils(nodes),
+                       loop_difference_matrices(nodes)):
+        assert _band_dense(w).tobytes() == want.tobytes()
 
 
 # band stencils -----------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [16, 257])
 @pytest.mark.parametrize("delta", [0.02, 0.5, 1.0])
-@pytest.mark.parametrize("clamp_right", [False, True])
-def test_stencil_apply_matches_dense_product(n, delta, clamp_right):
-    """the gather-multiply is the scattered matrix times the block, to the
-    rounding of a three-term sum"""
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_stencil_apply_matches_dense_product(n, delta, complex_block):
+    """the band product is the scattered matrix times a real or complex
+    block, to the rounding of a three-term sum, on the Laplacian, the twin
+    and the graded operator"""
     p = DriftDiffusionParams(1.3, 0.7, 0.4, Order(delta))
-    first, w = dd._graded_stencil(p, GridPair.build(n, p.delta), clamp_right)
-    dense = dd._stencil_dense(first, w)
-    block = np.random.default_rng(11).standard_normal((n, 5))
-    gap = np.abs(dd._stencil_apply(first, w, block) - dense @ block)
-    assert np.all(gap <= 4.0 * EPS * (np.abs(dense) @ np.abs(block)))
+    grid = GridPair.build(n, p.delta)
+    rng = np.random.default_rng(11)
+    block = rng.standard_normal((n, 5))
+    if complex_block:
+        block = block + 1j * rng.standard_normal((n, 5))
+    for w in (_bands(dirichlet_second_difference(n).entries),
+              dd._twin_stencil(p, grid), dd._graded_stencil(p, grid)):
+        dense = _band_dense(w)
+        gap = np.abs(_band_apply(w, block) - dense @ block)
+        assert np.all(gap <= 4.0 * EPS * (np.abs(dense) @ np.abs(block)))
 
 
-# quadratics the three-point stencil differentiates exactly: x(1 - x)
-# vanishes at both clamped ends, x^2 only at the left one
+def test_bands_read_back_the_scatter():
+    """the reader returns the scattered bands with their ghost entries 0"""
+    p = DriftDiffusionParams(1.3, 0.7, 0.4, Order(0.5))
+    w = dd._graded_stencil(p, GridPair.build(16, p.delta))
+    want = w.copy()
+    want[0, 0] = want[2, -1] = 0.0
+    assert _bands(_band_dense(w)).tobytes() == want.tobytes()
+
+
+# quadratics the three-point stencil differentiates exactly, keyed by
+# whether they vanish at the clamped right end: x(1 - x) does, x^2 does not
 QUADRATICS = {
     True: FunctionHandle(lambda x: x * (1.0 - x), lambda x: 1.0 - 2.0 * x,
                          lambda x: np.full_like(x, -2.0)),
@@ -144,34 +158,38 @@ QUADRATICS = {
 }
 
 
-def quadratic_error(n, delta, clamp_right, drift_scale=0.0):
+def quadratic_error(n, delta, vanishes_right, drift_scale=0.0):
     """max row error / max|Lf| of the graded stencil on its quadratic, in
     units of eps (n + 1)^2, against a D(Df) + b Df + c f from the analytic
     order-delta derivatives; drift_scale perturbs the (1 - delta)
-    x^(1 - 2 delta) D1 term by that relative amount"""
+    x^(1 - 2 delta) D1 term by that relative amount.  x^2 is 1 at x = 1,
+    where the last row reads the clamped ghost 0, so that row gets the
+    ghost term w[2, n - 1] * 1 back."""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(delta))
     grid = GridPair.build(n, p.delta)
-    x, f = grid.x_nodes, QUADRATICS[clamp_right]
-    first, w = dd._graded_stencil(p, grid, clamp_right)
-    _, w1, _ = dd._difference_stencils(x, 1.0 if clamp_right else None)
+    x, f = grid.x_nodes, QUADRATICS[vanishes_right]
+    w = dd._graded_stencil(p, grid)
+    w1, _ = dd._difference_stencils(x)
     w = w + drift_scale * p.a * ((1.0 - delta) * pow_arr(x, 1.0 - 2.0 * delta)) * w1
     want = (p.a * conf_derivative_iterated(f, p.delta, 2, x)
             + p.b * conf_derivative_iterated(f, p.delta, 1, x) + p.c * f(x))
-    got = dd._stencil_apply(first, w, f(x)[:, None])[:, 0]
+    got = _band_apply(w, f(x))
+    if not vanishes_right:
+        got[-1] += w[2, -1]
     return np.max(np.abs(got - want)) / np.max(np.abs(want)) / (EPS * (n + 1) ** 2)
 
 
 @pytest.mark.parametrize("n", [64, 512])
 @pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 0.7, 1.0])
-@pytest.mark.parametrize("clamp_right", [False, True])
-def test_stencil_is_exact_on_quadratics(n, delta, clamp_right):
-    """every row, boundary rows and the one-sided closure included, gives
-    the operator's value to rounding; a 1e-6 relative error in the
-    (1 - delta) x^(1 - 2 delta) D1 term, which every report check passes,
-    reads three orders of magnitude above the gate"""
-    assert quadratic_error(n, delta, clamp_right) <= 2.0
+@pytest.mark.parametrize("vanishes_right", [False, True])
+def test_stencil_is_exact_on_quadratics(n, delta, vanishes_right):
+    """every row, both boundary rows included, gives the operator's value
+    to rounding; a 1e-6 relative error in the (1 - delta) x^(1 - 2 delta)
+    D1 term, which every report check passes, reads three orders of
+    magnitude above the gate"""
+    assert quadratic_error(n, delta, vanishes_right) <= 2.0
     if delta < 1.0:
-        assert quadratic_error(n, delta, clamp_right, drift_scale=1e-6) > 1e3
+        assert quadratic_error(n, delta, vanishes_right, drift_scale=1e-6) > 1e3
 
 
 def test_conjugacy_residual_is_nan_out_of_double_range():
@@ -180,13 +198,35 @@ def test_conjugacy_residual_is_nan_out_of_double_range():
     outside the window, yet the residual must not read finite"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.02))
     grid = GridPair.build(2048, p.delta)
-    _, graded = dd._graded_stencil(p, grid, False)
+    graded = dd._graded_stencil(p, grid)
     assert not np.all(np.isfinite(graded))
     assert np.all(np.isfinite(graded[:, dd._window_rows(grid)]))
     (n0, coarse), (n1, fine) = conjugacy_residual(p, (1024, 2048))
     assert (n0, n1) == (1024, 2048)
     assert np.isfinite(coarse) and np.isnan(fine)
     assert np.isnan(empirical_orders([(n0, coarse), (n1, fine)])[0])
+
+
+# conjugacy_residual at the default coefficients, bit for bit, as it read
+# while the residual ran on stencils with a one-sided free right closure:
+# the window never reads the last row, so clamping it moved nothing
+CONJUGACY_PINS = {
+    0.3: ((64, "0x1.4edfcaea7ce10p-1"), (128, "0x1.9d9dd71c23540p-3"),
+          (256, "0x1.9c257caab8b00p-5")),
+    0.5: ((64, "0x1.076b3091effa0p-3"), (128, "0x1.395021a44ab00p-5"),
+          (256, "0x1.3882e274f3e00p-7")),
+    0.7: ((64, "0x1.ae61203c3d218p-7"), (128, "0x1.24c9ea7436840p-8"),
+          (256, "0x1.213f1c7340580p-10")),
+    0.02: ((1024, "0x1.e526b14d63800p-4"), (2048, "nan")),
+}
+
+
+@pytest.mark.parametrize("delta", sorted(CONJUGACY_PINS))
+def test_conjugacy_residual_is_pinned(delta):
+    p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(delta))
+    pins = CONJUGACY_PINS[delta]
+    got = conjugacy_residual(p, [n for n, _ in pins])
+    assert [(n, float(r).hex()) for n, r in got] == list(pins)
 
 
 def test_conjugacy_residual_builds_no_dense_matrix():
@@ -200,6 +240,21 @@ def test_conjugacy_residual_builds_no_dense_matrix():
         tracemalloc.stop()
     assert np.isfinite(residual)
     assert peak < 64 * 2 ** 20
+
+
+def test_dsw_probe_builds_no_dense_matrix():
+    """one n x n float64 array at n = 4096 takes 134 MB; the probe applies
+    the twin's bands instead"""
+    fam = EigenfunctionFamily(1.0, 1.0, 0.4)
+    rect = LambdaRectangle(center=0j, re_half=2.0, im_half=12.0)
+    tracemalloc.start()
+    try:
+        probe = dsw_hypotheses_probe(fam, rect, n=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(probe["eigen_residual"][0])
+    assert peak < 32 * 2 ** 20
 
 
 # operator pair ------------------------------------------------------------------
@@ -217,7 +272,7 @@ def test_scalar_mapping_matches_dense_conjugation():
     pair is compared without it"""
     for n in (32, 64):
         grid = GridPair.build(n, PARAMS.delta)
-        graded = build_conformable_operator(PARAMS, grid, clamp_right=True)
+        graded = build_conformable_operator(PARAMS, grid)
         root = np.sqrt(PARAMS.delta.delta)
         dense = (np.eye(n) / root) @ graded.entries @ (np.eye(n) * root)
         assert np.max(np.abs(graded.entries - dense)) <= 1e-15 * np.max(
@@ -253,16 +308,20 @@ def test_operators_coincide_at_order_one():
 
 @pytest.mark.parametrize("n", [16, 257])
 @pytest.mark.parametrize("delta", [0.02, 0.3, 0.7, 1.0])
-@pytest.mark.parametrize("clamp_right", [False, True])
-def test_twin_is_the_constant_coefficient_stencil_bitwise(n, delta, clamp_right):
-    """the order-1 graded routine on the uniform nodes is a" D2 + b" D1 + c I"""
+@pytest.mark.parametrize("scattered", [False, True])
+def test_twin_is_the_constant_coefficient_stencil_bitwise(n, delta, scattered):
+    """the order-1 graded routine on the uniform nodes is a" D2 + b" D1 + c I,
+    as the builder's scattered entries and as its bands applied to the
+    identity"""
     p = DriftDiffusionParams(1.3, 0.7, 0.4, Order(delta))
     grid = GridPair.build(n, Order(delta))
     a_t, b_t, c = parameter_transfer(p)
-    d1, d2 = loop_difference_matrices(grid.xi_nodes,
-                                      1.0 if clamp_right else None)
+    d1, d2 = loop_difference_matrices(grid.xi_nodes)
     want = a_t * d2 + b_t * d1 + c * np.eye(n)
-    got = build_classical_operator(p, grid, clamp_right).entries
+    if scattered:
+        got = build_classical_operator(p, grid).entries
+    else:
+        got = _band_apply(dd._twin_stencil(p, grid), np.eye(n))
     assert got.tobytes() == want.tobytes()
 
 
@@ -272,6 +331,17 @@ def test_builders_reject_mismatched_grid():
         build_conformable_operator(PARAMS, grid)
     with pytest.raises(ValueError):
         build_classical_operator(PARAMS, grid)
+
+
+def test_builders_reject_the_free_closure():
+    """every operator is clamped at both ends; clamp_right=True is the only
+    value the builders accept"""
+    grid = GridPair.build(16, PARAMS.delta)
+    for build in (build_conformable_operator, build_classical_operator):
+        assert np.array_equal(build(PARAMS, grid, clamp_right=True).entries,
+                              build(PARAMS, grid).entries)
+        with pytest.raises(ValueError, match="free right closure"):
+            build(PARAMS, grid, clamp_right=False)
 
 
 def test_conjugacy_residual_converges():

@@ -97,13 +97,12 @@ def test_conjugacy_order_fails_a_wrong_graded_operator(monkeypatch):
     order must FAIL rather than give a negative residual"""
     assemble = drift_diffusion._assemble_conformable
 
-    def mutant(a, b, c, delta, x, clamp_right):
-        first, w = assemble(a, b, c, delta, x, clamp_right)
+    def mutant(a, b, c, delta, x):
+        w = assemble(a, b, c, delta, x)
         if delta < 1.0:
-            _, w1, _ = drift_diffusion._difference_stencils(
-                x, 1.0 if clamp_right else None)
+            w1, _ = drift_diffusion._difference_stencils(x)
             w = w + 0.3 * a * ((1.0 - delta) * x ** (1.0 - 2.0 * delta)) * w1
-        return first, w
+        return w
 
     cfg = replace(default_config(), delta_list=(0.5, 0.7))
     assert all(rep.passed for rep in conjugacy_orders(cfg).values())

@@ -26,7 +26,7 @@ EPS = np.finfo(float).eps
 def twin(a, b, c, delta, n):
     p = DriftDiffusionParams(a, b, c, Order(delta))
     grid = GridPair.build(n, p.delta)
-    return build_classical_operator(p, grid, clamp_right=True), grid
+    return build_classical_operator(p, grid), grid
 
 
 def profile(grid):
