@@ -450,9 +450,10 @@ class OrbitSample:
 # array.  scipy.integrate.solve_ivp(method="RK45") steps the same pair to the
 # same accuracy, but importing scipy.integrate costs the command line more
 # start-up time than a default run spends in all its orbit solves; so the
-# stepper is written out.  The last row of _DP_A is _DP_B5 (first same as
-# last): the seventh stage is taken at the fifth-order solution, and an
-# accepted step hands it on as the next step's first.
+# stepper is written out, and for the linear orbit ODE each step is one
+# polynomial in A (_dp_polynomial_table) instead of six right-hand sides.
+# The last row of _DP_A is _DP_B5: the seventh stage is taken at the
+# fifth-order solution, and only the error estimate reads it.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -468,46 +469,91 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4
 
+
+def _dp_chains(i: int):
+    """Yield each descending chain of stages (j1, ..., jm), j1 < i, with its
+    weight a[i, j1] a[j1, j2] ... a[j(m-1), jm]; the empty chain first."""
+    yield (), 1.0
+    for j in np.flatnonzero(_DP_A[i, :i]):
+        for chain, w in _dp_chains(j):
+            yield (j,) + chain, _DP_A[i, j] * w
+
+
+def _dp_polynomial_table():
+    """The (2, 8, K) table T and (K,) node sums of one Dormand-Prince step
+    of the linear ODE dx/dtau = exp(delta tau) A x.
+
+    Stage i sits at tau + c_i step, so with q = step exp(delta tau) and
+    sigma_j = exp(delta c_j step) it reads x_i = x + sum_j a_ij sigma_j qA x_j:
+    a polynomial in qA, one term (qA)^m per chain of m stages, weighted by
+    the chain's a-products and by exp(delta step csum), csum the chain's
+    sum of nodes.  Row 0 holds the fifth-order solution x_6, row 1 the
+    error estimate sum_i e_i sigma_i qA x_i; a column is one of the K = 124
+    chains, so T @ exp(delta step csum) gives the coefficients of
+    (qA)^0 ... (qA)^7 in both.
+    """
+    rows = [list(_dp_chains(6)),
+            [((i,) + chain, _DP_E[i] * w) for i in np.flatnonzero(_DP_E)
+             for chain, w in _dp_chains(i)]]
+    columns = list(dict.fromkeys(chain for row in rows for chain, _ in row))
+    index = {chain: k for k, chain in enumerate(columns)}
+    table = np.zeros((2, 8, len(columns)))
+    for r, row in enumerate(rows):
+        for chain, w in row:
+            table[r, len(chain), index[chain]] = w
+    csum = np.array([_DP_C[list(chain)].sum() for chain in columns])
+    return table, csum
+
+
+_DP_TABLE, _DP_CSUM = _dp_polynomial_table()
+_DP_DEGREES = np.arange(8.0)
+
 # accepted and rejected steps one advance may take before it gives up
 _RK45_MAX_STEPS = 500_000
 
 
-def _rk45_advance(rhs, t: float, x: np.ndarray, t_target: float, h: float,
-                  rtol: float, atol: float):
-    """Integrate rhs from (t, x) to t_target with embedded 5(4) steps.
+def _dp_coefficients(delta_step: float, q_nu: float) -> np.ndarray:
+    """(2, 8) coefficients of (A / nu)^0 ... (A / nu)^7 in the new state (row
+    0) and the error estimate (row 1) of one step, q_nu = q nu."""
+    return (_DP_TABLE @ np.exp(delta_step * _DP_CSUM)) * q_nu ** _DP_DEGREES
 
-    The seven stages of a step are the rows of one (7, n) block, in x's
-    dtype; each stage is one row of _DP_A times the block and one rhs call,
-    and the first stage of a step after an accepted one is the accepted
-    step's last (6 rhs calls a step).  h is the step to try first; returns
-    (x at t_target, the step to try next), where a last step cut short at
-    t_target hands on the step it was cut from.  The error norm is the RMS
-    of |err| / (atol + rtol * max(|x|, |x_new|)); a non-finite error counts
-    as a rejection at the smallest step factor, so a state that leaves
-    double range ends in step-size underflow, with no RuntimeWarning.
+
+def _rk45_advance(powers: np.ndarray, nu: float, delta: float, t: float,
+                  x: np.ndarray, t_target: float, h: float, rtol: float,
+                  atol: float):
+    """Integrate dx/dt = exp(delta t) A x from (t, x) to t_target with
+    embedded Dormand-Prince 5(4) steps.
+
+    powers is the (8, n, n) stack of (A / nu)^m, m = 0 ... 7, so none can
+    overflow.  Each attempted step is one polynomial in A: the Krylov block
+    powers @ x, formed once per accepted step (a rejected step reuses it),
+    times _dp_coefficients, which folds nu^m into the scalars; the block
+    keeps x's dtype.  h is the step to try first; returns (x at t_target,
+    the step to try next), where a last step cut short at t_target hands on
+    the step it was cut from.  The error norm is the RMS of
+    |err| / (atol + rtol * max(|x|, |x_new|)); a non-finite error counts as
+    a rejection at the smallest step factor, so a state that leaves double
+    range ends in step-size underflow, with no RuntimeWarning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        k = np.empty((7, x.size), dtype=x.dtype)
-        k[0] = rhs(t, x)
+        krylov = powers @ x
         steps = 0
         while t < t_target:
             if h < 1e-14 * abs(t):
                 raise FloatingPointError(f"step size underflow at t={t}")
             last = h >= t_target - t
             step = t_target - t if last else h
-            for i in range(1, 7):
-                xi = x + step * (_DP_A[i, :i] @ k[:i])
-                k[i] = rhs(t + _DP_C[i] * step, xi)
-            # xi is now the fifth-order solution x + step * (_DP_B5 @ k)
-            scale = atol + rtol * np.maximum(np.abs(x), np.abs(xi))
-            err = float(np.sqrt(np.mean(
-                (np.abs(step * (_DP_E @ k)) / scale) ** 2)))
+            x_new, err_vec = _dp_coefficients(
+                delta * step, step * math.exp(delta * t) * nu) @ krylov
+            ratio = np.abs(err_vec) / (atol + rtol * np.maximum(np.abs(x),
+                                                                 np.abs(x_new)))
+            err = math.sqrt(ratio @ ratio / ratio.size)
             if math.isnan(err):
                 err = math.inf
             factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
             if err <= 1.0:
-                t, x = (t_target if last else t + step), xi
-                k[0] = k[6]
+                t, x = (t_target if last else t + step), x_new
+                krylov = powers @ x
             if err > 1.0 or step == h:
                 h = step * factor
             steps += 1
@@ -526,7 +572,9 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
     t = 0, of the clock and of the flow, from x0 at tau0 =
     ln(delta 2**-56 / ||A||_1) / delta, before which the flow moves x0 by
     under eps / 16: outputs with ln t <= tau0 (t = 0; all, for A = 0) are
-    x0.  The step starts at (ln t1 - tau0) / 100, t1 the first output past
+    x0.  Each step is one polynomial in A applied to the powers
+    (A / nu)^m x, nu the power of two just above ||A||_1 (_rk45_advance).
+    The step starts at (ln t1 - tau0) / 100, t1 the first output past
     tau0, and carries across outputs.  A real A and x0 step in float64,
     states come back complex, and a FloatingPointError names t.
     """
@@ -536,9 +584,13 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=complex)
     norm = max(float(np.linalg.norm(g.entries, 1)), np.finfo(float).tiny)
     tau = math.log(d * 2.0 ** -56 / norm) / d
-
-    def rhs(tau: float, x: np.ndarray) -> np.ndarray:
-        return math.exp(d * tau) * (g.entries @ x)
+    # a power of two scales A exactly
+    nu = math.ldexp(1.0, math.frexp(norm)[1])
+    scaled = g.entries / nu
+    powers = [np.eye(g.dim, dtype=scaled.dtype)]
+    for _ in range(7):
+        powers.append(powers[-1] @ scaled)
+    powers = np.stack(powers)
 
     times = np.linspace(0.0, t_end, n_out)
     states = []
@@ -549,7 +601,8 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
         if target > tau:
             h = h or (target - tau) / 100.0
             try:
-                x, h = _rk45_advance(rhs, tau, x, target, h, rtol, atol)
+                x, h = _rk45_advance(powers, nu, d, tau, x, target, h, rtol,
+                                     atol)
             except FloatingPointError as exc:  # the stepper names tau
                 head, at = str(exc).rsplit("t=", 1)
                 raise FloatingPointError(f"{head}t={math.exp(float(at))}") from exc

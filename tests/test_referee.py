@@ -1,4 +1,4 @@
-"""A high-precision referee for the clock.
+"""A high-precision referee for the clock and the orbit oracle.
 
 Every check of the library compares two double-precision routes; when both
 share an error it passes unseen.  Here mpmath, at 40 digits, gives the true
@@ -22,14 +22,24 @@ within eps/2:
 The 1/delta amplification of the rounding of delta s is the larger part
 at the order floor: there the bound reaches 7.3e-15, under a tenth of the
 1e-13 clock_roundtrip gate that the round trip psi_inv(psi(t)) is held to.
-At delta = 1 both maps are exact.  The file runs in about 0.1 s.
+At delta = 1 both maps are exact.
+
+The orbit oracle's two routes, the flow exp(psi(t) A) x0 and the adaptive
+orbit, are held to mpmath's expm of psi(t) A at 40 digits, psi(t) taken in
+mpmath on the double t, for nonnormal4 and x0 = (1, -1, 0.5, 1) at the
+report's three orbit orders and solver settings.  The flow must be within
+1e-12 relative at every output time (measured: about 1.1e-15), so the
+check's residual, the worst gap between the routes, is the orbit's own
+error: its true worst error must lie within [0.5, 2] times that residual
+(measured ratio: 1.000).  The file runs in about 0.7 s.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
-from confsemi import Order
+from confsemi import ConformableSemigroup, Order, solve_conformable_ode
+from confsemi.suites import _nonnormal4, _orbit_gap
 
 EPS = np.finfo(float).eps
 DELTAS = (0.02, 0.05, 0.1, 0.3, 0.5, 0.7, 1.0)
@@ -75,3 +85,30 @@ def test_psi_inv_is_within_rounding_of_the_referee(delta):
     bound = (1.0 + 0.5 / delta + 0.5 * LOG_T) * EPS
     for got in both_paths(order.psi_inv, s_values):
         assert np.all(rel_errors(got, want) <= bound)
+
+
+@pytest.mark.parametrize("delta, solver", [
+    (0.4, {}), (0.7, {}), (1.0, {"rtol": 1e-10, "atol": 1e-13})],
+    ids=["orbit_oracle-0.4", "orbit_oracle-0.7", "orbit_reduction-1.0"])
+def test_orbit_routes_against_the_referee(delta, solver):
+    """the routes of semigroup.orbit_oracle (and orbit_reduction at
+    delta = 1, with its tighter tolerances) against mpmath's expm"""
+    g = _nonnormal4()
+    x0 = np.array([1.0, -1.0, 0.5, 1.0])
+    order = Order(delta)
+    orbit = solve_conformable_ode(g, order, x0, 2.0, **solver)
+    flows = ConformableSemigroup(g, order).evolve(orbit.times[1:], x0)
+    a = mpmath.matrix(g.entries.tolist())
+    d = mpmath.mpf(delta)
+    flow_error = orbit_error = 0.0
+    for t, state, flow in zip(orbit.times[1:], orbit.states[1:], flows):
+        psi = mpmath.mpf(float(t)) ** d / d
+        truth = mpmath.expm(psi * a) * mpmath.matrix(x0.tolist())
+        scale = mpmath.norm(truth)
+        flow_error = max(flow_error, float(
+            mpmath.norm(mpmath.matrix(flow.tolist()) - truth) / scale))
+        orbit_error = max(orbit_error, float(
+            mpmath.norm(mpmath.matrix(state.tolist()) - truth) / scale))
+    residual = _orbit_gap(delta, **solver)
+    assert flow_error <= 1e-12
+    assert 0.5 * residual <= orbit_error <= 2.0 * residual

@@ -16,7 +16,8 @@ from confsemi import (ConformableSemigroup, GeneratorMatrix, Order,
                       strong_continuity_check, taylor_matrix_exp)
 from confsemi import semigroup
 from confsemi.config import TOLERANCE_DEFAULTS
-from confsemi.semigroup import (_DP_A, _DP_B4, _DP_B5, _DP_C, _rk45_advance,
+from confsemi.semigroup import (_DP_A, _DP_B4, _DP_B5, _DP_C, _DP_CSUM, _DP_E,
+                                _DP_TABLE, _RK45_MAX_STEPS, _rk45_advance,
                                 _toeplitz_eigenpairs)
 from confsemi.suites import _orbit_gap
 
@@ -213,9 +214,9 @@ def test_complex_initial_state_takes_complex_path(monkeypatch):
     """a real generator with a complex x0 steps in complex arithmetic."""
     dtypes = []
 
-    def spy(rhs, t, x, *args):
+    def spy(powers, nu, d, t, x, *args):
         dtypes.append(x.dtype)
-        return _rk45_advance(rhs, t, x, *args)
+        return _rk45_advance(powers, nu, d, t, x, *args)
 
     monkeypatch.setattr(semigroup, "_rk45_advance", spy)
     g = nonnormal4()
@@ -234,12 +235,12 @@ def test_orbit_error_follows_rtol():
 
 
 def test_non_finite_rhs_ends_in_step_underflow():
-    def blow_up(t, x):
-        return np.full_like(x, np.inf)
-
+    """powers that are all inf make every right-hand side non-finite"""
+    blow_up = np.full((8, 4, 4), np.inf)
     with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError, match="step size underflow"):
-        _rk45_advance(blow_up, 0.1, np.ones(4), 1.0, 0.01, 1e-9, 1e-12)
+        _rk45_advance(blow_up, 1.0, 1.0, 0.1, np.ones(4), 1.0, 0.01, 1e-9,
+                      1e-12)
 
 
 def test_step_budget_guard(monkeypatch):
@@ -249,25 +250,33 @@ def test_step_budget_guard(monkeypatch):
                               np.array([1.0, -1.0, 0.5, 1.0]), 2.0)
 
 
+def count_calls(monkeypatch, counter, name, weight=1):
+    """Patch semigroup.<name> to add weight to counter[0] at each call."""
+    inner = getattr(semigroup, name)
+
+    def counted(*args):
+        counter[0] += weight
+        return inner(*args)
+
+    monkeypatch.setattr(semigroup, name, counted)
+
+
 def counting_rhs(monkeypatch):
-    """Patch the orbit's stepper to count rhs calls; returns the counter,
-    a one-item list."""
+    """Patch the orbit's stepper to count its right-hand-side equivalents,
+    what the stage-block stepper spent on the same steps: 6 per attempted
+    step (one _dp_coefficients call) plus 1 per advance (its first stage);
+    returns the counter, a one-item list."""
     calls = [0]
-
-    def counting(rhs, *args):
-        def counted(t, x):
-            calls[0] += 1
-            return rhs(t, x)
-        return _rk45_advance(counted, *args)
-
-    monkeypatch.setattr(semigroup, "_rk45_advance", counting)
+    count_calls(monkeypatch, calls, "_rk45_advance")
+    count_calls(monkeypatch, calls, "_dp_coefficients", 6)
     return calls
 
 
 def test_step_is_carried_across_output_times(monkeypatch):
     """each of the 180 output times added between 21 and 201 outputs costs
-    at most 7 rhs calls: the step carries on (about 6 a time) instead of
-    restarting at interval / 100 (about 24 a time)."""
+    at most 7 rhs equivalents, one advance and about one attempted step: the
+    step carries on instead of restarting at interval / 100 (about four
+    attempted steps a time)."""
     calls = counting_rhs(monkeypatch)
     x0 = np.array([1.0, -1.0, 0.5, 1.0])
     cost = {}
@@ -310,7 +319,8 @@ def test_orbit_is_clock_free(monkeypatch, delta):
 
 def test_orbit_at_the_order_floor(monkeypatch):
     """at delta = 0.02 the orbit starts from x0 at ln t ~ -2217 and crosses
-    the decades below the first output time in a few hundred steps"""
+    the decades below the first output time in a few hundred attempted
+    steps (336; 3000 rhs equivalents allow 496)"""
     calls = counting_rhs(monkeypatch)
     assert _orbit_gap(0.02) <= 1e-8
     assert calls[0] <= 3000
@@ -336,6 +346,104 @@ def test_overflowing_orbit_names_t_in_its_error():
         solve_conformable_ode(g, Order(1.0), np.array([1.0, 1.0]), 2.0)
     t = float(str(info.value).rsplit("t=", 1)[1])
     assert 0.0 < t <= 2.0
+
+
+def stage_block_advance(rhs, t, x, t_target, h, rtol, atol):
+    """The stage-block Dormand-Prince 5(4) stepper the polynomial one
+    replaced, kept as its oracle: the seven stages of a step are the rows of
+    one (7, n) block, each one row of _DP_A times the block and one rhs call,
+    and the first stage after an accepted step is that step's last.  Same
+    controller, start and guards as semigroup._rk45_advance; returns
+    (x at t_target, the step to try next, the steps attempted)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.empty((7, x.size), dtype=x.dtype)
+        k[0] = rhs(t, x)
+        steps = 0
+        while t < t_target:
+            if h < 1e-14 * abs(t):
+                raise FloatingPointError(f"step size underflow at t={t}")
+            last = h >= t_target - t
+            step = t_target - t if last else h
+            for i in range(1, 7):
+                xi = x + step * (_DP_A[i, :i] @ k[:i])
+                k[i] = rhs(t + _DP_C[i] * step, xi)
+            # xi is now the fifth-order solution x + step * (_DP_B5 @ k)
+            scale = atol + rtol * np.maximum(np.abs(x), np.abs(xi))
+            err = float(np.sqrt(np.mean(
+                (np.abs(step * (_DP_E @ k)) / scale) ** 2)))
+            if math.isnan(err):
+                err = math.inf
+            factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
+            if err <= 1.0:
+                t, x = (t_target if last else t + step), xi
+                k[0] = k[6]
+            if err > 1.0 or step == h:
+                h = step * factor
+            steps += 1
+            if steps > _RK45_MAX_STEPS:
+                raise FloatingPointError(f"step budget exhausted at t={t}")
+    return x, h, steps
+
+
+def use_stage_blocks(monkeypatch, counter):
+    """Patch the orbit to take each advance by stage_block_advance, on
+    rhs(tau, x) = exp(delta tau) A x with A read back exactly from the
+    powers (A / nu, nu a power of two), adding its attempted steps to
+    counter[0]."""
+    def oracle(powers, nu, d, t, x, *args):
+        a = nu * powers[1]
+        x, h, steps = stage_block_advance(
+            lambda tau, y: math.exp(d * tau) * (a @ y), t, x, *args)
+        counter[0] += steps
+        return x, h
+
+    monkeypatch.setattr(semigroup, "_rk45_advance", oracle)
+
+
+EQUIVALENCE_CASES = {
+    "nonnormal4-real": (nonnormal4(), np.array([1.0, -1.0, 0.5, 1.0])),
+    "nonnormal4-complex": (nonnormal4(),
+                           np.array([1.0 + 0.5j, -1.0, 0.5 - 1.0j, 1.0j])),
+    "diag_complex": (diag_complex(), np.array([1.0, -1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+@pytest.mark.parametrize("delta", [0.02, 0.4, 1.0])
+@pytest.mark.parametrize("n_out", [21, 201])
+def test_polynomial_step_matches_stage_block_oracle(monkeypatch, case, delta,
+                                                    n_out):
+    """one polynomial in A per step takes the steps the stage-block stepper
+    takes, to the same states: within 1e-12 relative, or 1e-15 absolute
+    where the state has decayed"""
+    g, x0 = EQUIVALENCE_CASES[case]
+    order = Order(delta)
+    want_steps, got_steps = [0], [0]
+    with monkeypatch.context() as patch:
+        use_stage_blocks(patch, want_steps)
+        want = solve_conformable_ode(g, order, x0, 2.0, n_out=n_out)
+    with monkeypatch.context() as patch:
+        count_calls(patch, got_steps, "_dp_coefficients")
+        got = solve_conformable_ode(g, order, x0, 2.0, n_out=n_out)
+    assert got_steps[0] == want_steps[0] > 0
+    np.testing.assert_array_equal(got.times, want.times)
+    for state, exact in zip(got.states, want.states):
+        gap = np.linalg.norm(state - exact)
+        assert gap <= max(1e-12 * np.linalg.norm(exact), 1e-15)
+
+
+def test_polynomial_table_is_the_dp5_stability_polynomial():
+    """with every node factor exp(delta c step) = 1 (an autonomous step) the
+    state row sums to R(z) = sum_{m<=5} z^m / m! + z^6 / 600, the DP5
+    stability polynomial, and the error row vanishes below degree 5; each
+    sum is held to eps times the sum of its absolute terms"""
+    sums = _DP_TABLE.sum(axis=-1)
+    bound = np.finfo(float).eps * np.abs(_DP_TABLE).sum(axis=-1)
+    stability = [1.0 / math.factorial(m) for m in range(6)] + [1 / 600, 0.0]
+    assert np.all(np.abs(sums[0] - stability) <= bound[0])
+    assert np.all(np.abs(sums[1, :5]) <= bound[1, :5])
+    assert sums[1, 5] != 0.0
+    assert _DP_TABLE.shape == (2, 8, 124) and _DP_CSUM.shape == (124,)
 
 
 # continuity and contraction ----------------------------------------------------
