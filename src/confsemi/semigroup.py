@@ -526,9 +526,9 @@ def _rk45_advance(powers: np.ndarray, nu: float, delta: float, t: float,
 
     powers is the (8, n, n) stack of (A / nu)^m, m = 0 ... 7, so none can
     overflow.  Each attempted step is one polynomial in A: the Krylov block
-    powers @ x, formed once per accepted step (a rejected step reuses it),
-    times _dp_coefficients, which folds nu^m into the scalars; the block
-    keeps x's dtype.  h is the step to try first; returns (x at t_target,
+    powers @ x, formed at the start and after each accepted step short of
+    t_target (a rejected step reuses it), times _dp_coefficients, which
+    folds nu^m into the scalars; the block keeps x's dtype.  h is the step to try first; returns (x at t_target,
     the step to try next), where a last step cut short at t_target hands on
     the step it was cut from.  The error norm is the RMS of
     |err| / (atol + rtol * max(|x|, |x_new|)); a non-finite error counts as
@@ -553,7 +553,8 @@ def _rk45_advance(powers: np.ndarray, nu: float, delta: float, t: float,
             factor = min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0.0 else 5.0))
             if err <= 1.0:
                 t, x = (t_target if last else t + step), x_new
-                krylov = powers @ x
+                if not last:
+                    krylov = powers @ x
             if err > 1.0 or step == h:
                 h = step * factor
             steps += 1
