@@ -16,8 +16,8 @@ Both operators are clamped at both ends and assembled once as (3, n) bands
 in semigroup's layout, the ghost values at 0 and 1 reading 0.  The
 conjugacy study applies their difference to the corpus with no n x n
 array; a dense matrix is scattered only where a GeneratorMatrix needs its
-entries.  The evolution comparison flows both operators with semigroup's
-stepper (_advance); this module holds no flow code of its own.
+entries.  The evolution comparison flows both operators one step at a time
+with semigroup._flow; this module holds no flow code of its own.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
     "derivative_identity_residuals",
 ]
 
-from .semigroup import (GeneratorMatrix, _advance, _band_apply, _band_dense,
+from .semigroup import (GeneratorMatrix, _band_apply, _band_dense, _flow,
                         _toeplitz_eigenpairs, _tridiagonal_eigenpairs)
 
 # fixed smooth probe functions on the uniform-variable interval (0,1)
@@ -365,15 +365,15 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     """Evolution agreement of the operator pair, both ends clamped: the
     window error must stay below 5 * (window stencil residual) * t.
 
-    Both flows advance the corpus block through t_list, which must be
-    nondecreasing and nonnegative (see semigroup._advance).  The twin flows
-    in its closed-form eigenbasis and the graded operator, as
-    build_conformable_operator gives it (no flow reads its weight h/delta),
-    in the eigenbasis of _tridiagonal_eigenpairs, each while certified
-    against the entries it flows; otherwise each flows densely.  At
-    delta = 1 the two are equal bit for bit, so the twin's flow serves both
-    and every error is 0.  An error is inf from the step at
-    which a flow leaves double range, and at every step when the graded
+    Both flows carry the corpus block through t_list, which must be
+    nondecreasing and nonnegative, one semigroup._flow call per operator
+    and step.  The twin flows in its closed-form eigenbasis and the graded
+    operator, as build_conformable_operator gives it (no flow reads its
+    weight h/delta), in the eigenbasis of _tridiagonal_eigenpairs, each
+    while certified against the entries it flows; otherwise each flows
+    densely.  At delta = 1 the two are equal bit for bit, so the twin's
+    state serves both and every error is 0.  An error is inf from the step
+    at which a flow leaves double range, and at every step when the graded
     operator's weights do (its stencil residual is then nan, see
     _window_gap).
     """
@@ -388,15 +388,16 @@ def mild_solution_residuals(p: DriftDiffusionParams, n: int, t_list) -> dict:
     stencil_residual = _window_gap(graded_w, twin_w, block, rows)
     errors = []
     try:
-        if np.array_equal(graded_w, twin_w):
-            flows = ((state, state) for state in _advance(twin, steps, block))
-        else:
-            # refuses weights out of double range before either flow starts
-            graded = build_conformable_operator(p, grid)
-            flows = zip(_advance(graded, steps, block),
-                        _advance(twin, steps, block))
-        for graded_state, twin_state in flows:
-            errors.append(_window_sup(graded_state - twin_state, rows))
+        # the graded operator, whose build refuses weights out of double
+        # range before either flow starts, then the twin; at delta = 1 the
+        # twin alone
+        operators = ([twin] if np.array_equal(graded_w, twin_w)
+                     else [build_conformable_operator(p, grid), twin])
+        states = [block] * len(operators)
+        for step in steps:
+            states = [_flow(g, step, state)
+                      for g, state in zip(operators, states)]
+            errors.append(_window_sup(states[0] - states[-1], rows))
     except FloatingPointError:  # out of double range: inf from here on
         errors += [math.inf] * (len(steps) - len(errors))
     records = [{"t": t, "error": error, "bound": 5.0 * stencil_residual * t}

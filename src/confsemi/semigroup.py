@@ -18,17 +18,17 @@ off-diagonal products are all positive, from the symmetric tridiagonal
 eigensolver (_tridiagonal_eigenpairs; the clamped graded drift-diffusion
 operator).  They are checked against the entries once, when the generator
 is built, and certified when the defect, scaled by the condition
-d_max / d_min of D, stays at rounding.  Every flow runs through one
-stepper, _advance.  evolve_classical takes it one step, for one time or a
-batch of times; the composition law takes a batch of pairs through two
-steps; the drift-diffusion evolution comparison takes a list of steps.  A
-generator built with eigenbasis_flow (the two clamped drift-diffusion
-operators) flows in its eigenbasis when certified,
+d_max / d_min of D, stays at rounding.  Every flow is one call of _flow,
+at one time or at a vector of times for a stack of states, with nothing
+kept between calls: evolve_classical makes one, the composition law two,
+the drift-diffusion evolution comparison one per step.  A generator built
+with eigenbasis_flow (the two clamped drift-diffusion operators) flows in
+its eigenbasis when certified,
 exp(sA) x = d * V (exp(s lam) * V^T (x / d)); every other one (the
 fixtures, the Dirichlet Laplacian among them, an operator whose
 similarity is too ill-conditioned) flows by scipy's expm on the entries,
 the scaling and squaring of Al-Mohy and Higham (SIMAX 31, 2009), one
-stacked call for all the new times of a step.  A state that would leave
+stacked call for all the times of a call.  A state that would leave
 double range raises FloatingPointError instead.  The resolvent and
 contraction bounds need d = 1: S(t) = exp(psi(t) A) is the classical flow
 on a new clock, so for a symmetric A its norm is max_k exp(psi(t) lam_k)
@@ -93,7 +93,7 @@ class GeneratorMatrix:
     conditioning of the basis (Bauer-Fike).  Without eigenpairs the four
     are None and certified is False.
 
-    eigenbasis_flow asks _advance (and so evolve_classical) to run this
+    eigenbasis_flow asks _flow (and so evolve_classical) to run this
     generator in its eigenbasis; it needs eigenpairs and takes effect only
     while they are certified.  Left False, the pairs serve the norm bounds
     alone and the flow stays dense.
@@ -288,63 +288,50 @@ def _eigenbasis_flow(g: GeneratorMatrix, s: float, x: np.ndarray) -> np.ndarray:
         return (real.view(cols.dtype) * scale).reshape(x.shape)
 
 
-def _advance(g: GeneratorMatrix, steps, x: np.ndarray):
-    """Yield x after each step in turn under exp(step A), A = g.entries.
+def _flow(g: GeneratorMatrix, s, x: np.ndarray) -> np.ndarray:
+    """exp(sA) x, A = g.entries, for one time s and a vector or block of
+    columns x; or, for a vector of times s, the stack of exp(s_k A) x_k, x
+    a stack of states with one row per time.
 
-    x is a vector or a block of columns and each step one time; or x is a
-    stack of states, one per row, and each step a vector of times, one per
-    row.  A real x under a real A stays real.  The flow runs in g's
-    eigenbasis when g asks for that (eigenbasis_flow) and its eigenpairs
-    are certified, one _eigenbasis_flow per time; else by scipy's dense
-    expm (any square A), one stacked call per step for the distinct times
-    no earlier step had, so a state that leaves double range costs no
-    exponential of a later step.  Each flow applies to its own state, so a
-    row of a stack gets the bits a lone state would.  A zero time leaves a
-    copy.  Raises FloatingPointError, with no RuntimeWarning before it,
-    instead of yielding a non-finite state.
+    A real x under a real A stays real.  The flow runs in g's eigenbasis
+    when g asks for that (eigenbasis_flow) and its eigenpairs are
+    certified, one _eigenbasis_flow per time; else by scipy's dense expm
+    (any square A), one stacked call over the distinct nonzero times.  Each
+    flow applies to its own state, so a row of a stack gets the bits a lone
+    state would.  A zero time leaves a copy.  Raises FloatingPointError,
+    with no RuntimeWarning before it, instead of returning a non-finite
+    state.
     """
+    times = np.ravel(s).tolist()
     eigenbasis = g.eigenbasis_flow and g.certified
-    flows = {}
-
-    def flow(s, state):
-        if s == 0.0:
-            return state.copy()
-        if eigenbasis:
-            return _eigenbasis_flow(g, s, state)
-        return flows[s] @ state
-
-    for step in steps:
-        times = np.ravel(step).tolist()
-        # refused below, not warned of (_eigenbasis_flow sets its own state)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not eigenbasis:
-                new = [s for s in dict.fromkeys(times)
-                       if s != 0.0 and s not in flows]
-                if new:
-                    flows.update(zip(new, expm(np.array(new)[:, None, None]
-                                               * g.entries)))
-            if np.ndim(step):
-                x = np.stack([flow(s, state) for s, state in zip(times, x)])
-            else:
-                x = flow(times[0], x)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(
-                f"evolution produced non-finite state at s={step}")
-        yield x
+    new = [] if eigenbasis else [t for t in dict.fromkeys(times) if t != 0.0]
+    # refused below, not warned of (_eigenbasis_flow sets its own state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flows = (dict(zip(new, expm(np.array(new)[:, None, None] * g.entries)))
+                 if new else {})
+        states = [state.copy() if t == 0.0
+                  else _eigenbasis_flow(g, t, state) if eigenbasis
+                  else flows[t] @ state
+                  for t, state in zip(times, x if np.ndim(s) else [x])]
+    x = np.stack(states) if np.ndim(s) else states[0]
+    if not np.all(np.isfinite(x)):
+        raise FloatingPointError(
+            f"evolution produced non-finite state at s={s}")
+    return x
 
 
 def evolve_classical(g: GeneratorMatrix, s, x: np.ndarray) -> np.ndarray:
     """exp(sA) x for a vector or a block of columns x, as a complex array.
 
     For a 1-D array of times s, the stack of exp(s_k A) x, one row per
-    time, from one batch (see _advance).
+    time, from one call of _flow.
     """
     if np.any(np.asarray(s) < 0.0):
         raise ValueError(f"classical time must be nonnegative, got {s}")
     x = np.asarray(x, dtype=complex)
     if np.ndim(s):
         x = np.broadcast_to(x, (len(s), *x.shape))
-    return next(_advance(g, (s,), x))
+    return _flow(g, s, x)
 
 
 @dataclass(frozen=True)
@@ -369,9 +356,9 @@ def delta_law_residual(cs: ConformableSemigroup, r, q, x: np.ndarray):
 
     Compares the one-shot evolution at (r+q)**(1/delta) with the two-step
     evolution at q**(1/delta) then r**(1/delta), in the weighted norm.  r
-    and q may be arrays of pairs, which give one defect per pair: every
-    flow of the batch is one row of a stack that _advance takes through
-    two steps.  Scalar r and q give a float.
+    and q may be arrays of pairs, which give one defect per pair: one _flow
+    call takes a stack of rows to (r+q)**(1/delta) and q**(1/delta), and a
+    second takes the latter on by r**(1/delta).  Scalar r and q give a float.
     """
     r, q = np.broadcast_arrays(np.asarray(r, dtype=float),
                                np.asarray(q, dtype=float))
@@ -383,13 +370,11 @@ def delta_law_residual(cs: ConformableSemigroup, r, q, x: np.ndarray):
     one_shot = [psi((a + b) ** (1.0 / d)) for a, b in pairs]
     first = [psi(b ** (1.0 / d)) for _, b in pairs]
     second = [psi(a ** (1.0 / d)) for a, _ in pairs]
-    x = np.asarray(x, dtype=complex)
-    *_, flowed = _advance(cs.generator,
-                          (np.array(one_shot + first),
-                           np.array([0.0] * m + second)),
-                          np.broadcast_to(x, (2 * m, *x.shape)))
-    defects = np.array([cs.generator.w_norm(a - b)
-                        for a, b in zip(flowed[:m], flowed[m:])])
+    x, g = np.asarray(x, dtype=complex), cs.generator
+    flowed = _flow(g, np.array(one_shot + first),
+                   np.broadcast_to(x, (2 * m, *x.shape)))
+    twice = _flow(g, np.array(second), flowed[m:])
+    defects = np.array([g.w_norm(a - b) for a, b in zip(flowed[:m], twice)])
     return float(defects[0]) if r.ndim == 0 else defects.reshape(r.shape)
 
 
@@ -470,13 +455,15 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_E = _DP_B5 - _DP_B4
 
 
-def _dp_chains(i: int):
+def _dp_chains(a: list, i: int):
     """Yield each descending chain of stages (j1, ..., jm), j1 < i, with its
-    weight a[i, j1] a[j1, j2] ... a[j(m-1), jm]; the empty chain first."""
+    weight a[i][j1] a[j1][j2] ... a[j(m-1)][jm], a = _DP_A.tolist() (plain
+    floats walk faster than numpy scalars); the empty chain first."""
     yield (), 1.0
-    for j in np.flatnonzero(_DP_A[i, :i]):
-        for chain, w in _dp_chains(j):
-            yield (j,) + chain, _DP_A[i, j] * w
+    for j, a_ij in enumerate(a[i][:i]):
+        if a_ij:
+            for chain, w in _dp_chains(a, j):
+                yield (j,) + chain, a_ij * w
 
 
 def _dp_polynomial_table():
@@ -492,16 +479,17 @@ def _dp_polynomial_table():
     chains, so T @ exp(delta step csum) gives the coefficients of
     (qA)^0 ... (qA)^7 in both.
     """
-    rows = [list(_dp_chains(6)),
-            [((i,) + chain, _DP_E[i] * w) for i in np.flatnonzero(_DP_E)
-             for chain, w in _dp_chains(i)]]
+    a, c = _DP_A.tolist(), _DP_C.tolist()
+    rows = [list(_dp_chains(a, 6)),
+            [((i,) + chain, e_i * w) for i, e_i in enumerate(_DP_E.tolist())
+             if e_i for chain, w in _dp_chains(a, i)]]
     columns = list(dict.fromkeys(chain for row in rows for chain, _ in row))
     index = {chain: k for k, chain in enumerate(columns)}
     table = np.zeros((2, 8, len(columns)))
     for r, row in enumerate(rows):
         for chain, w in row:
             table[r, len(chain), index[chain]] = w
-    csum = np.array([_DP_C[list(chain)].sum() for chain in columns])
+    csum = np.array([sum(c[j] for j in chain) for chain in columns])
     return table, csum
 
 
@@ -528,9 +516,9 @@ def _rk45_advance(powers: np.ndarray, nu: float, delta: float, t: float,
     overflow.  Each attempted step is one polynomial in A: the Krylov block
     powers @ x, formed at the start and after each accepted step short of
     t_target (a rejected step reuses it), times _dp_coefficients, which
-    folds nu^m into the scalars; the block keeps x's dtype.  h is the step to try first; returns (x at t_target,
-    the step to try next), where a last step cut short at t_target hands on
-    the step it was cut from.  The error norm is the RMS of
+    folds nu^m into the scalars; the block keeps x's dtype.  h is the step
+    to try first; returns (x at t_target, the step to try next), where a
+    last step cut short at t_target hands on the step it was cut from.  The error norm is the RMS of
     |err| / (atol + rtol * max(|x|, |x_new|)); a non-finite error counts as
     a rejection at the smallest step factor, so a state that leaves double
     range ends in step-size underflow, with no RuntimeWarning.

@@ -1,8 +1,8 @@
 """Batched flows and the Laplacian battery on its three diagonals.
 
-A batch of times goes through the one stepper (semigroup._advance) as a
-stack of states with a vector of times per step.  Its dense flows come from
-one stacked expm call and are applied state by state, so every state of a
+A batch of times goes through one call of semigroup._flow as a stack of
+states with a vector of times, one per row.  Its dense flows come from one
+stacked expm call and are applied state by state, so every state of a
 batch carries the bits of a lone evolve_classical call.  The dissipativity
 margin and the resolvent products of a tridiagonal generator are read from
 its diagonals; here they are held against the dense oracles they replace.
@@ -18,7 +18,7 @@ from confsemi import (ConformableSemigroup, DriftDiffusionParams,
                       dirichlet_second_difference, dissipativity_margin,
                       evolve_classical, resolvent_bound_check)
 from confsemi import semigroup as sg
-from confsemi.semigroup import _MODE_PROBES, _RESOLVENT_PROBES, _advance
+from confsemi.semigroup import _MODE_PROBES, _RESOLVENT_PROBES, _flow
 from confsemi.suites import (_cascade3, _diag_complex, _diag_decay,
                              _nilpotent2, _nonnormal4)
 
@@ -37,7 +37,7 @@ def clamped_twin(n):
 GENERATORS = [_nilpotent2(), _diag_decay(), _diag_complex(), _cascade3(),
               _nonnormal4(), clamped_twin(64)]
 # five distinct nonzero times, a repeat and a zero: a repeat reuses its
-# flow, a zero copies
+# flow within the call, a zero copies
 TIMES = np.array([0.3, 1e-4, 0.0, 2.0, 0.3, 1.7, 0.05])
 
 
@@ -58,20 +58,20 @@ def test_batched_flows_equal_lone_flows_bit_for_bit(g):
 
 @pytest.mark.parametrize("g", GENERATORS, ids=lambda g: g.label)
 def test_stacked_steps_equal_lone_steps_bit_for_bit(g):
-    """two steps over a stack, one vector of times per step: each row ends
-    where two lone evolve_classical calls take its own state"""
+    """two _flow calls over a stack, one vector of times per call: each row
+    ends where two lone evolve_classical calls take its own state"""
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((len(TIMES), g.dim)) + 0.0j
     second = TIMES[::-1].copy()
-    *_, last = _advance(g, (TIMES, second), stack)
+    last = _flow(g, second, _flow(g, TIMES, stack))
     for row, s1, s2, x in zip(last, TIMES, second, stack):
         want = evolve_classical(g, float(s2), evolve_classical(g, float(s1), x))
         assert np.array_equal(row, want)
 
 
 def test_a_dense_batch_is_one_stacked_expm_per_step(monkeypatch):
-    """the distinct nonzero times of a step go to expm in one call, and a
-    later step reuses the flows of the times it repeats"""
+    """the distinct nonzero times of a _flow call go to expm in one call,
+    and the certified twin calls no expm"""
     calls = []
 
     def counting(matrix):
@@ -81,8 +81,9 @@ def test_a_dense_batch_is_one_stacked_expm_per_step(monkeypatch):
     monkeypatch.setattr(sg, "expm", counting)
     g = _nonnormal4()
     stack = np.ones((len(TIMES), 4), dtype=complex)
-    list(_advance(g, (TIMES, TIMES[::-1], 2.0 * TIMES), stack))
-    assert calls == [(5, 4, 4), (5, 4, 4)]
+    for times in (TIMES, TIMES[::-1], 2.0 * TIMES):
+        stack = _flow(g, times, stack)
+    assert calls == [(5, 4, 4), (5, 4, 4), (5, 4, 4)]
     calls.clear()
     twin = clamped_twin(64)
     evolve_classical(twin, TIMES, state(twin))

@@ -13,7 +13,7 @@ from confsemi import semigroup as sg
 from confsemi import (DriftDiffusionParams, GeneratorMatrix, Order,
                       evolve_classical, mild_solution_residuals,
                       taylor_matrix_exp)
-from confsemi.semigroup import (_DEFECT_ULPS, _advance,
+from confsemi.semigroup import (_DEFECT_ULPS, _flow,
                                 _tridiagonal_eigenpairs)
 from conftest import graded_pair
 
@@ -24,6 +24,15 @@ STEPS = np.diff([0.0, 0.25, 0.5, 1.0])
 def without_pairs(g):
     """g's entries and weight with no eigenpairs, which flow densely"""
     return GeneratorMatrix(g.entries, g.weight, g.label)
+
+
+def stepped(g, x):
+    """x after each of STEPS in turn, one _flow call per step"""
+    states = []
+    for step in STEPS:
+        x = _flow(g, step, x)
+        states.append(x)
+    return states
 
 
 def rel_gap(got, want):
@@ -57,8 +66,8 @@ def test_certified_flow_matches_expm_and_taylor(n, deltas, steps):
                                <= _DEFECT_ULPS * EPS * (n + 1))
         if not g.certified:
             assert b / a > 1.0 and condition > 16.0
-            for got, want in zip(_advance(g, STEPS, block),
-                                 _advance(without_pairs(g), STEPS, block)):
+            for got, want in zip(stepped(g, block),
+                                 stepped(without_pairs(g), block)):
                 assert np.array_equal(got, want)
             continue
         certified += 1
@@ -86,7 +95,7 @@ def test_eigenpairs_reproduce_the_entries():
 def test_mild_errors_match_the_dense_route():
     """with its pairs mild_bound calls no expm, and every error is that of
     the dense route within 1e-10 relative; the dense route makes one
-    exponential per distinct step"""
+    exponential per step, with no cache across steps"""
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.7))
     calls = []
 
@@ -100,11 +109,48 @@ def test_mild_errors_match_the_dense_route():
         assert calls == []
         mp.setattr(dd, "_tridiagonal_eigenpairs", lambda entries: None)
         dense = mild_solution_residuals(p, 128, (0.25, 0.5, 1.0))
-        assert len(calls) == 2     # one exponential per distinct step
+        assert len(calls) == 3     # one exponential per step
     assert fast["stencil_residual"] == dense["stencil_residual"]
     for got, want in zip(fast["records"], dense["records"]):
         assert got["bound"] == want["bound"]
         assert got["error"] == pytest.approx(want["error"], rel=1e-10)
+
+
+def eigenbasis_oracle(g, s, x):
+    """d V (exp(s lam) V^T (x / d)) for a real block x, written out"""
+    d = g.similarity[:, None]
+    return d * (g.eigvecs @ (np.exp(s * g.spectrum)[:, None]
+                             * (g.eigvecs.T @ (x / d))))
+
+
+def dense_oracle(g, s, x):
+    return expm(s * g.entries) @ x
+
+
+@pytest.mark.parametrize("route", ["eigenbasis", "dense"])
+def test_zero_and_repeated_steps_match_lone_oracle_flows(route):
+    """at t = 0, 0.25, 0.25, 1 every mild_bound error is, bit for bit, that
+    of a plain loop of lone oracle flows, the twin in its eigenbasis and
+    the graded operator in its eigenbasis or, with no pairs, by expm of
+    each step; a zero step leaves both states as they are, so the t = 0
+    error is exactly 0 and the repeated time repeats its error"""
+    p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "dense":
+            mp.setattr(dd, "_tridiagonal_eigenpairs", lambda entries: None)
+        out = mild_solution_residuals(p, 64, (0.0, 0.25, 0.25, 1.0))
+        g, twin, block, rows = graded_pair(p, 64)
+    assert twin.certified and g.certified == (route == "eigenbasis")
+    graded_flow = eigenbasis_oracle if route == "eigenbasis" else dense_oracle
+    graded, classical, want = block, block, []
+    for step in (0.0, 0.25, 0.0, 0.75):
+        if step:
+            graded = graded_flow(g, step, graded)
+            classical = eigenbasis_oracle(twin, step, classical)
+        want.append(float(np.max(np.abs((graded - classical)[rows]))))
+    errors = [rec["error"] for rec in out["records"]]
+    assert errors == want
+    assert errors[0] == 0.0 and errors[1] == errors[2] > 0.0
 
 
 # operators without pairs, and the certification gate ---------------------------
@@ -141,8 +187,8 @@ def test_perturbed_entry_fails_certification_and_flows_densely(n):
     bad = GeneratorMatrix(moved, g.weight, eigenpairs=(
         g.spectrum, g.eigvecs, g.similarity), eigenbasis_flow=True)
     assert not bad.certified and bad.spectral_defect > 1e3 * EPS * (n + 1)
-    want = list(_advance(without_pairs(bad), STEPS, block))
-    for got, dense in zip(_advance(bad, STEPS, block), want, strict=True):
+    want = stepped(without_pairs(bad), block)
+    for got, dense in zip(stepped(bad, block), want, strict=True):
         assert np.array_equal(got, dense)
     assert np.array_equal(want[0], expm(0.25 * moved) @ block)
 

@@ -1,5 +1,6 @@
 """Matrix evolution, the composed-clock family, and its generator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -304,7 +305,7 @@ def test_orbit_is_clock_free(monkeypatch, delta):
         raise AssertionError("the orbit consulted the flow or the clock")
 
     for owner, name in ((semigroup, "evolve_classical"),
-                        (semigroup, "_advance"), (semigroup, "expm"),
+                        (semigroup, "_flow"), (semigroup, "expm"),
                         (Order, "psi"), (Order, "psi_inv")):
         monkeypatch.setattr(owner, name, forbidden)
     got = [solve_conformable_ode(g, order, x0, 2.0, n_out=9)
@@ -444,6 +445,16 @@ def test_polynomial_table_is_the_dp5_stability_polynomial():
     assert np.all(np.abs(sums[1, :5]) <= bound[1, :5])
     assert sums[1, 5] != 0.0
     assert _DP_TABLE.shape == (2, 8, 124) and _DP_CSUM.shape == (124,)
+
+
+def test_polynomial_table_bits_are_pinned():
+    """the table and its node sums are pinned bit for bit, by the sha256 of
+    each array's bytes, so that the way the tableau is walked at import
+    cannot move an orbit record"""
+    assert hashlib.sha256(_DP_TABLE.tobytes()).hexdigest() == (
+        "a86658a5392df30302ffaad98b76c636262f52db98df8c99c07d26b9ce494870")
+    assert hashlib.sha256(_DP_CSUM.tobytes()).hexdigest() == (
+        "3c3282dd84389e4afd385348c5759e87d4acd068fdc0e76d8a6ccc4131694414")
 
 
 # continuity and contraction ----------------------------------------------------
