@@ -26,9 +26,10 @@ with eigenbasis_flow (the two clamped drift-diffusion operators) flows in
 its eigenbasis when certified,
 exp(sA) x = d * V (exp(s lam) * V^T (x / d)); every other one (the
 fixtures, the Dirichlet Laplacian among them, an operator whose
-similarity is too ill-conditioned) flows by scipy's expm on the entries,
-the scaling and squaring of Al-Mohy and Higham (SIMAX 31, 2009), one
-stacked call for all the times of a call.  A state that would leave
+similarity is too ill-conditioned) flows by expm on the entries, the
+batched scaling and squaring of Al-Mohy and Higham (SIMAX 31, 2009) in
+_expm, one stacked call for all the times of a call and one stacked
+product with their states.  A state that would leave
 double range raises FloatingPointError instead.  The resolvent and
 contraction bounds need d = 1: S(t) = exp(psi(t) A) is the classical flow
 on a new clock, so for a symmetric A its norm is max_k exp(psi(t) lam_k)
@@ -46,9 +47,9 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg import (bandwidth, eigh_tridiagonal, eigvalsh_tridiagonal,
-                          expm)
+from scipy.linalg import bandwidth, eigh_tridiagonal, eigvalsh_tridiagonal
 
+from ._expm import expm
 from .clock import Order
 
 __all__ = [
@@ -78,8 +79,9 @@ class GeneratorMatrix:
     all vector norms alike, so an operator norm in it is the Euclidean one.
 
     Real entries are stored as float64 and complex entries as complex128, so
-    real generators run expm in real arithmetic.  State vectors stay
-    complex; a real matrix applied to one gives the same flow.
+    the dense flow of a real generator is exponentiated in real arithmetic
+    (expm keeps the dtype of its stack).  State vectors stay complex; a
+    real matrix applied to one gives the same flow.
 
     eigenpairs, when given, is (lam, V, d): real eigenvalues, an orthogonal
     V and a positive diagonal similarity d with A = D V diag(lam) V^T D^-1,
@@ -295,25 +297,34 @@ def _flow(g: GeneratorMatrix, s, x: np.ndarray) -> np.ndarray:
 
     A real x under a real A stays real.  The flow runs in g's eigenbasis
     when g asks for that (eigenbasis_flow) and its eigenpairs are
-    certified, one _eigenbasis_flow per time; else by scipy's dense expm
-    (any square A), one stacked call over the distinct nonzero times.  Each
-    flow applies to its own state, so a row of a stack gets the bits a lone
+    certified, one _eigenbasis_flow per time; else by the batched dense
+    expm (any square A): one stacked call over the distinct nonzero times,
+    and one stacked product of those flows with their states.  Each flow
+    applies to its own state, so a row of a stack gets the bits a lone
     state would.  A zero time leaves a copy.  Raises FloatingPointError,
     with no RuntimeWarning before it, instead of returning a non-finite
     state.
     """
     times = np.ravel(s).tolist()
-    eigenbasis = g.eigenbasis_flow and g.certified
-    new = [] if eigenbasis else [t for t in dict.fromkeys(times) if t != 0.0]
+    rows = x if np.ndim(s) else x[None]
+    moving = [i for i, t in enumerate(times) if t != 0.0]
+    out = rows.copy()
     # refused below, not warned of (_eigenbasis_flow sets its own state)
     with np.errstate(over="ignore", invalid="ignore"):
-        flows = (dict(zip(new, expm(np.array(new)[:, None, None] * g.entries)))
-                 if new else {})
-        states = [state.copy() if t == 0.0
-                  else _eigenbasis_flow(g, t, state) if eigenbasis
-                  else flows[t] @ state
-                  for t, state in zip(times, x if np.ndim(s) else [x])]
-    x = np.stack(states) if np.ndim(s) else states[0]
+        if g.eigenbasis_flow and g.certified:
+            for i in moving:
+                out[i] = _eigenbasis_flow(g, times[i], rows[i])
+        elif moving:
+            new = {t: k for k, t in enumerate(
+                dict.fromkeys(times[i] for i in moving))}
+            flows = expm(np.array(list(new))[:, None, None] * g.entries)
+            if len(new) < len(moving):
+                flows = flows[[new[times[i]] for i in moving]]
+            states = rows[moving]
+            out = out.astype(np.result_type(flows, out), copy=False)
+            out[moving] = (flows @ states[..., None])[..., 0] \
+                if states.ndim == 2 else flows @ states
+    x = out if np.ndim(s) else out[0]
     if not np.all(np.isfinite(x)):
         raise FloatingPointError(
             f"evolution produced non-finite state at s={s}")
@@ -374,7 +385,9 @@ def delta_law_residual(cs: ConformableSemigroup, r, q, x: np.ndarray):
     flowed = _flow(g, np.array(one_shot + first),
                    np.broadcast_to(x, (2 * m, *x.shape)))
     twice = _flow(g, np.array(second), flowed[m:])
-    defects = np.array([g.w_norm(a - b) for a, b in zip(flowed[:m], twice)])
+    gaps = np.abs(flowed[:m] - twice) ** 2
+    defects = np.sqrt(np.sum(g.weight * gaps,
+                             axis=tuple(range(1, gaps.ndim))))
     return float(defects[0]) if r.ndim == 0 else defects.reshape(r.shape)
 
 

@@ -124,7 +124,7 @@ def eigenbasis_oracle(g, s, x):
 
 
 def dense_oracle(g, s, x):
-    return expm(s * g.entries) @ x
+    return sg.expm(s * g.entries) @ x
 
 
 @pytest.mark.parametrize("route", ["eigenbasis", "dense"])
@@ -190,7 +190,7 @@ def test_perturbed_entry_fails_certification_and_flows_densely(n):
     want = stepped(without_pairs(bad), block)
     for got, dense in zip(stepped(bad, block), want, strict=True):
         assert np.array_equal(got, dense)
-    assert np.array_equal(want[0], expm(0.25 * moved) @ block)
+    assert np.array_equal(want[0], sg.expm(0.25 * moved) @ block)
 
     p = DriftDiffusionParams(1.0, 1.0, 0.4, Order(0.5))
 

@@ -524,7 +524,7 @@ def test_closed_form_flow_matches_plain_expm(n):
             assert gap <= 32.0 * EPS * (n + 1) ** 2, (s, gap)
         eye = np.eye(n, dtype=complex)
         assert np.array_equal(evolve_classical(g, s, eye),
-                              expm(s * g.entries) @ eye)
+                              semigroup.expm(s * g.entries) @ eye)
 
 
 @pytest.mark.parametrize("n", ORACLE_NS)

@@ -1,9 +1,9 @@
 """The dense exponential route of evolve_classical against the oracles.
 
-A generator without eigenpairs flows by scipy's expm, the scaling and
-squaring of Al-Mohy and Higham: evolve_classical must return expm(sA) x
-bit for bit, and agree with the in-repo series oracle taylor_matrix_exp
-where that oracle is affordable (n <= 32).
+A generator without eigenpairs flows by semigroup.expm, the batched
+scaling and squaring of Al-Mohy and Higham: evolve_classical must return
+semigroup.expm(sA) x bit for bit, and agree with the in-repo series oracle
+taylor_matrix_exp where that oracle is affordable (n <= 32).
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from scipy.linalg import expm
 from confsemi import (DriftDiffusionParams, GeneratorMatrix, Order,
                       dirichlet_second_difference, evolve_classical,
                       mild_solution_residuals, taylor_matrix_exp)
+from confsemi import semigroup as sg
 from conftest import graded_pair
 
 
@@ -27,8 +28,8 @@ def dense_flow(matrix, s=1.0):
 
 def assert_matches_oracles(matrix, s):
     got = dense_flow(matrix, s)
-    assert np.array_equal(got, expm(s * matrix) @ np.eye(len(matrix),
-                                                           dtype=complex))
+    assert np.array_equal(got, sg.expm(s * matrix) @ np.eye(len(matrix),
+                                                              dtype=complex))
     if matrix.shape[0] <= 32:
         want = taylor_matrix_exp(s * matrix)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -70,7 +71,7 @@ def test_drift_diffusion_pair_matches_oracles(name, matrix, step):
 @pytest.mark.parametrize("n", [16, 32, 96])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_random_dense_matches_oracles(n, dtype):
-    """1-norm 30, so scipy scales and squares"""
+    """1-norm 30, so the kernel scales and squares"""
     rng = np.random.default_rng(n)
     matrix = rng.standard_normal((n, n)).astype(dtype)
     if dtype is complex:
@@ -93,18 +94,18 @@ def upper_bidiagonal(n):
     upper_bidiagonal(64).T,
 ], ids=["nilpotent", "diag", "diag_complex", "nonnormal4", "upper", "lower"])
 def test_triangular_input_keeps_expm_bitwise(matrix):
-    """the semigroup suite's fixtures are triangular; their flow is expm's,
-    which squares triangular input with the exact diagonal"""
-    assert np.array_equal(dense_flow(matrix), expm(matrix))
+    """the semigroup suite's fixtures are triangular; their flow is
+    semigroup.expm's, which squares triangular input with the exact diagonal"""
+    assert np.array_equal(dense_flow(matrix), sg.expm(matrix))
 
 
 def test_evolution_uses_plain_expm():
-    """a generator without eigenpairs flows by expm, bit for bit, at a step
-    where scipy squares (1-norm 0.05 * 4 * 65**2 = 845)"""
+    """a generator without eigenpairs flows by semigroup.expm, bit for bit,
+    at a step where it squares (1-norm 0.05 * 4 * 65**2 = 845)"""
     g = GeneratorMatrix(dirichlet_second_difference(64).entries, 1.0 / 65)
     x = np.sin(np.arange(1, 65) * np.pi / 65).astype(complex)
     assert np.array_equal(evolve_classical(g, 0.05, x),
-                          expm(0.05 * g.entries) @ x)
+                          sg.expm(0.05 * g.entries) @ x)
 
 
 @pytest.mark.parametrize("n", [64, 256])

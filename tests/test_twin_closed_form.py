@@ -11,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from confsemi import drift_diffusion as dd
+from confsemi import semigroup as sg
 from confsemi import suites
 from confsemi import (ConformableSemigroup, DriftDiffusionParams,
                       GeneratorMatrix, GridPair, Order,
@@ -39,7 +40,7 @@ def rel_gap(got, want):
 
 def dense(g, s, x):
     """the dense route of evolve_classical"""
-    return expm(s * g.entries) @ x
+    return sg.expm(s * g.entries) @ x
 
 
 # agreement with the dense oracles ---------------------------------------------
