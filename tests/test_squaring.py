@@ -2,8 +2,10 @@
 
 A generator without eigenpairs flows by semigroup.expm, the batched
 scaling and squaring of Al-Mohy and Higham: evolve_classical must return
-semigroup.expm(sA) x bit for bit, and agree with the in-repo series oracle
-taylor_matrix_exp where that oracle is affordable (n <= 32).
+semigroup.expm(sA) x bit for bit, agree with scipy.linalg.expm at every
+size within a bound set by the exponential's conditioning, and agree
+within 1e-12 relative with the in-repo series oracle taylor_matrix_exp
+where that oracle is affordable (n <= 32).
 """
 
 import numpy as np
@@ -26,10 +28,19 @@ def dense_flow(matrix, s=1.0):
     return evolve_classical(g, s, np.eye(n))
 
 
+def assert_near(got, want, sa):
+    """got within 8 n eps max(1, ||sA||_1) of scipy's want, relative to its
+    largest entry: test_referee holds each of the two kernels to half that
+    from the truth, a bound set by the exponential's conditioning"""
+    bound = 8 * len(sa) * np.finfo(float).eps * max(1.0, np.linalg.norm(sa, 1))
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
 def assert_matches_oracles(matrix, s):
     got = dense_flow(matrix, s)
     assert np.array_equal(got, sg.expm(s * matrix) @ np.eye(len(matrix),
                                                               dtype=complex))
+    assert_near(got, expm(s * matrix), s * matrix)
     if matrix.shape[0] <= 32:
         want = taylor_matrix_exp(s * matrix)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -96,7 +107,9 @@ def upper_bidiagonal(n):
 def test_triangular_input_keeps_expm_bitwise(matrix):
     """the semigroup suite's fixtures are triangular; their flow is
     semigroup.expm's, which squares triangular input with the exact diagonal"""
-    assert np.array_equal(dense_flow(matrix), sg.expm(matrix))
+    got = dense_flow(matrix)
+    assert np.array_equal(got, sg.expm(matrix))
+    assert_near(got, expm(matrix), matrix)
 
 
 def test_evolution_uses_plain_expm():
@@ -104,8 +117,9 @@ def test_evolution_uses_plain_expm():
     at a step where it squares (1-norm 0.05 * 4 * 65**2 = 845)"""
     g = GeneratorMatrix(dirichlet_second_difference(64).entries, 1.0 / 65)
     x = np.sin(np.arange(1, 65) * np.pi / 65).astype(complex)
-    assert np.array_equal(evolve_classical(g, 0.05, x),
-                          sg.expm(0.05 * g.entries) @ x)
+    got = evolve_classical(g, 0.05, x)
+    assert np.array_equal(got, sg.expm(0.05 * g.entries) @ x)
+    assert_near(got, expm(0.05 * g.entries) @ x, 0.05 * g.entries)
 
 
 @pytest.mark.parametrize("n", [64, 256])

@@ -4,9 +4,11 @@ semigroup.expm takes a whole (m, n, n) stack at once.  Each slice's Pade
 degree and squarings depend on that slice alone, so a slice of a mixed
 stack must equal the lone call bit for bit; a diagonal slice is exp of its
 diagonal, as scipy.linalg.expm returns it; a triangular slice keeps exact
-zeros outside its triangle and exp(s a_ii) on its diagonal; and an
-overflowing slice comes back non-finite without a warning, for _flow to
-refuse.
+zeros outside its triangle and exp(s a_ii) on its diagonal; the entries
+the squarings drop as negligible (below 2^-511 and 2^-80 of the slice's
+largest) cost no accuracy, neither where an exponential decays away from a
+band nor where a whole slice is small; and an overflowing slice comes back
+non-finite without a warning, for _flow to refuse.
 """
 
 import warnings
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from confsemi import GeneratorMatrix, evolve_classical, taylor_matrix_exp
+from confsemi import (GeneratorMatrix, dirichlet_second_difference,
+                      evolve_classical, taylor_matrix_exp)
 from confsemi import semigroup as sg
 from confsemi.semigroup import _flow
 
@@ -89,6 +92,41 @@ def test_triangle_keeps_exact_zeros_and_diagonal(s, lower):
     assert np.array_equal(np.diag(got), np.exp(s * np.diag(a)))
     want = scipy_expm(s * a)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def conditioning_bound(sa):
+    """4 n eps max(1, ||sA||_1), the relative error test_referee allows"""
+    return 4 * len(sa) * np.finfo(float).eps * max(1.0, np.linalg.norm(sa, 1))
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.05])
+def test_banded_decay_matches_the_spectral_formula(s):
+    """exp(sL) of the Dirichlet Laplacian decays away from its band: at
+    n = 192 the squarings drop thousands of entries at each of their first
+    levels; the sine eigenpairs give the flow in closed form"""
+    n = 192
+    lap = dirichlet_second_difference(n).entries
+    k = np.arange(1, n + 1)
+    lam = -4.0 * lap[0, 1] * np.sin(k * np.pi / (2 * (n + 1))) ** 2
+    q = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) * np.pi / (n + 1))
+    want = (q * np.exp(s * lam)) @ q.T
+    got = sg.expm(s * lap)
+    assert (np.max(np.abs(got - want))
+            <= conditioning_bound(s * lap) * np.max(np.abs(want)))
+
+
+def test_small_slice_keeps_its_entries():
+    """exp(A - 700 I) = e^-700 exp(A), entries 2e-306 to 1e-304: the
+    matrix the last squaring takes peaks near 1e-152, and its entries below
+    2^-511 stay, as they are not below 2^-80 of that peak"""
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6))
+    a /= np.linalg.norm(a, 1)
+    shifted = a - 700.0 * np.eye(6)
+    got = sg.expm(shifted)
+    want = np.exp(-700.0) * sg.expm(a)
+    assert (np.max(np.abs(got - want))
+            <= conditioning_bound(shifted) * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("dtype, want", [(float, np.float64),
