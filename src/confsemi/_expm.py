@@ -8,9 +8,11 @@ from the exact 1-norms of the powers A^4, A^6 and A^8 the evaluation forms
 (||A^10|| is bounded by ||A^4|| ||A^6||), ell(A, m) guarding against
 nonnormality, and for degree 13 the fewest squarings s those norms allow.
 Every slice advances at once, through batched numpy operations: stacked
-matrix products, one np.linalg.solve over the stack, and squarings of the
-slices that still need them.  Each slice's degree and s depend on that
-slice alone, so a slice of a stack gets the bits it would get alone.
+matrix products, one np.linalg.solve over the stack, and squarings by
+level, from max(s) - 1 down to 0, where level i squares the slices with
+s > i in their stack order (the whole stack while every slice does).
+Each slice's degree and s depend on that slice alone, so a slice of a
+stack gets the bits it would get alone, wherever it sits in the stack.
 Before each squaring, entries below both 2^-511 and 2^-80 of their slice's
 largest are set to zero, which keeps the products of the squarings out of
 the slow subnormal range where an exponential decays away from a band.
@@ -104,8 +106,6 @@ def expm(a) -> np.ndarray:
     diagonal = upper & lower
     step = max(1, _CHUNK // (n * n))
     with np.errstate(all="ignore"):
-        if len(a) <= step and not diagonal.any():
-            return _scale_and_square(a, upper, lower).reshape(shape)
         out = np.empty_like(a)
         if diagonal.any():
             out[diagonal] = 0.0
@@ -186,39 +186,35 @@ def _scale_and_square(a: np.ndarray, upper: np.ndarray,
     u, v = powers[:, 5] @ uv[:, 0], uv[:, 1]
     x = np.linalg.solve(v - u, v + u)
 
-    # square the slices with most squarings first, so that at each level
-    # the ones still squaring lead the stack; t are the triangular ones,
-    # whose diagonal and superdiagonal are rewritten at every level
-    order = (np.argsort(-s, kind="stable")
-             if k > 1 and (s[1:] > s[:-1]).any() else slice(None))
-    x, s, a = x[order], s[order], a[order]
-    active = np.searchsorted(-s, -np.arange(s[0]), side="left")
-    t = np.flatnonzero((upper | lower)[order])
+    # at level i (from max(s) - 1 down to 0) the slices with s > i square,
+    # in stack order: the whole stack as a view while every slice squares,
+    # else those slices by index; t are the triangular slices, whose
+    # diagonal and superdiagonal are rewritten wherever they squared
+    t = np.flatnonzero(upper | lower)
     if len(t):
         _, strict_lower, where = _layout(n)
         x[t] = np.where(strict_lower, 0.0, x[t])
-        fragment = _fragment(a[t], s[0])
+        fragment = _fragment(a[t], s.max())
         x.reshape(k, n * n)[t[:, None], where] = fragment[np.arange(len(t)),
                                                           s[t]]
-        fixed = np.searchsorted(t, active)
-    for i in range(s[0] - 1, -1, -1):
+    for i in range(s.max() - 1, -1, -1):
+        squares = s > i
+        whole = squares.all()
         # entries below 2^-511 and below 2^-80 of the slice's largest are
         # set to zero: products of the rest stay out of the subnormal range,
         # whose arithmetic is many times slower, and no slice moves by more
         # than n 2^-80 of its 1-norm, far under the squaring's own rounding
-        y = x[:active[i]]
+        y = x if whole else x[squares]
         mag = np.abs(y)
         np.putmask(y, mag < np.minimum(2.0 ** -511, 2.0 ** -80 * mag.max(
             axis=(1, 2)))[:, None, None], 0.0)
-        if active[i] == k:
-            x = x @ x
+        if whole:
+            x = y @ y
         else:
-            x[:active[i]] = y @ y
+            x[squares] = y @ y
         if len(t):
-            x.reshape(k, n * n)[t[:fixed[i], None], where] = fragment[
-                :fixed[i], i]
-    if not isinstance(order, slice):
-        x[order] = x.copy()
+            x.reshape(k, n * n)[t[squares[t], None], where] = fragment[
+                squares[t], i]
     if not all_finite:
         x[~finite] = np.nan
     return np.where(lower[:, None, None], x.swapaxes(1, 2), x) if flip else x

@@ -298,8 +298,9 @@ def _flow(g: GeneratorMatrix, s, x: np.ndarray) -> np.ndarray:
     A real x under a real A stays real.  The flow runs in g's eigenbasis
     when g asks for that (eigenbasis_flow) and its eigenpairs are
     certified, one _eigenbasis_flow per time; else by the batched dense
-    expm (any square A): one stacked call over the distinct nonzero times,
-    and one stacked product of those flows with their states.  Each flow
+    expm (any square A): one stacked call over the distinct nonzero times
+    (np.unique, which also maps each state to its time's flow), and one
+    stacked product of those flows with their states.  Each flow
     applies to its own state, so a row of a stack gets the bits a lone
     state would.  A zero time leaves a copy.  Raises FloatingPointError,
     with no RuntimeWarning before it, instead of returning a non-finite
@@ -315,11 +316,9 @@ def _flow(g: GeneratorMatrix, s, x: np.ndarray) -> np.ndarray:
             for i in moving:
                 out[i] = _eigenbasis_flow(g, times[i], rows[i])
         elif moving:
-            new = {t: k for k, t in enumerate(
-                dict.fromkeys(times[i] for i in moving))}
-            flows = expm(np.array(list(new))[:, None, None] * g.entries)
-            if len(new) < len(moving):
-                flows = flows[[new[times[i]] for i in moving]]
+            new, which = np.unique([times[i] for i in moving],
+                                   return_inverse=True)
+            flows = expm(new[:, None, None] * g.entries)[which]
             states = rows[moving]
             out = out.astype(np.result_type(flows, out), copy=False)
             out[moving] = (flows @ states[..., None])[..., 0] \
@@ -531,17 +530,20 @@ def _rk45_advance(powers: np.ndarray, nu: float, delta: float, t: float,
     t_target (a rejected step reuses it), times _dp_coefficients, which
     folds nu^m into the scalars; the block keeps x's dtype.  h is the step
     to try first; returns (x at t_target, the step to try next), where a
-    last step cut short at t_target hands on the step it was cut from.  The error norm is the RMS of
-    |err| / (atol + rtol * max(|x|, |x_new|)); a non-finite error counts as
-    a rejection at the smallest step factor, so a state that leaves double
-    range ends in step-size underflow, with no RuntimeWarning.
+    last step cut short at t_target hands on the step it was cut from.  The
+    error norm is the RMS of |err| / (atol + rtol * max(|x|, |x_new|)); a
+    non-finite error counts as a rejection at the smallest step factor, so
+    a state that leaves double range ends in step-size underflow, with no
+    RuntimeWarning.  t is ln of the orbit's time, so the FloatingPointError
+    of a step-size underflow or of an exhausted step budget names exp(t).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         krylov = powers @ x
         steps = 0
         while t < t_target:
             if h < 1e-14 * abs(t):
-                raise FloatingPointError(f"step size underflow at t={t}")
+                raise FloatingPointError(
+                    f"step size underflow at t={math.exp(t)}")
             last = h >= t_target - t
             step = t_target - t if last else h
             x_new, err_vec = _dp_coefficients(
@@ -560,7 +562,8 @@ def _rk45_advance(powers: np.ndarray, nu: float, delta: float, t: float,
                 h = step * factor
             steps += 1
             if steps > _RK45_MAX_STEPS:
-                raise FloatingPointError(f"step budget exhausted at t={t}")
+                raise FloatingPointError(
+                    f"step budget exhausted at t={math.exp(t)}")
     return x, h
 
 
@@ -602,12 +605,7 @@ def solve_conformable_ode(g: GeneratorMatrix, delta: Order, x0: np.ndarray,
         target = math.log(t) if t > 0.0 else -math.inf
         if target > tau:
             h = h or (target - tau) / 100.0
-            try:
-                x, h = _rk45_advance(powers, nu, d, tau, x, target, h, rtol,
-                                     atol)
-            except FloatingPointError as exc:  # the stepper names tau
-                head, at = str(exc).rsplit("t=", 1)
-                raise FloatingPointError(f"{head}t={math.exp(float(at))}") from exc
+            x, h = _rk45_advance(powers, nu, d, tau, x, target, h, rtol, atol)
             tau = target
         states.append(x.astype(complex))
     norms = np.array([g.w_norm(s) for s in states])

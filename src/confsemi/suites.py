@@ -4,7 +4,8 @@ Every check follows the same discipline: compute a residual by two genuinely
 different routes (closed form vs numeric, package rule vs independent rule,
 graded vs uniform), normalize it, and record it against the configured
 tolerance.  Seeds fix all randomness, so one configuration yields one byte
-stream of results.
+stream of results at one BLAS thread count; on another, an LU solve or a
+product of order 100 or more may round differently (README, Outputs).
 
 A suite is a generator that yields each check as a tuple
 (check_id, params, residual, tolerance).  Library checks only measure: they

@@ -362,7 +362,8 @@ def stage_block_advance(rhs, t, x, t_target, h, rtol, atol):
         steps = 0
         while t < t_target:
             if h < 1e-14 * abs(t):
-                raise FloatingPointError(f"step size underflow at t={t}")
+                raise FloatingPointError(
+                    f"step size underflow at t={math.exp(t)}")
             last = h >= t_target - t
             step = t_target - t if last else h
             for i in range(1, 7):
@@ -382,7 +383,8 @@ def stage_block_advance(rhs, t, x, t_target, h, rtol, atol):
                 h = step * factor
             steps += 1
             if steps > _RK45_MAX_STEPS:
-                raise FloatingPointError(f"step budget exhausted at t={t}")
+                raise FloatingPointError(
+                    f"step budget exhausted at t={math.exp(t)}")
     return x, h, steps
 
 

@@ -45,11 +45,15 @@ def mixed_stack(n, dtype, seed=0):
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [2, 3, 4, 17, 40])
 def test_stack_slices_equal_lone_calls_bit_for_bit(n, dtype):
-    stack = mixed_stack(n, dtype)
-    got = sg.expm(stack)
-    for k, a in enumerate(stack):
-        assert np.array_equal(got[k], sg.expm(a[None])[0]), k
-        assert np.array_equal(got[k], sg.expm(a))
+    """the stack ascends in 1-norm, so its squaring counts ascend too; the
+    reversed stack and a shuffle square them in descending and mixed order"""
+    ascending = mixed_stack(n, dtype)
+    shuffle = np.random.default_rng(5).permutation(len(ascending))
+    for stack in (ascending, ascending[::-1], ascending[shuffle]):
+        got = sg.expm(stack)
+        for k, a in enumerate(stack):
+            assert np.array_equal(got[k], sg.expm(a[None])[0]), k
+            assert np.array_equal(got[k], sg.expm(a))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
