@@ -38,7 +38,10 @@ class FunctionHandle:
     """A scalar function with optional analytic derivatives.
 
     The evaluator (and derivatives, when present) must accept a float or a
-    numpy array and be re-entrant.  Values may be complex.
+    numpy array of any shape, act elementwise and be re-entrant: the limit
+    quotient evaluates a whole table of points in one call, and a stacked
+    `WeightedQuadrature` passes its nodes with their leading axes.  Values
+    may be complex.
     """
 
     evaluator: Callable
@@ -77,22 +80,33 @@ class WeightedQuadrature:
     weights: np.ndarray
 
     @classmethod
-    def build(cls, delta: Order, a: float, b: float, panels: int = 12,
+    def build(cls, delta: Order, a: float, b, panels: int = 12,
               points_per_panel: int = 16) -> "WeightedQuadrature":
-        if not (0.0 <= a < b):
+        """The rule on (a, b); an array b of right ends gives a stack of
+        rules whose nodes and weights carry b's shape as leading axes.
+
+        Each psi(b) is taken as a Python float, so a stacked rule equals its
+        rows bit for bit.
+        """
+        ends = np.asarray(b, dtype=float)
+        if not (0.0 <= a and np.all(a < ends)):
             raise ValueError(f"need 0 <= a < b, got ({a}, {b})")
         if panels < 1 or points_per_panel < 2:
             raise ValueError("panels >= 1 and points_per_panel >= 2 required")
-        lo, hi = delta.psi(a), delta.psi(b)
+        lo = delta.psi(a)
+        hi = np.array([delta.psi(end) for end in ends.ravel().tolist()]
+                      ).reshape(ends.shape)
         ref_x, ref_w = _gauss_legendre(points_per_panel)
-        edges = np.linspace(lo, hi, panels + 1)
+        edges = np.linspace(lo, hi, panels + 1, axis=-1)
         if lo == 0.0:
-            graded = edges[1] * 2.0 ** (-np.arange(cls.GRADE_DEPTH, -1, -1.0))
-            edges = np.concatenate(([0.0], graded, edges[2:]))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * np.diff(edges)
-        nodes = (mids[:, None] + halves[:, None] * ref_x[None, :]).ravel()
-        weights = (halves[:, None] * ref_w[None, :]).ravel()
+            graded = edges[..., 1:2] * 2.0 ** (-np.arange(cls.GRADE_DEPTH, -1, -1.0))
+            edges = np.concatenate((edges[..., :1], graded, edges[..., 2:]),
+                                   axis=-1)
+        mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+        halves = 0.5 * np.diff(edges, axis=-1)
+        nodes = (mids[..., None] + halves[..., None] * ref_x).reshape(
+            ends.shape + (-1,))
+        weights = (halves[..., None] * ref_w).reshape(ends.shape + (-1,))
         return cls(delta=delta, interval=(a, b), nodes=nodes, weights=weights)
 
     def t_nodes(self) -> np.ndarray:
@@ -122,30 +136,42 @@ def conf_derivative(f: FunctionHandle, delta: Order, t):
 _LIMIT_H_MIN = 1e-6
 
 
-def conf_derivative_limit(f: FunctionHandle, delta: Order, t: float):
-    """The defining stretched difference quotient, Richardson-extrapolated.
+def conf_derivative_limit(f: FunctionHandle, delta: Order, t):
+    """The defining stretched difference quotient, Richardson-extrapolated,
+    at a float or elementwise on an array t > 0.
 
     Quotients are taken over h = h0 * 2**-k down to _LIMIT_H_MIN = 1e-6
-    (h0 = 1e-2); a two-column Richardson step removes the leading O(h) error.
-    Declared convergent when two successive extrapolants differ by < 1e-8
-    relative.
+    (h0 = 1e-2, 15 steps); a two-column Richardson step removes the leading
+    O(h) error.  f is evaluated once, at every t and all of its steps
+    together.  Each t stops where two successive extrapolants differ by
+    < 1e-8 relative; ConvergenceError names the first t whose sequence
+    diverges instead.
     """
-    if t <= 0.0:
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0.0):
         raise ValueError(f"limit quotient needs t > 0, got {t}")
     d = delta.delta
-    stretch = float(pow_arr(t, 1.0 - d))
-    f_t = f.evaluator(t)
+    steps = [1e-2]
+    while steps[-1] >= _LIMIT_H_MIN:
+        steps.append(steps[-1] / 2.0)
+    flat = ts.reshape(-1, 1)
+    points = np.concatenate(
+        (flat, flat + np.array(steps) * pow_arr(flat, 1.0 - d)), axis=1)
+    values = np.broadcast_to(np.asarray(f.evaluator(points)), points.shape)
+    rises = (values[:, 1:] - values[:, :1]).tolist()
+    limits = [_richardson(rise, steps, t_k, d)
+              for rise, t_k in zip(rises, flat[:, 0].tolist())]
+    return np.array(limits).reshape(ts.shape)[()]
 
-    def quotient(h: float):
-        return (f.evaluator(t + h * stretch) - f_t) / h
 
-    h = 1e-2
-    q_prev = quotient(h)
+def _richardson(rises: list, steps: list, t: float, d: float):
+    """The limit of one t's quotients rise / h under halving steps h, in
+    Python scalars."""
+    q_prev = rises[0] / steps[0]
     extrapolants = []
     deltas = []
-    while h >= _LIMIT_H_MIN:
-        h /= 2.0
-        q = quotient(h)
+    for rise, h in zip(rises[1:], steps[1:]):
+        q = rise / h
         r = 2.0 * q - q_prev  # cancels the O(h) term under halving
         if extrapolants:
             deltas.append(abs(r - extrapolants[-1]))
@@ -165,8 +191,14 @@ def conf_derivative_limit(f: FunctionHandle, delta: Order, t: float):
 
 def conf_integral(f: FunctionHandle, quad: WeightedQuadrature):
     """Integral of f against the weight xi**(delta-1) over the rule's
-    interval, evaluated entirely in the substituted variable."""
-    return complex(np.sum(quad.weights * np.asarray(f.evaluator(quad.t_nodes()))))
+    interval, evaluated entirely in the substituted variable.
+
+    Reduces over the last axis: one rule gives a complex, and a stacked
+    rule, or an evaluator returning a stack of rows, gives a complex array.
+    """
+    total = np.sum(quad.weights * np.asarray(f.evaluator(quad.t_nodes())),
+                   axis=-1)
+    return total.astype(complex) if total.ndim else complex(total)
 
 
 def conf_derivative_iterated(f: FunctionHandle, delta: Order, k: int, t):

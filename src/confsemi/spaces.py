@@ -38,28 +38,40 @@ def _check_rule(p: float, quad: WeightedQuadrature) -> None:
 
 
 def lp_delta_norm(f: FunctionHandle, p: float,
-                  quad: WeightedQuadrature) -> float:
-    """Weighted p-norm (integral of |f|**p against t**(delta-1) dt)**(1/p)."""
+                  quad: WeightedQuadrature):
+    """Weighted p-norm (integral of |f|**p against t**(delta-1) dt)**(1/p).
+
+    Reduces over the last axis: an evaluator returning a (k, m) stack at
+    the rule's m nodes gives k norms.  Each root is taken as a Python float
+    power, so a stack equals its rows bit for bit.
+    """
     _check_rule(p, quad)
     vals = np.abs(np.asarray(f.evaluator(quad.t_nodes())))
-    total = float(np.sum(quad.weights * vals ** p))
-    if not np.isfinite(total):
+    total = np.sum(quad.weights * vals ** p, axis=-1)
+    if not np.all(np.isfinite(total)):
         raise FloatingPointError("non-finite integrand sample in norm")
-    return total ** (1.0 / p)
+    if total.ndim == 0:
+        return float(total) ** (1.0 / p)
+    return np.array([row ** (1.0 / p) for row in total.ravel().tolist()]
+                    ).reshape(total.shape)
 
 
 def inner_product_2delta(f: FunctionHandle, g: FunctionHandle,
-                         quad: WeightedQuadrature) -> complex:
+                         quad: WeightedQuadrature):
     """Sesquilinear weighted pairing of the p=2 space; second argument is
-    conjugated."""
+    conjugated.
+
+    Reduces over the last axis like `lp_delta_norm`: one pairing gives a
+    complex, and stacked evaluators give a complex array.
+    """
     _check_rule(2.0, quad)
     t = quad.t_nodes()
     fv = np.asarray(f.evaluator(t))
     gv = np.asarray(g.evaluator(t))
-    total = complex(np.sum(quad.weights * fv * np.conjugate(gv)))
-    if not np.isfinite(total.real) or not np.isfinite(total.imag):
+    total = np.sum(quad.weights * fv * np.conjugate(gv), axis=-1)
+    if not np.all(np.isfinite(total)):
         raise FloatingPointError("non-finite integrand sample in pairing")
-    return total
+    return total.astype(complex) if total.ndim else complex(total)
 
 
 def pullback(order: Order, f: FunctionHandle) -> FunctionHandle:

@@ -21,9 +21,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .calculus import (FunctionHandle, WeightedQuadrature, conf_derivative,
-                       conf_derivative_iterated, conf_derivative_limit,
-                       conf_integral)
+from .calculus import (FunctionHandle, WeightedQuadrature, _gauss_legendre,
+                       conf_derivative, conf_derivative_iterated,
+                       conf_derivative_limit, conf_integral)
 from .clock import Order, pow_arr
 from .config import SUITE_NAMES, WEIGHT_IDS, RunConfig
 from .drift_diffusion import (DriftDiffusionParams, EigenfunctionFamily,
@@ -176,11 +176,12 @@ def suite_clock(cfg: RunConfig) -> Iterator:
 
 def _integral_profile(f: FunctionHandle, order: Order) -> FunctionHandle:
     """t -> integral of f over (0, t) against the stretch weight, as a
-    handle that is cheap enough to difference."""
+    handle that is cheap enough to difference; an array t is one stacked
+    rule."""
     def ev(t):
-        quad = WeightedQuadrature.build(order, 0.0, float(t),
+        quad = WeightedQuadrature.build(order, 0.0, t,
                                         panels=8, points_per_panel=12)
-        return complex(conf_integral(f, quad)).real
+        return conf_integral(f, quad).real
 
     return FunctionHandle(evaluator=ev)
 
@@ -199,21 +200,22 @@ def suite_calculus(cfg: RunConfig) -> Iterator:
                {"delta": d, "degrees": [1, 2, 3]}, worst, cfg.tol("power_rule"))
 
         worst = 0.0
+        t_probe = np.array([0.3, 0.7, 1.5])
         for f in _CALC_CORPUS:
-            for t in (0.3, 0.7, 1.5):
-                direct = conf_derivative(f, order, t)
-                limit = conf_derivative_limit(f, order, t)
-                worst = max(worst, abs(limit - direct) / max(1.0, abs(direct)))
+            direct = conf_derivative(f, order, t_probe).tolist()
+            limit = conf_derivative_limit(f, order, t_probe).tolist()
+            for got, want in zip(limit, direct):
+                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
         yield (f"calculus.limit_quotient[delta={d}]", {"delta": d},
                worst, cfg.tol("fundamental_identity"))
 
         worst = 0.0
+        t_probe = np.array([0.25, 0.5, 1.0, 2.0])
         for f in _CALC_CORPUS:
             profile = _integral_profile(f, order)
-            for t in (0.25, 0.5, 1.0, 2.0):
-                recovered = conf_derivative_limit(profile, order, t)
-                target = float(np.asarray(f.evaluator(t)))
-                worst = max(worst, abs(recovered - target) / max(1.0, abs(target)))
+            recovered = conf_derivative_limit(profile, order, t_probe).tolist()
+            for got, want in zip(recovered, f.evaluator(t_probe).tolist()):
+                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
         yield (f"calculus.derivative_of_integral[delta={d}]", {"delta": d},
                worst, cfg.tol("fundamental_identity"))
 
@@ -272,13 +274,26 @@ def suite_calculus(cfg: RunConfig) -> Iterator:
 def _graded_gl(end: float) -> tuple:
     # independent plain rule with geometric refinement toward 0, where the
     # substituted profile has a fractional-power cusp
-    xs, ws = np.polynomial.legendre.leggauss(24)
+    xs, ws = _gauss_legendre(24)
     cuts = np.concatenate(([0.0], end * 2.0 ** (-np.arange(13, -1, -1.0))))
     nodes, weights = [], []
     for lo, hi in zip(cuts, cuts[1:]):
         nodes.append(0.5 * (xs + 1.0) * (hi - lo) + lo)
         weights.append(0.5 * ws * (hi - lo))
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _cubic_stack(coeffs: np.ndarray) -> FunctionHandle:
+    """A handle whose value at m points is the (k, m) stack of k cubics,
+    from (k, 4) coefficients highest first, by np.polyval's Horner steps."""
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        y = np.zeros(coeffs.shape[:1] + t.shape)
+        for column in coeffs.T:
+            y = y * t + column.reshape(column.shape + (1,) * t.ndim)
+        return y
+
+    return FunctionHandle(evaluator=ev)
 
 
 def suite_spaces(cfg: RunConfig) -> Iterator:
@@ -327,17 +342,13 @@ def suite_spaces(cfg: RunConfig) -> Iterator:
                worst, cfg.tol("unitarity"))
 
         rng = np.random.default_rng([cfg.seed, 23, int(round(1000 * d))])
+        coeffs = rng.uniform(-1.0, 1.0, size=(40, 2, 4))
+        f, g = _cubic_stack(coeffs[:, 0]), _cubic_stack(coeffs[:, 1])
         worst = 0.0
-        for _ in range(40):
-            cf, cg = rng.uniform(-1.0, 1.0, size=(2, 4))
-            f = FunctionHandle(evaluator=lambda t, c=cf: np.polyval(
-                c, np.asarray(t, dtype=float)))
-            g = FunctionHandle(evaluator=lambda t, c=cg: np.polyval(
-                c, np.asarray(t, dtype=float)))
-            ip = abs(inner_product_2delta(f, g, quad2))
-            nf = lp_delta_norm(f, 2.0, quad2)
-            ng = lp_delta_norm(g, 2.0, quad2)
-            worst = max(worst, max(0.0, ip / (nf * ng) - 1.0))
+        for ip, nf, ng in zip(inner_product_2delta(f, g, quad2).tolist(),
+                              lp_delta_norm(f, 2.0, quad2).tolist(),
+                              lp_delta_norm(g, 2.0, quad2).tolist()):
+            worst = max(worst, max(0.0, abs(ip) / (nf * ng) - 1.0))
         yield (f"spaces.cauchy_schwarz[delta={d}]", {"delta": d, "pairs": 40},
                worst, cfg.tol("cauchy_schwarz"))
 

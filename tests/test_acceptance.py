@@ -131,11 +131,8 @@ def test_criterion_03_fundamental_identity():
         order = Order(delta)
         for f in fns:
             def profile(t, f=f, order=order):
-                t = float(t)
-                if t == 0.0:
-                    return 0.0
                 quad = WeightedQuadrature.build(order, 0.0, t, 8, 12)
-                return complex(conf_integral(f, quad)).real
+                return conf_integral(f, quad).real
 
             big = FunctionHandle(profile)
             for t in np.linspace(0.15, 1.9, 20):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammainc
 
-from confsemi import (FunctionHandle, Order, WeightedQuadrature,
-                      conf_derivative, conf_derivative_iterated,
-                      conf_derivative_limit, conf_integral)
+from confsemi import (ConvergenceError, FunctionHandle, Order,
+                      WeightedQuadrature, conf_derivative,
+                      conf_derivative_iterated, conf_derivative_limit,
+                      conf_integral, suites)
 from confsemi.clock import pow_arr
 
 SIN = FunctionHandle(np.sin, np.cos, lambda t: -np.sin(t))
@@ -166,9 +167,6 @@ def test_integral_then_derivative(delta):
     d = Order(delta)
 
     def profile(t):
-        t = float(t)
-        if t == 0.0:
-            return 0.0
         quad = WeightedQuadrature.build(d, 0.0, t, 8, 12)
         return conf_integral(SIN, quad)
 
@@ -192,3 +190,83 @@ def test_derivative_then_integral(delta):
     quad = WeightedQuadrature.build(d, t_lo, t_hi)
     got = conf_integral(stretched, quad)
     assert got == pytest.approx(np.sin(t_hi) - np.sin(t_lo), rel=1e-10)
+
+
+# stacks equal their rows bit for bit ----------------------------------------
+
+def _split_power_ends(delta, a):
+    """Right ends above a, with some where numpy's array power and Python's
+    float power round psi's t**delta differently (none at delta = 1, where
+    both are exact)."""
+    rng = np.random.default_rng([3, int(round(1000 * delta))])
+    draws = rng.uniform(a + 0.05, 3.0, 20000)
+    split = [b for b, arr in zip(draws.tolist(), (draws ** delta).tolist())
+             if b ** delta != arr]
+    return np.array([a + 0.3, a + 1.0, 2.75] + split[:5])
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.5, 1.0])
+@pytest.mark.parametrize("a", [0.0, 0.25])
+def test_stacked_rule_equals_its_rows(delta, a):
+    """a rule built on an array of right ends is the stack of the rules
+    built on each end, and conf_integral reduces each row bit for bit"""
+    order = Order(delta)
+    ends = _split_power_ends(delta, a)
+    if delta != 1.0:
+        assert len(ends) > 3
+    stacked = WeightedQuadrature.build(order, a, ends.reshape(1, -1))
+    assert stacked.nodes.shape[:2] == (1, len(ends))
+    nodes = stacked.nodes.reshape(len(ends), -1)
+    weights = stacked.weights.reshape(len(ends), -1)
+    got = conf_integral(SIN, stacked).ravel()
+    assert got.dtype == complex
+    for k, end in enumerate(ends.tolist()):
+        row = WeightedQuadrature.build(order, a, end)
+        assert np.array_equal(nodes[k], row.nodes)
+        assert np.array_equal(weights[k], row.weights)
+        want = conf_integral(SIN, row)
+        assert isinstance(want, complex) and got[k] == want
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.3, 0.5, 1.0])
+def test_limit_quotient_stack_equals_float_calls(delta):
+    """an array t gives the float calls' limits bit for bit, on the calculus
+    corpus and on the suite's running-integral profile"""
+    order = Order(delta)
+    t = np.array([0.25, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0])
+    handles = list(suites._CALC_CORPUS) + [
+        suites._integral_profile(f, order) for f in suites._CALC_CORPUS]
+    for f in handles:
+        got = conf_derivative_limit(f, order, t)
+        assert got.shape == t.shape
+        for value, ti in zip(got.tolist(), t.tolist()):
+            want = conf_derivative_limit(f, order, ti)
+            assert np.ndim(want) == 0 and value == want
+    square = conf_derivative_limit(SIN, order, t[:6].reshape(2, 3))
+    assert np.array_equal(square.ravel(), conf_derivative_limit(SIN, order, t[:6]))
+
+
+def _offset_at(bad):
+    """sin plus a fixed offset 1e-3 at the points in `bad` alone: the
+    quotient's error there is 1e-3 / h, which grows as h shrinks."""
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        return np.sin(t) + 1e-3 * np.isin(t, bad)
+    return FunctionHandle(ev)
+
+
+def test_diverging_quotient_raises_naming_its_t():
+    """a float t, or the first diverging t of an array, is named in the
+    ConvergenceError; t <= 0 is a ValueError"""
+    f = _offset_at([0.7, 1.3])
+    assert conf_derivative_limit(f, Order(0.5), 0.4) == pytest.approx(
+        conf_derivative(SIN, Order(0.5), 0.4), rel=1e-8)
+    with pytest.raises(ConvergenceError, match=r"at t=0\.7, delta=0\.5"):
+        conf_derivative_limit(f, Order(0.5), 0.7)
+    with pytest.raises(ConvergenceError, match=r"at t=0\.7, delta=0\.5"):
+        conf_derivative_limit(f, Order(0.5), np.array([0.4, 0.7, 1.0, 1.3]))
+    with pytest.raises(ConvergenceError, match=r"at t=1\.3,"):
+        conf_derivative_limit(f, Order(0.5), np.array([1.3, 0.7]))
+    for bad_t in (0.0, -1.0, np.array([0.5, 0.0]), np.array([[1.0], [-2.0]])):
+        with pytest.raises(ValueError):
+            conf_derivative_limit(SIN, Order(0.5), bad_t)

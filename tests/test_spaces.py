@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from confsemi import (FunctionHandle, Order, WeightedQuadrature,
                       inner_product_2delta, lp_delta_norm, make_weight,
-                      pullback, sobolev_norm, spatial_unitary_apply)
+                      pullback, sobolev_norm, spatial_unitary_apply, suites)
 
 HORIZON = 1.0
 
@@ -177,3 +177,63 @@ def test_rule_off_zero_or_p_below_one_rejected():
         sobolev_norm(one, 1, 2.0, off_zero)
     with pytest.raises(ValueError):
         lp_delta_norm(one, 0.5, quad_for(0.7))
+
+
+# stacks equal their rows bit for bit ----------------------------------------
+
+def _split_root_rates(quad, p):
+    """Rates c, some of whose norms of exp(-c t) have a p-th power total
+    whose root numpy's array power and Python's float power round
+    differently."""
+    rates = np.random.default_rng([5, int(p)]).uniform(0.0, 4.0, 4000)
+    vals = np.exp(-rates[:, None] * quad.t_nodes())
+    totals = np.sum(quad.weights * vals ** p, axis=-1)
+    split = [c for c, total, arr in zip(rates.tolist(), totals.tolist(),
+                                        (totals ** (1.0 / p)).tolist())
+             if total ** (1.0 / p) != arr]
+    return np.array([0.0, 0.5, 3.0] + split[:5])
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.5, 1.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_norm_stack_equals_its_rows(delta, p):
+    """an evaluator returning a (k, m) stack gives k norms, each equal to
+    its row's norm bit for bit, and k pairings likewise"""
+    quad = quad_for(delta)
+    rates = _split_root_rates(quad, p)
+    stack = FunctionHandle(lambda t: np.exp(-rates[:, None] * t))
+    waves = FunctionHandle(lambda t: np.exp(1j * rates[:, None] * t))
+    norms = lp_delta_norm(stack, p, quad)
+    pairs = inner_product_2delta(stack, waves, quad)
+    assert norms.shape == pairs.shape == rates.shape
+    assert pairs.dtype == complex
+    for k, c in enumerate(rates.tolist()):
+        row = FunctionHandle(lambda t, c=c: np.exp(-c * t))
+        wave = FunctionHandle(lambda t, c=c: np.exp(1j * c * t))
+        want = lp_delta_norm(row, p, quad)
+        assert isinstance(want, float) and norms[k] == want
+        want = inner_product_2delta(row, wave, quad)
+        assert isinstance(want, complex) and pairs[k] == want
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("delta", [0.02, 0.3, 1.0])
+def test_cauchy_schwarz_batch_equals_pair_calls(seed, delta):
+    """the suite's 40 batched cubic pairs equal 40 sequential draws read by
+    np.polyval and one library call per pair and quantity; its residual is
+    always 0, so the report alone would not show a mismatch"""
+    quad = quad_for(delta)
+    stream = [seed, 23, int(round(1000 * delta))]
+    coeffs = np.random.default_rng(stream).uniform(-1.0, 1.0, size=(40, 2, 4))
+    f, g = suites._cubic_stack(coeffs[:, 0]), suites._cubic_stack(coeffs[:, 1])
+    ips = inner_product_2delta(f, g, quad)
+    nfs = lp_delta_norm(f, 2.0, quad)
+    ngs = lp_delta_norm(g, 2.0, quad)
+    rng = np.random.default_rng(stream)
+    for k in range(40):
+        cf, cg = rng.uniform(-1.0, 1.0, size=(2, 4))
+        fk = FunctionHandle(lambda t, c=cf: np.polyval(c, np.asarray(t, float)))
+        gk = FunctionHandle(lambda t, c=cg: np.polyval(c, np.asarray(t, float)))
+        assert ips[k] == inner_product_2delta(fk, gk, quad)
+        assert nfs[k] == lp_delta_norm(fk, 2.0, quad)
+        assert ngs[k] == lp_delta_norm(gk, 2.0, quad)
